@@ -5,9 +5,9 @@ Weight spec grammar (exact):
     | prod:(<spec>,<spec>)
 
 Exit codes: 0 success, 1 a verification block failed, 2 usage error.
-All JSON reports carry a top-level {"schema": 1}; +inf constants are
-encoded as the string "inf".  All randomness hangs off --seed (default 0),
-so identical invocations are byte-identical.
+All JSON reports carry a top-level {"schema": 1}; non-finite constants are
+encoded as the strings "inf", "-inf" and "nan".  All randomness hangs off
+--seed (default 0), so identical invocations are byte-identical.
 """
 
 from __future__ import annotations

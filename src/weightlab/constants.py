@@ -53,7 +53,7 @@ class ConstantReport:
 
     def to_json_dict(self) -> dict:
         def enc(x: float):
-            return x if math.isfinite(x) else "inf"
+            return x if math.isfinite(x) else str(x)  # "inf", "-inf" or "nan"
 
         d: dict = {"kind": self.kind.tag}
         if self.kind.p is not None:

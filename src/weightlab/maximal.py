@@ -14,12 +14,11 @@ Three operators:
   (int_Q |f| v) / v(Q).
 
 All interval averages are formed from one shared prefix-sum (dyadic ops:
-one shared sum pyramid), so the fast paths and the exhaustive oracles see
-identical floating-point candidates and agree bitwise.
-
-The uncentered operator runs the naive O(N^2) sweep up to N = 4096 and a
-divide-and-conquer convex-hull pass above (exact, gate-tested for equality
-against the naive sweep).
+one shared sum pyramid) by the same formula as in the oracles.  The dyadic
+paths and the naive uncentered sweep (used up to NAIVE_CEILING cells) agree
+with their oracles bitwise.  The level-batched hull pass used above it is
+never above its oracle and at most FAST_PATH_ULPS (tests/test_maximal.py)
+below it on plateaus; on lognormal, indicator and sorted data it is bitwise.
 """
 
 from __future__ import annotations
@@ -114,110 +113,117 @@ def weighted_dyadic_maximal_brute(f: GridFunction, v: GridWeight) -> GridFunctio
 
 
 # ---------------------------------------------------------------------------
-# uncentered maximal: naive sweep, hull-based fast pass, exhaustive oracle
+# uncentered maximal: naive sweep, level-batched hull pass, exhaustive oracle
 
-def _uncentered_naive_range(P: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Max interval average per cell, intervals within [lo, hi] only."""
-    n = hi - lo
-    res = np.empty(n)
-    acc = np.full(n, -np.inf)
-    idx = np.arange(lo, hi, dtype=np.int64)
-    for b in range(hi, lo, -1):
-        m = b - lo
-        col = (P[b] - P[lo:b]) / (b - idx[:m])
-        np.maximum(acc[:m], col, out=acc[:m])
-        res[m - 1] = acc[:m].max()
+def _uncentered_naive(P: np.ndarray) -> np.ndarray:
+    """Max interval average per cell by an O(N^2) sweep over right ends."""
+    n = len(P) - 1
+    res, acc, idx = np.empty(n), np.full(n, -np.inf), np.arange(n, dtype=np.int64)
+    for b in range(n, 0, -1):
+        np.maximum(acc[:b], (P[b] - P[:b]) / (b - idx[:b]), out=acc[:b])
+        res[b - 1] = acc[:b].max()
     return res
 
 
-def _upper_hull(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Strict upper hull of points sorted by x (collinear points dropped)."""
-    hx: list[float] = []
-    hy: list[float] = []
-    for x, y in zip(xs, ys):
-        # pop while slope(h[-2], h[-1]) <= slope(h[-1], new)
-        while len(hx) >= 2 and (hy[-1] - hy[-2]) * (x - hx[-1]) <= (y - hy[-1]) * (
-            hx[-1] - hx[-2]
-        ):
-            hx.pop()
-            hy.pop()
-        hx.append(x)
-        hy.append(y)
-    return np.asarray(hx), np.asarray(hy)
+def _uncentered_levels(P: np.ndarray) -> np.ndarray:
+    """Max interval average per cell, all dyadic nodes of one size at a time.
 
-
-def _max_slope_to_hull(qx: np.ndarray, qy: np.ndarray, hx: np.ndarray, hy: np.ndarray) -> np.ndarray:
-    """Max slope from each query point (left of the hull) to a hull vertex.
-
-    The slope sequence along a strictly convex hull is unimodal in the
-    vertex index, so a vectorized binary search on adjacent comparisons
-    lands on the peak.
+    Node [lo, lo + 2s) owns the intervals [a, b) with a < lo + s < b; the
+    singletons seed the result.  Averages are slopes between points (x, P[x]),
+    so the best b for a left end a is the tangent from a to the upper hull
+    on [lo + s, lo + 2s]; the point reflection (x, y) -> (-x, -y) turns right
+    ends and lower hulls into the same problem.  Hulls are masks over P,
+    merged by bridges after each level (Chung and Lu, SIAM J. Comput. 34,
+    2004).  Zero cells pad N to a power of two: they add no new maximum.
     """
-    m = len(hx)
-    if m == 1:
-        return (hy[0] - qy) / (hx[0] - qx)
-    lo = np.zeros(len(qx), dtype=np.int64)
-    hi = np.full(len(qx), m - 1, dtype=np.int64)
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        g_mid = (hy[mid] - qy) / (hx[mid] - qx)
-        g_nxt = (hy[mid + 1] - qy) / (hx[mid + 1] - qx)
-        move = active & (g_nxt > g_mid)
-        lo = np.where(move, mid + 1, lo)
-        hi = np.where(active & ~move, mid, hi)
-    return (hy[lo] - qy) / (hx[lo] - qx)
+    n = len(P) - 1
+    m = 1 << max(n - 1, 0).bit_length()
+    if m > n:
+        P = np.concatenate((P, np.full(m - n, P[-1])))
+    out, R = np.diff(P), -P[::-1]
+    upper, lower = np.ones(m + 1, dtype=bool), np.ones(m + 1, dtype=bool)
+    for d in range(m.bit_length() - 1):
+        _left_ends(P, upper, out, 1 << d)
+        _left_ends(R, lower[::-1], out[::-1], 1 << d)
+    return out[:n]
 
 
-def _uncentered_dnc(P: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
-    n = hi - lo
-    if n <= NAIVE_CEILING:
-        np.maximum(out[lo:hi], _uncentered_naive_range(P, lo, hi), out=out[lo:hi])
-        return
-    mid = (lo + hi) // 2
-    _uncentered_dnc(P, lo, mid, out)
-    _uncentered_dnc(P, mid, hi, out)
-    # straddling intervals: a in [lo, mid-1], b in [mid+1, hi]
-    bx = np.arange(mid + 1, hi + 1, dtype=np.int64)
-    by = P[mid + 1 : hi + 1]
-    ax = np.arange(lo, mid, dtype=np.int64)
-    ay = P[lo:mid]
-    # cells in the left half: any b > mid works, best a is a prefix max
-    uhx, uhy = _upper_hull(bx, by)
-    T = _max_slope_to_hull(ax, ay, uhx, uhy)
-    np.maximum.accumulate(T, out=T)
-    np.maximum(out[lo:mid], T, out=out[lo:mid])
-    # cells in the right half: any a <= mid-1 works, best b is a suffix max.
-    # Point-reflecting (x,y) -> (-x,-y) preserves slopes, turns the lower
-    # hull of the a-points into an upper hull, and puts the b-queries on
-    # its left, so the same tangent search applies.
-    lhx, lhy = _upper_hull(-ax[::-1], -ay[::-1])
-    S = _max_slope_to_hull(-bx, -by, lhx, lhy)
-    SM = np.maximum.accumulate(S[::-1])[::-1]
-    np.maximum(out[mid:hi], SM, out=out[mid:hi])
+def _left_ends(P, upper, out, s) -> None:
+    """Raise ``out`` on the left half of every node by the prefix maxima of
+    the left ends' tangents, then merge the node's two hulls in ``upper``."""
+    m = len(P) - 1
+    lo = np.arange(0, m, 2 * s, dtype=np.int32)[:, None]
+    V = np.arange(m + 1, dtype=np.int32)[upper]
+    st = np.searchsorted(V, lo + s).astype(np.int32)
+    en = (np.searchsorted(V, lo + 2 * s, "right") - 1).astype(np.int32)
+    G, K = _tangents(P, lo + np.arange(s, dtype=np.int32), V, st, en)
+    if 2 * s < m:
+        # The bridge starts at the last left vertex whose tangent does not
+        # rise above its incoming edge: a local test, so a rounding tie moves
+        # the hull by the roundoff of one edge, not of the whole bridge.
+        i = np.flatnonzero(V[:-1] % (2 * s) < s)  # V[-1] = m is no left end
+        v, u = V[i], V[i - 1]
+        j, c = v // (2 * s), v % (2 * s)
+        keep = (c == 0) | (G[j, c] <= (P[v] - P[u]) / (v - u))
+        j, v = j[keep], v[keep]
+        p = v[np.append(j[1:] != j[:-1], True)]  # last kept vertex of each row
+        d = np.zeros(m + 2, dtype=np.int8)  # drop the vertices strictly inside
+        d[p + 1] += 1                       # each bridge (p, K at p)
+        d[K[np.arange(len(p)), p % (2 * s)]] -= 1
+        upper &= np.cumsum(d[:-1], dtype=np.int8) == 0
+    np.maximum.accumulate(G, axis=1, out=G)
+    O = out.reshape(-1, 2 * s)[:, :s]
+    np.maximum(O, G, out=O)
+
+
+def _tangents(P, Q, V, st, en) -> tuple[np.ndarray, np.ndarray]:
+    """Max of (P[v] - P[q]) / (v - q) for each query q in row r over the hull
+    vertices v = V[st[r]..en[r]] right of q, and the v attaining it.
+
+    The average rises from vertex i - 1 to i iff the edge slope E[i] exceeds
+    the average to i - 1, and then never again: binary lifting on that test
+    finds the tangent.  Comparing two rounded averages instead stalls on
+    ties along nearly straight runs of the hull.
+    """
+    PV = P[V]
+    E = np.concatenate(([-np.inf], (PV[1:] - PV[:-1]) / (V[1:] - V[:-1])))
+    PQ, tmp, g = P[Q], np.empty_like(Q), np.empty(Q.shape)
+
+    def avg(k):  # g = (P[V[k]] - P[Q]) / (V[k] - Q); "clip" skips take's copy
+        np.subtract(np.take(PV, k, out=g, mode="clip"), PQ, out=g)
+        np.subtract(np.take(V, k, out=tmp, mode="clip"), Q, out=tmp)
+        np.divide(g, tmp, out=g)
+
+    k, j = np.repeat(st, Q.shape[1], axis=1), np.empty_like(Q)
+    w = (1 << int((en - st).max()).bit_length()) >> 1
+    while w:
+        np.minimum(k + w, en, out=j)
+        avg(j - 1)
+        np.copyto(k, j, where=(j > k) & (E[j] > g))
+        w >>= 1
+    avg(k)
+    return g, V[k]
+
+
+def _uncentered(values: np.ndarray, method: str = "auto") -> np.ndarray:
+    vals = np.abs(np.asarray(values, dtype=float))
+    P = _prefix(vals)
+    if method == "auto":
+        method = "naive" if len(vals) <= NAIVE_CEILING else "fast"
+    if method == "naive":
+        return _uncentered_naive(P)
+    if method == "fast":
+        return _uncentered_levels(P)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def uncentered_maximal(f: GridFunction, method: str = "auto") -> GridFunction:
     """Grid-restricted uncentered Hardy-Littlewood maximal function.
 
-    method: "naive" (O(N^2) sweep), "fast" (divide-and-conquer hull pass),
-    or "auto" (naive up to 4096 cells).
+    method: "naive" (O(N^2) sweep), "fast" (level-batched hull pass),
+    or "auto" (naive up to NAIVE_CEILING cells).
     """
-    vals = np.abs(f.values)
-    P = _prefix(vals)
-    n = len(vals)
-    if method == "auto":
-        method = "naive" if n <= NAIVE_CEILING else "fast"
-    if method == "naive":
-        out = _uncentered_naive_range(P, 0, n)
-    elif method == "fast":
-        out = np.full(n, -np.inf)
-        _uncentered_dnc(P, 0, n, out)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return GridFunction(f.grid, out)
+    return GridFunction(f.grid, _uncentered(f.values, method))
 
 
 def uncentered_maximal_brute(f: GridFunction) -> GridFunction:
@@ -240,11 +246,4 @@ def uncentered_restricted(values: np.ndarray) -> np.ndarray:
     Used for M(chi_Q w) restricted to a cube Q: truncation kills any gain
     from leaving Q, so intervals inside Q suffice.
     """
-    vals = np.abs(np.asarray(values, dtype=float))
-    P = _prefix(vals)
-    n = len(vals)
-    if n <= NAIVE_CEILING:
-        return _uncentered_naive_range(P, 0, n)
-    out = np.full(n, -np.inf)
-    _uncentered_dnc(P, 0, n, out)
-    return out
+    return _uncentered(values)

@@ -111,6 +111,8 @@ def mixed_ratio(
     """
     if f.grid != u.grid or f.grid != v.grid:
         raise ConfigError("mixed_ratio needs f, u, v on one grid")
+    if not np.any(f.values):
+        raise ConfigError("f is zero: the mixed ratio is undefined")
     vrep = v.cell_values
     if np.any(vrep <= 0) or not np.all(np.isfinite(vrep)):
         bad = int(np.argmin(vrep > 0))

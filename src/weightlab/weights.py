@@ -401,15 +401,22 @@ def _read_rows(path) -> list[float]:
 
 def load_csv(path, grid: Grid) -> GridWeight:
     """Load a piecewise weight: N positive rows, one value per cell."""
-    rows = _read_rows(path)
+    rows = _read_weight_rows(path)
     if len(rows) != grid.ncells:
         raise CsvFormatError(len(rows) + 1, f"expected {grid.ncells} rows, got {len(rows)}")
-    for i, v in enumerate(rows, start=1):
-        if not v > 0:
-            raise CsvFormatError(i, f"weight value must be positive, got {v}")
-        if not np.isfinite(v):
-            raise CsvFormatError(i, f"weight value must be finite, got {v}")
     return realize(Piecewise(tuple(rows)), grid)
+
+
+def _read_weight_rows(path) -> list[float]:
+    """Rows of a weight CSV; each must be positive and finite."""
+    rows = _read_rows(path)
+    vals = np.asarray(rows)
+    bad = np.flatnonzero(~((vals > 0) & (vals < np.inf)))  # NaN fails both
+    if len(bad):
+        v = rows[bad[0]]
+        need = "finite" if v > 0 else "positive"
+        raise CsvFormatError(int(bad[0]) + 1, f"weight value must be {need}, got {v}")
+    return rows
 
 
 def save_csv(w: GridWeight, path) -> None:
@@ -452,12 +459,7 @@ def parse_weight_spec(text: str) -> WeightSpec:
     if text.startswith("step:"):
         return Step(_parse_kv(text[5:], "alpha"))
     if text.startswith("csv:"):
-        path = text[4:]
-        rows = _read_rows(path)
-        for i, v in enumerate(rows, start=1):
-            if not v > 0:
-                raise CsvFormatError(i, f"weight value must be positive, got {v}")
-        return Piecewise(tuple(rows))
+        return Piecewise(tuple(_read_weight_rows(text[4:])))
     if text.startswith("prod:"):
         body = text[5:]
         if not (body.startswith("(") and body.endswith(")")):

@@ -158,6 +158,21 @@ def test_usage_errors(capsys, tmp_path):
     )
     assert code == 2
     assert "row 2" in err
+    # an infinite cell in a weight csv
+    p.write_text("1.0\ninf\n1.0\n1.0\n")
+    code, _, err = run_cli(
+        capsys, "constants", "--weight", f"csv:{p}", "--kind", "A1", "--J", "0", "--L", "2"
+    )
+    assert code == 2
+    assert "row 2" in err and "finite" in err
+    # an all-zero f leaves the mixed ratio undefined
+    f = tmp_path / "zero.csv"
+    f.write_text("0.0\n" * 16)
+    code, out, err = run_cli(
+        capsys, "weaknorm", "--f", str(f), "--u", "const:c=1", "--v", "const:c=1"
+    )
+    assert code == 2
+    assert out == "" and "f is zero" in err and "Traceback" not in err
 
 
 def test_byte_identical_reruns(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import weightlab as wl
-from weightlab.constants import ConstantKind, DIM
+from weightlab.constants import ConstantKind, ConstantReport, DIM
 from weightlab.errors import ConfigError
 from weightlab.grid import Cube
 from weightlab.maximal import uncentered_restricted
@@ -282,3 +282,11 @@ def test_json_inf_encoding():
     rep = wl.global_constant(wp, ConstantKind("Ap", p=2.0))
     assert math.isinf(rep.value)
     assert rep.to_json_dict()["value"] == "inf"
+    # NaN and -inf keep their own names
+    rep = ConstantReport(
+        ConstantKind("A1"), math.nan, Cube(0, 0),
+        [(0, -math.inf, 0), (1, math.inf, 1), (2, math.nan, 2)], (0, 2),
+    )
+    d = rep.to_json_dict()
+    assert d["value"] == "nan"
+    assert [row["value"] for row in d["per_level"]] == ["-inf", "inf", "nan"]

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weightlab as wl
+from weightlab import maximal
 from weightlab.maximal import uncentered_restricted
 from conftest import random_function
 
@@ -157,3 +159,83 @@ def test_uncentered_restricted_matches_full_on_isolated_block(rng):
     g = wl.build_grid(0, 5)
     f = wl.GridFunction(g, vals)
     assert np.array_equal(uncentered_restricted(vals), wl.uncentered_maximal(f).values)
+
+
+# The level-batched hull pass decides hull membership with rounded
+# averages, so on plateaus it can pick a vertex whose rounded average is a
+# few units in the last place (ulps) below the best one.  Against the naive
+# sweep the worst gap measured was 2 ulps, over 3150 few-piece step
+# functions (with zero runs, end spikes, decreasing runs) of 1..8192 cells
+# and 60 step, constant and sparse lognormal functions of 12345..32768
+# cells.  The bound is twice that.
+FAST_PATH_ULPS = 4
+
+
+def assert_fast_path_contract(fast, oracle):
+    assert np.all(fast <= oracle), "fast path above its oracle"
+    gap = (oracle - fast) / np.spacing(oracle)
+    assert np.all(gap <= FAST_PATH_ULPS), f"fast path {gap.max()} ulps below its oracle"
+
+
+@st.composite
+def step_functions(draw, sizes):
+    """Few-piece step functions (zero runs allowed) with optional end
+    spikes, or decreasing data followed by a spike."""
+    n = draw(sizes)
+    cuts = draw(st.lists(st.integers(1, max(n - 1, 1)), max_size=5, unique=True))
+    cuts = sorted(c for c in cuts if c < n)
+    heights = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+            min_size=len(cuts) + 1,
+            max_size=len(cuts) + 1,
+        )
+    )
+    vals = np.repeat(heights, np.diff([0, *cuts, n]))
+    shape = draw(st.sampled_from(["steps", "left spike", "right spike", "decreasing"]))
+    spike = draw(st.floats(5.0, 100.0))
+    if shape == "left spike":
+        vals[0] = spike
+    elif shape == "right spike":
+        vals[-1] = spike
+    elif shape == "decreasing":
+        vals = np.linspace(draw(st.floats(1.0, 5.0)), draw(st.floats(0.0, 1.0)), n)
+        vals[-1] = spike
+    return vals
+
+
+def brute_block(vals):
+    # the brute oracle needs a dyadic grid: zero cells pad the block, and
+    # every interval reaching into them averages below one ending at the pad
+    g = wl.build_grid(0, max(len(vals) - 1, 0).bit_length())
+    padded = np.zeros(g.ncells)
+    padded[: len(vals)] = vals
+    return wl.uncentered_maximal_brute(wl.GridFunction(g, padded)).values[: len(vals)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(step_functions(st.integers(1, 256)))
+def test_fast_path_against_brute_on_step_functions(vals):
+    # a zero ceiling sends every length, powers of two or not, to the fast path
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maximal, "NAIVE_CEILING", 0)
+        fast = uncentered_restricted(vals)
+    assert_fast_path_contract(fast, brute_block(vals))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(step_functions(st.just(8192)))
+def test_fast_path_against_naive_beyond_ceiling(vals):
+    f = wl.GridFunction(wl.build_grid(0, 13), vals)
+    assert_fast_path_contract(
+        wl.uncentered_maximal(f).values, wl.uncentered_maximal(f, method="naive").values
+    )
+
+
+def test_fast_path_on_three_piece_step_function():
+    # raised IndexError in the recursive hull search this pass replaced
+    vals = np.repeat([1.0, 3.0, 2.0], [3979, 5888 - 3979, 8192 - 5888])
+    f = wl.GridFunction(wl.build_grid(0, 13), vals)
+    assert_fast_path_contract(
+        wl.uncentered_maximal(f).values, wl.uncentered_maximal(f, method="naive").values
+    )
