@@ -22,14 +22,9 @@ from .weights import (
     Product,
     Step,
     dual_weight,
-    ess_inf,
     load_csv,
     load_function_csv,
-    log_mass,
-    mass,
-    dual_mass,
     parse_weight_spec,
-    power_mass,
     product_cell_masses,
     realize,
     save_csv,

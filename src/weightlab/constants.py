@@ -108,16 +108,20 @@ def ainf_fw_local(w: GridWeight, Q: Cube) -> float:
     truncated weight is attained by intervals inside Q, so the restricted
     sweep suffices.  Analytic weights are refused: realize them on a grid.
     """
-    if not w.is_piecewise:
-        raise ConfigError(
-            "Fujii-Wilson constant needs a piecewise-constant weight; "
-            "realize the analytic weight on a grid first"
-        )
+    _require_piecewise(w)
     cells = cells_of(w.grid, Q)
     vals = w.cell_values[cells.start : cells.stop]
     mvals = uncentered_restricted(vals)
     integral = float(mvals.sum()) * w.grid.cell_width
     return integral / w.mass_of(Q)
+
+
+def _require_piecewise(w: GridWeight) -> None:
+    if not w.is_piecewise:
+        raise ConfigError(
+            "Fujii-Wilson constant needs a piecewise-constant weight; "
+            "realize the analytic weight on a grid first"
+        )
 
 
 def mixed_local(w: GridWeight, Q: Cube, p: float, alpha: float, beta: float) -> float:
@@ -138,6 +142,12 @@ def mixed_local(w: GridWeight, Q: Cube, p: float, alpha: float, beta: float) -> 
 
 def _level_values(w: GridWeight, kind: ConstantKind, k: int) -> np.ndarray:
     grid = w.grid
+    if kind.tag == "AinfFW":
+        # every cube of the level as one row block, same formula as ainf_fw_local
+        _require_piecewise(w)
+        blocks = w.cell_values.reshape(grid.ncubes(k), -1)
+        integral = uncentered_restricted(blocks).sum(axis=1) * grid.cell_width
+        return integral / w.mass.at_level(grid, k)
     scale = 2.0 ** float(k)  # 1/|Q| at level k
     m = w.mass.at_level(grid, k) * scale
     if kind.tag == "A1":
@@ -174,12 +184,7 @@ def global_constant(w: GridWeight, kind: ConstantKind) -> ConstantReport:
     best_cube = grid.root
     per_level: list[tuple[int, float, int]] = []
     for k in grid.levels():
-        if kind.tag == "AinfFW":
-            vals = np.array(
-                [ainf_fw_local(w, Cube(k, m)) for m in range(grid.ncubes(k))]
-            )
-        else:
-            vals = _level_values(w, kind, k)
+        vals = _level_values(w, kind, k)
         arg = int(np.argmax(vals))
         vmax = float(vals[arg])
         per_level.append((k, vmax, arg))
@@ -247,6 +252,50 @@ def reverse_holder_exponent(a1: float) -> float:
     return 1.0 + 1.0 / (2.0 ** (DIM + 1) * a1)
 
 
+RH_CHUNK = 1 << 15  # doubles per draw of random unions
+
+
+def _levelset_ratios(w: GridWeight, eps: float, n_subsets: int, rng):
+    """Yield [w(E)/w(Q)] / [2 (|E|/|Q|)^eps] level by level: first for the
+    single cells of every cube, then chunk by chunk for the random unions."""
+    grid = w.grid
+    for k in grid.levels():
+        m = 1 << (grid.L - k)
+        blocks = w.cell_masses.reshape(-1, m)
+        wq = w.mass.at_level(grid, k)
+        # single cells: the extremal small-|E| cases
+        yield (blocks / wq[:, None]) / (2.0 * (1.0 / m) ** eps)
+        if m == 1:
+            continue
+        rows = len(wq) * n_subsets
+        step = max(1, RH_CHUNK // m)
+        for r in range(0, rows, step):
+            cube = np.arange(r, min(r + step, rows)) // n_subsets
+            mask = rng.random((len(cube), m)) < 0.5
+            yield _union_ratios(blocks, wq, cube, mask, eps)
+
+
+def _union_ratios(blocks, wq, cube, mask, eps) -> np.ndarray:
+    """[w(E)/w(Q)] / [2 (|E|/|Q|)^eps] for the non-empty unions E = mask[i]
+    of the cells of cube[i].  The rows of one size |E| are summed as one 2-D
+    array, so each w(E) is numpy's pairwise sum of the cells in E, bitwise
+    what ``block[mask].sum()`` gives row by row."""
+    m = blocks.shape[1]
+    sizes = mask.sum(axis=1)
+    order = np.argsort(sizes, kind="stable")
+    vals = blocks[cube[order]][mask[order]]
+    out = []
+    start = 0
+    for sz, count in zip(*(a.tolist() for a in np.unique(sizes, return_counts=True))):
+        if sz:
+            sel = order[start : start + count]
+            we = vals[: count * sz].reshape(count, sz).sum(axis=1)
+            out.append((we / wq[cube[sel]]) / (2.0 * (sz / m) ** eps))
+        vals = vals[count * sz :]
+        start += count
+    return np.concatenate(out) if out else np.empty(0)
+
+
 def reverse_holder_check(
     w: GridWeight,
     n_subsets: int = 64,
@@ -254,7 +303,13 @@ def reverse_holder_check(
 ) -> ReverseHolderReport:
     """Check (avg_Q w^{r_w})^{1/r_w} <= 2 avg_Q w on every dyadic cube, plus
     the measure-comparison consequence w(E)/w(Q) <= 2 (|E|/|Q|)^{eps_w} on
-    sampled E (every single cell of Q plus seeded random cell unions)."""
+    sampled E (every single cell of Q plus seeded random cell unions).
+
+    Each level is checked in one pass over all its cubes.  The unions are
+    drawn in the order of a loop over cubes and then subsets, one
+    ``rng.random(m)`` row per union, in chunks of at most RH_CHUNK doubles
+    (one row if a cube has more cells), so the stream and every sample are
+    those of that loop; empty unions are skipped, as there."""
     a1 = a1_constant(w)
     if not math.isfinite(a1):
         raise ConfigError("reverse Holder check needs a finite A1 constant")
@@ -273,35 +328,14 @@ def reverse_holder_check(
         if float(ratio[arg]) > worst:
             worst = float(ratio[arg])
             worst_cube = Cube(k, arg)
-    rng = np.random.default_rng(seed)
-    cells = w.cell_masses
     samples = 0
     violations = 0
     max_ratio = -math.inf
-    for k in grid.levels():
-        m = 1 << (grid.L - k)
-        for idx in range(grid.ncubes(k)):
-            sl = slice(idx * m, (idx + 1) * m)
-            block = cells[sl]
-            wq = float(w.mass.at_level(grid, k)[idx])
-            # single cells: the extremal small-|E| cases
-            ratios = (block / wq) / (2.0 * (1.0 / m) ** eps)
-            samples += m
-            violations += int(np.count_nonzero(ratios > 1.0))
-            max_ratio = max(max_ratio, float(ratios.max()))
-            if m > 1:
-                for _ in range(n_subsets):
-                    mask = rng.random(m) < 0.5
-                    sz = int(mask.sum())
-                    if sz == 0:
-                        continue
-                    we = float(block[mask].sum())
-                    bound = 2.0 * (sz / m) ** eps
-                    ratio = (we / wq) / bound
-                    samples += 1
-                    if ratio > 1.0:
-                        violations += 1
-                    max_ratio = max(max_ratio, ratio)
+    for ratio in _levelset_ratios(w, eps, n_subsets, np.random.default_rng(seed)):
+        samples += ratio.size
+        violations += int(np.count_nonzero(ratio > 1.0))
+        if ratio.size:
+            max_ratio = max(max_ratio, float(ratio.max()))
     return ReverseHolderReport(
         a1=a1,
         r_w=rw,

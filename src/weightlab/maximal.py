@@ -19,6 +19,11 @@ paths and the naive uncentered sweep (used up to NAIVE_CEILING cells) agree
 with their oracles bitwise.  The level-batched hull pass used above it is
 never above its oracle and at most FAST_PATH_ULPS (tests/test_maximal.py)
 below it on plateaus; on lognormal, indicator and sorted data it is bitwise.
+
+The uncentered internals also take a 2-D array whose rows are independent
+blocks (``uncentered_restricted`` on all cubes of one dyadic level): each
+row gives bitwise what it gives alone.  The sweep runs over every row at
+once; the hull pass, above NAIVE_CEILING cells per row, one row at a time.
 """
 
 from __future__ import annotations
@@ -34,8 +39,9 @@ NAIVE_CEILING = 4096
 # shared average builders
 
 def _prefix(values: np.ndarray) -> np.ndarray:
-    P = np.zeros(len(values) + 1)
-    np.cumsum(values, out=P[1:])
+    """Prefix sums along the last axis, with a leading zero per row."""
+    P = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
+    np.cumsum(values, axis=-1, out=P[..., 1:])
     return P
 
 
@@ -116,12 +122,19 @@ def weighted_dyadic_maximal_brute(f: GridFunction, v: GridWeight) -> GridFunctio
 # uncentered maximal: naive sweep, level-batched hull pass, exhaustive oracle
 
 def _uncentered_naive(P: np.ndarray) -> np.ndarray:
-    """Max interval average per cell by an O(N^2) sweep over right ends."""
-    n = len(P) - 1
-    res, acc, idx = np.empty(n), np.full(n, -np.inf), np.arange(n, dtype=np.int64)
+    """Max interval average per cell by an O(N^2) sweep over right ends b,
+    every row of P at once; acc[a] is the best (P[b'] - P[a]) / (b' - a)
+    over b' >= b.  The steps reuse one scratch row and one distance row."""
+    n = P.shape[-1] - 1
+    res = np.empty(P.shape[:-1] + (n,))
+    acc, tmp = np.full_like(res, -np.inf), np.empty_like(res)
+    dist = np.arange(n, 0, -1.0)  # dist[n - b:] = b - a for a = 0..b-1
     for b in range(n, 0, -1):
-        np.maximum(acc[:b], (P[b] - P[:b]) / (b - idx[:b]), out=acc[:b])
-        res[b - 1] = acc[:b].max()
+        t, a = tmp[..., :b], acc[..., :b]
+        np.subtract(P[..., b, None], P[..., :b], out=t)
+        np.divide(t, dist[n - b :], out=t)
+        np.maximum(a, t, out=a)
+        a.max(axis=-1, out=res[..., b - 1])
     return res
 
 
@@ -209,11 +222,12 @@ def _uncentered(values: np.ndarray, method: str = "auto") -> np.ndarray:
     vals = np.abs(np.asarray(values, dtype=float))
     P = _prefix(vals)
     if method == "auto":
-        method = "naive" if len(vals) <= NAIVE_CEILING else "fast"
+        method = "naive" if vals.shape[-1] <= NAIVE_CEILING else "fast"
     if method == "naive":
         return _uncentered_naive(P)
     if method == "fast":
-        return _uncentered_levels(P)
+        rows = P.reshape(-1, P.shape[-1])
+        return np.array([_uncentered_levels(row) for row in rows]).reshape(vals.shape)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -241,9 +255,11 @@ def uncentered_maximal_brute(f: GridFunction) -> GridFunction:
 
 
 def uncentered_restricted(values: np.ndarray) -> np.ndarray:
-    """Uncentered maximal of a raw cell-value block (intervals inside it).
+    """Uncentered maximal of a raw cell-value block (intervals inside it);
+    of every row of a 2-D array, each row its own block.
 
-    Used for M(chi_Q w) restricted to a cube Q: truncation kills any gain
-    from leaving Q, so intervals inside Q suffice.
+    Used for M(chi_Q w) restricted to a cube Q, or to all cubes of one level
+    at once: truncation kills any gain from leaving Q, so intervals inside Q
+    suffice.
     """
     return _uncentered(values)

@@ -16,6 +16,7 @@ in floating point, not just in exact arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -33,8 +34,8 @@ class Constant:
     c: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ConfigError(f"Constant weight needs c > 0, got {self.c}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ConfigError(f"Constant weight needs a finite c > 0, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -360,29 +361,6 @@ def product_cell_masses(u: GridWeight, v: GridWeight) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# module-level accessors (operation names used throughout the suite)
-
-def mass(w: GridWeight, Q: Cube) -> float:
-    return w.mass_of(Q)
-
-
-def dual_mass(w: GridWeight, Q: Cube, p: float) -> float:
-    return w.dual_mass_of(Q, p)
-
-
-def power_mass(w: GridWeight, Q: Cube, r: float) -> float:
-    return w.power_mass_of(Q, r)
-
-
-def log_mass(w: GridWeight, Q: Cube) -> float:
-    return w.log_mass_of(Q)
-
-
-def ess_inf(w: GridWeight, Q: Cube) -> float:
-    return w.essinf.of(w.grid, Q)
-
-
-# ---------------------------------------------------------------------------
 # CSV interchange: one decimal per line, LF-terminated
 
 def _read_rows(path) -> list[float]:
@@ -428,10 +406,11 @@ def load_function_csv(path, grid: Grid) -> GridFunction:
     rows = _read_rows(path)
     if len(rows) != grid.ncells:
         raise CsvFormatError(len(rows) + 1, f"expected {grid.ncells} rows, got {len(rows)}")
-    for i, v in enumerate(rows, start=1):
-        if not np.isfinite(v):
-            raise CsvFormatError(i, f"function value must be finite, got {v}")
-    return GridFunction(grid, np.asarray(rows))
+    vals = np.asarray(rows)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if len(bad):
+        raise CsvFormatError(int(bad[0]) + 1, f"function value must be finite, got {rows[bad[0]]}")
+    return GridFunction(grid, vals)
 
 
 def save_function_csv(f: GridFunction, path) -> None:

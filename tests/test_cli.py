@@ -165,6 +165,12 @@ def test_usage_errors(capsys, tmp_path):
     )
     assert code == 2
     assert "row 2" in err and "finite" in err
+    # an infinite constant weight
+    code, out, err = run_cli(
+        capsys, "constants", "--weight", "const:c=inf", "--kind", "A1", "--J", "0", "--L", "2"
+    )
+    assert code == 2
+    assert out == "" and "finite" in err and "Traceback" not in err
     # an all-zero f leaves the mixed ratio undefined
     f = tmp_path / "zero.csv"
     f.write_text("0.0\n" * 16)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import weightlab as wl
+from weightlab import constants, maximal
 from weightlab.constants import ConstantKind, ConstantReport, DIM
 from weightlab.errors import ConfigError
 from weightlab.grid import Cube
@@ -120,6 +121,62 @@ def test_ainf_fw_refuses_analytic():
     w = wl.realize(wl.Power(0.5), g)
     with pytest.raises(ConfigError):
         wl.ainf_fw_local(w, g.root)
+    with pytest.raises(ConfigError):
+        wl.ainf_fw_constant(w)
+
+
+def fw_weight(shape, J, L):
+    n = 1 << (J + L)
+    if shape == "steps":
+        vals = np.repeat([1.0, 3.0, 0.25, 2.0], np.diff([0, n // 5, n // 2, (3 * n) // 4, n]))
+    elif shape == "plateau":
+        vals = np.full(n, 0.7)
+    elif shape == "end spikes":
+        vals = np.ones(n)
+        vals[0], vals[-1] = 40.0, 90.0
+    else:
+        vals = np.random.default_rng(n).lognormal(size=n)
+    return wl.realize(wl.Piecewise(tuple(vals.tolist())), wl.build_grid(J, L))
+
+
+@pytest.mark.parametrize(
+    "shape, J, L",
+    [
+        ("steps", 0, 0),
+        ("steps", 1, 1),
+        ("lognormal", 0, 2),
+        ("steps", 1, 6),
+        ("plateau", 0, 7),
+        ("end spikes", 1, 7),
+        ("lognormal", 2, 6),
+        ("steps", 0, 13),  # the top cube (8192 cells) takes the hull pass
+    ],
+)
+def test_ainf_fw_levels_equal_per_cube_oracle(shape, J, L):
+    w = fw_weight(shape, J, L)
+    g = w.grid
+    rep = wl.global_constant(w, ConstantKind("AinfFW"))
+    for k, value, arg in rep.per_level:
+        local = [wl.ainf_fw_local(w, Cube(k, i)) for i in range(g.ncubes(k))]
+        assert (value, arg) == (max(local), int(np.argmax(local))), k
+
+
+def test_ainf_fw_one_restricted_call_per_level(monkeypatch):
+    # the per-level batching, counted instead of timed: one call per level,
+    # plus (at most) one per cube above the naive ceiling
+    calls = []
+
+    def counted(values):
+        calls.append(values.shape)
+        return uncentered_restricted(values)
+
+    monkeypatch.setattr(constants, "uncentered_restricted", counted)
+    w = fw_weight("steps", 0, 13)
+    wl.ainf_fw_constant(w)
+    g = w.grid
+    big = sum(g.ncubes(k) for k in g.levels() if 1 << (g.L - k) > maximal.NAIVE_CEILING)
+    assert big == 1
+    assert len(calls) <= len(list(g.levels())) + big, calls
 
 
 def test_ainf_fw_at_least_one(rng):
@@ -242,6 +299,75 @@ def test_reverse_holder_step_and_random(rng):
         w = wl.random_a1_weight(g, rng, cap=10.0)
         rep = wl.reverse_holder_check(w, seed=i)
         assert rep.ok, (rep.max_lhs_over_rhs, rep.max_levelset_ratio)
+
+
+def reference_levelset(w, eps, n_subsets, seed):
+    """The per-cube, per-subset loop the batched level-set check replaced."""
+    g = w.grid
+    rng = np.random.default_rng(seed)
+    cells = w.cell_masses
+    samples, violations, max_ratio = 0, 0, -math.inf
+    for k in g.levels():
+        m = 1 << (g.L - k)
+        for idx in range(g.ncubes(k)):
+            block = cells[idx * m : (idx + 1) * m]
+            wq = float(w.mass.at_level(g, k)[idx])
+            ratios = (block / wq) / (2.0 * (1.0 / m) ** eps)
+            samples += m
+            violations += int(np.count_nonzero(ratios > 1.0))
+            max_ratio = max(max_ratio, float(ratios.max()))
+            if m > 1:
+                for _ in range(n_subsets):
+                    mask = rng.random(m) < 0.5
+                    sz = int(mask.sum())
+                    if sz == 0:
+                        continue
+                    ratio = (float(block[mask].sum()) / wq) / (2.0 * (sz / m) ** eps)
+                    samples += 1
+                    violations += int(ratio > 1.0)
+                    max_ratio = max(max_ratio, ratio)
+    return samples, violations, max_ratio
+
+
+@pytest.mark.parametrize("chunk", [3, 100, constants.RH_CHUNK])
+@pytest.mark.parametrize("small_a1", [False, True])
+def test_reverse_holder_levelset_equals_per_cube_loop(rng, chunk, small_a1, monkeypatch):
+    # chunk 3 puts one union per draw (cubes of 4+ cells) and splits the
+    # unions of small cubes across draws; the default draws whole levels.
+    # An understated A1 constant raises eps_w until samples violate.
+    monkeypatch.setattr(constants, "RH_CHUNK", chunk)
+    if small_a1:
+        monkeypatch.setattr(constants, "a1_constant", lambda w: 0.05)
+    g = wl.build_grid(1, 6)
+    weights = [wl.realize(wl.Step(0.25), g), fw_weight("end spikes", 1, 6)]
+    weights += [wl.random_a1_weight(g, rng, cap=10.0) for _ in range(2)]
+    violations = 0
+    for seed, w in enumerate(weights):
+        for n_subsets in (1, 5, 64):
+            rep = wl.reverse_holder_check(w, n_subsets=n_subsets, seed=seed)
+            ref = reference_levelset(w, rep.eps_w, n_subsets, seed)
+            got = (rep.levelset_samples, rep.levelset_violations, rep.max_levelset_ratio)
+            assert got == ref, (seed, n_subsets)
+            violations += ref[1]
+    assert (violations > 0) == small_a1
+
+
+def test_union_ratios_equal_row_by_row_sums(rng):
+    # single cells usually set the reported maximum, so the union sums are
+    # compared one by one: each must be numpy's pairwise sum of its cells
+    for m, ncubes in ((5, 3), (64, 4), (300, 2), (2048, 2)):
+        blocks = rng.lognormal(size=(ncubes, m))
+        wq = blocks.sum(axis=1)
+        cube = np.repeat(np.arange(ncubes), 7)
+        mask = rng.random((len(cube), m)) < rng.random((len(cube), 1))
+        mask[::5] = False
+        ref = [
+            (blocks[c][row].sum() / wq[c]) / (2.0 * (int(row.sum()) / m) ** 0.3)
+            for c, row in zip(cube, mask)
+            if row.any()
+        ]
+        got = constants._union_ratios(blocks, wq, cube, mask, 0.3)
+        assert np.array_equal(np.sort(got), np.sort(ref)), m
 
 
 def test_doubling_checks():

@@ -239,3 +239,25 @@ def test_fast_path_on_three_piece_step_function():
     assert_fast_path_contract(
         wl.uncentered_maximal(f).values, wl.uncentered_maximal(f, method="naive").values
     )
+
+
+def test_naive_rows_equal_one_block_calls(rng):
+    # each row of a 2-D block array gives bitwise what it gives alone
+    for m in (1, 2, 3, 16, 100):
+        rows = np.vstack(
+            [rng.lognormal(size=(3, m)), np.repeat([[0.5, 2.0, 0.0]], m, axis=0).T]
+        )
+        P = maximal._prefix(rows)
+        batched = maximal._uncentered_naive(P)
+        for row, out in zip(rows, batched):
+            assert np.array_equal(out, maximal._uncentered_naive(maximal._prefix(row)))
+        assert np.array_equal(batched, uncentered_restricted(rows))
+
+
+def test_fast_path_rows_equal_one_block_calls(rng):
+    rows = rng.lognormal(size=(3, 40))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maximal, "NAIVE_CEILING", 0)
+        batched = uncentered_restricted(rows)
+        for row, out in zip(rows, batched):
+            assert np.array_equal(out, uncentered_restricted(row))
