@@ -141,9 +141,7 @@ def _cmd_weaknorm(args) -> int:
 
 
 def _cmd_sharpness_a1(args) -> int:
-    res = exp.sharpness_a1_sweep(
-        _floats(args.deltas), include_grid=args.grid, L=args.L, threads=args.threads
-    )
+    res = exp.sharpness_a1_sweep(_floats(args.deltas), include_grid=args.grid, L=args.L)
     if args.format == "json":
         _emit_json(res.to_json_dict())
     else:
@@ -223,8 +221,14 @@ def _cmd_doubling(args) -> int:
 
 
 def _count_rows(path: str) -> int:
+    """Rows of a function CSV as ``load_function_csv`` reads them: every
+    line is a row, and a blank one is an error."""
+    n = 0
     with open(path, "r", encoding="ascii") as fh:
-        return sum(1 for line in fh if line.strip())
+        for n, line in enumerate(fh, start=1):
+            if not line.strip():
+                raise CsvFormatError(n, "empty row")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "and mixed weak-type experiments on dyadic grids",
     )
     ap.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    ap.add_argument("--threads", type=int, default=None, help="worker cap for sweeps")
+    ap.add_argument("--threads", type=int, default=None,
+                    help="has no effect; accepted so that old invocations still run")
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("constants", help="global weight constant over the dyadic grid")

@@ -7,9 +7,19 @@ mean-zero bad parts.  Signed f is supported by running the stopping time
 on |f| while the averages a_j (and hence g, b_j) use f itself, which keeps
 int b_j v = 0 exact.
 
-The off-Omega vanishing of the signed dyadic maximal of b v is evaluated
-in exact rational arithmetic (every float lifts exactly to a Fraction), so
-"exactly zero" is a computed fact, not a tolerance.
+The off-Omega vanishing of the signed dyadic maximal of b v is decided
+exactly, from three facts checked on the decomposition itself:
+
+* b = 0 on every off-Omega cell, in the stored floats;
+* the selected cubes are pairwise disjoint (their sorted cell ranges do
+  not overlap), so every dyadic ancestor of an off-Omega cell is a union
+  of whole selected cubes and off-Omega cells;
+* int_{Q_j} (f - a_j) v = 0 on every selected cube, summed in rational
+  arithmetic (every float lifts exactly to a Fraction) with the rational
+  a_j = sum f v / sum v.
+
+So int_Q b v = 0 on every such ancestor Q, and "exactly zero" is a
+computed fact, not a tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ import numpy as np
 
 from .constants import DIM, ap_constant
 from .errors import ConfigError
-from .grid import Cube, Grid, cells_of, children
+from .grid import Cube, cells_of, children, pyramid
 from .maximal import dyadic_maximal
 from .weights import GridFunction, GridWeight
 
@@ -47,12 +57,6 @@ class CZDecomposition:
             mask[r.start : r.stop] = True
         return mask
 
-    def bad_part(self, j: int) -> GridFunction:
-        vals = np.zeros_like(self.bad_total.values)
-        r = cells_of(self.good.grid, self.cubes[j])
-        vals[r.start : r.stop] = self.bad_total.values[r.start : r.stop]
-        return GridFunction(self.good.grid, vals)
-
     def to_json_dict(self) -> dict:
         return {
             "t": self.height,
@@ -64,19 +68,6 @@ class CZDecomposition:
         }
 
 
-def _pyramids(f: GridFunction, v: GridWeight):
-    fv = np.abs(f.values) * v.cell_masses
-    fv_signed = f.values * v.cell_masses
-    def pyr(x):
-        levels = [x]
-        cur = x
-        while len(cur) > 1:
-            cur = cur[0::2] + cur[1::2]
-            levels.append(cur)
-        return levels
-    return pyr(fv), pyr(fv_signed), [lvl for lvl in v.mass.levels]
-
-
 def cz_decompose(f: GridFunction, v: GridWeight, t: float) -> CZDecomposition:
     """Stopping-time decomposition of f at height t w.r.t. the measure v dx."""
     if not t > 0:
@@ -86,24 +77,21 @@ def cz_decompose(f: GridFunction, v: GridWeight, t: float) -> CZDecomposition:
     grid = f.grid
     if np.any(v.cell_masses <= 0) or not np.all(np.isfinite(v.cell_masses)):
         raise ConfigError("CZ decomposition needs strictly positive finite v-mass per cell")
-    abs_pyr, signed_pyr, v_pyr = _pyramids(f, v)
+    abs_pyr = pyramid(np.abs(f.values) * v.cell_masses)
+    signed_pyr = pyramid(f.values * v.cell_masses)
 
-    def avg_abs(q: Cube) -> float:
+    def avg(pyr, q: Cube) -> float:
         d = grid.L - q.level
-        return float(abs_pyr[d][q.index] / v_pyr[d][q.index])
-
-    def avg_signed(q: Cube) -> float:
-        d = grid.L - q.level
-        return float(signed_pyr[d][q.index] / v_pyr[d][q.index])
+        return float(pyr[d][q.index] / v.mass.levels[d][q.index])
 
     root = grid.root
-    truncated = avg_abs(root) > t
+    truncated = avg(abs_pyr, root) > t
     cubes: list[Cube] = []
     sel_avgs: list[float] = []
     stack = [root]
     while stack:
         q = stack.pop()
-        val = avg_abs(q)
+        val = avg(abs_pyr, q)
         if val > t:
             cubes.append(q)
             sel_avgs.append(val)
@@ -111,12 +99,8 @@ def cz_decompose(f: GridFunction, v: GridWeight, t: float) -> CZDecomposition:
         if q.level < grid.L:
             left, right = children(grid, q)
             stack.append(right)
-            stack.append(left)
-    # stack order gives left-to-right selection; keep deterministic sort anyway
-    order = sorted(range(len(cubes)), key=lambda i: cells_of(grid, cubes[i]).start)
-    cubes = [cubes[i] for i in order]
-    sel_avgs = [sel_avgs[i] for i in order]
-    averages = [avg_signed(q) for q in cubes]
+            stack.append(left)  # popped first: cubes come out left to right
+    averages = [avg(signed_pyr, q) for q in cubes]
 
     good_vals = f.values.copy()
     bad_vals = np.zeros_like(f.values)
@@ -306,21 +290,29 @@ class DominationReport:
         }
 
 
-def _rational_bad_masses(dec: CZDecomposition, v: GridWeight) -> list[Fraction]:
-    """Exact per-cell integrals of b v, with a_j as exact rational ratios."""
+def _off_omega_exact_zero(dec: CZDecomposition, v: GridWeight) -> bool:
+    """Whether Mtilde_d(bv) vanishes exactly on every off-Omega cell.
+
+    Three facts decide it in O(N) plus one rational sum per selected cube:
+    b = 0 off Omega in the stored floats; the selected cubes are pairwise
+    disjoint, so every dyadic ancestor of an off-Omega cell is a union of
+    whole selected cubes and off-Omega cells; and int_{Q_j} (f - a_j) v = 0
+    in rationals, with a_j = sum f v / sum v over Q_j.
+    """
     grid = dec.good.grid
-    out = [Fraction(0)] * grid.ncells
-    for q in dec.cubes:
-        rng = cells_of(grid, q)
-        fv = [
-            Fraction(float(dec.source.values[i])) * Fraction(float(v.cell_masses[i]))
-            for i in rng
-        ]
-        vm = [Fraction(float(v.cell_masses[i])) for i in rng]
-        a = sum(fv) / sum(vm)
-        for off, i in enumerate(rng):
-            out[i] = fv[off] - a * vm[off]
-    return out
+    ranges = sorted((cells_of(grid, q) for q in dec.cubes), key=lambda r: (r.start, r.stop))
+    if any(r.stop > s.start for r, s in zip(ranges, ranges[1:])):
+        return False
+    if np.any(dec.bad_total.values[~dec.omega_mask] != 0):
+        return False
+    for r in ranges:
+        f = dec.source.values[r.start : r.stop].tolist()
+        vm = v.cell_masses[r.start : r.stop].tolist()
+        fv = sum(Fraction(x) * Fraction(y) for x, y in zip(f, vm))
+        vs = sum(map(Fraction, vm))
+        if fv - fv / vs * vs != 0:  # int_{Q_j} (f - a_j) v with a_j = fv / vs
+            return False
+    return True
 
 
 def pointwise_domination_check(
@@ -341,33 +333,17 @@ def pointwise_domination_check(
     gv = GridFunction(grid, dec.good.values * vrep)
     bv = GridFunction(grid, dec.bad_total.values * vrep)
     lhs = dyadic_maximal(fv).values
-    rhs = dyadic_maximal(gv).values + dyadic_maximal(bv, signed=True).values
+    tilde = dyadic_maximal(bv, signed=True).values
+    rhs = dyadic_maximal(gv).values + tilde
     scale = np.maximum(np.abs(lhs), 1e-300)
     viol = float(((lhs - rhs) / scale).max())
     dominated = bool(np.all(lhs <= rhs * (1.0 + rtol) + 1e-300))
 
-    mask = dec.omega_mask
-    tilde_float = dyadic_maximal(bv, signed=True).values
-    float_resid = float(tilde_float[~mask].max()) if (~mask).any() else 0.0
-
-    # exact rational pyramid of int_Q b v over ancestors of off-Omega cells
-    rational = _rational_bad_masses(dec, v)
-    exact_zero = True
-    levels = [rational]
-    cur = rational
-    while len(cur) > 1:
-        cur = [cur[2 * i] + cur[2 * i + 1] for i in range(len(cur) // 2)]
-        levels.append(cur)
-    for i in np.nonzero(~mask)[0]:
-        for d in range(len(levels)):
-            if levels[d][int(i) >> d] != 0:
-                exact_zero = False
-                break
-        if not exact_zero:
-            break
+    off = ~dec.omega_mask
+    float_resid = float(tilde[off].max()) if off.any() else 0.0
     return DominationReport(
         domination_ok=dominated,
         max_violation=viol,
-        off_omega_exact_zero=exact_zero,
+        off_omega_exact_zero=_off_omega_exact_zero(dec, v),
         off_omega_float_residual=float_resid,
     )

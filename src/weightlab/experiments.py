@@ -21,7 +21,6 @@ exponent r = 1 + max{p, log(e + [v]_{A_p})}.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,7 +213,6 @@ def sharpness_a1_sweep(
     deltas: list[float],
     include_grid: bool = False,
     L: int = 12,
-    threads: int | None = None,
 ) -> SweepResult:
     """Sharpness table for the one-weight linear bound."""
     rows = [_a1_analytic_row(d) for d in deltas]
@@ -223,10 +221,7 @@ def sharpness_a1_sweep(
     if fit is not None:
         result.fits["ratio_vs_inv_delta"] = fit
     if include_grid:
-        grid_deltas = [d for d in deltas if d >= 0.5]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            grid_rows = list(ex.map(lambda d: sharpness_a1_grid(d, L=L), grid_deltas))
-        result.rows.extend(grid_rows)
+        result.rows.extend(sharpness_a1_grid(d, L=L) for d in deltas if d >= 0.5)
     return result
 
 

@@ -6,11 +6,17 @@ half-open interval [m 2^-k, (m+1) 2^-k), always a union of whole cells.
 Addressing is pure integer arithmetic, so ancestry, sibling and cell-range
 queries carry no floating-point drift; interval endpoints, when needed as
 floats, are exact dyadic rationals well inside the double range.
+
+``pyramid`` is the one reduction over the tree: every cube aggregate of the
+package (weight tables, maximal-function averages, the CZ stopping time,
+region cubes) is one of its levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConfigError, NoParentError
 
@@ -64,6 +70,17 @@ class Cube:
     def endpoints(self) -> tuple[float, float]:
         w = 2.0 ** (-self.level)
         return (self.index * w, (self.index + 1) * w)
+
+
+def pyramid(values: np.ndarray, op=np.add) -> list[np.ndarray]:
+    """levels[d] reduces ``values`` by the ufunc ``op`` over the cubes of 2^d
+    cells (levels[0] is ``values`` itself).  Each level is built pairwise from
+    the one below, so parent = op(child, sibling) holds exactly in floats."""
+    levels = [values]
+    while len(levels[-1]) > 1:
+        cur = levels[-1]
+        levels.append(op(cur[0::2], cur[1::2]))
+    return levels
 
 
 def build_grid(J: int, L: int) -> Grid:

@@ -14,8 +14,10 @@ Three operators:
   (int_Q |f| v) / v(Q).
 
 All interval averages are formed from one shared prefix-sum (dyadic ops:
-one shared sum pyramid) by the same formula as in the oracles.  The dyadic
-paths and the naive uncentered sweep (used up to NAIVE_CEILING cells) agree
+one ``grid.pyramid`` of sums) by the same formula as in the oracles.  Both
+dyadic operators share one top-down ancestor-max pass and one per-cell
+ancestor oracle over their per-level candidates.  The dyadic paths and the
+naive uncentered sweep (used up to NAIVE_CEILING cells) agree
 with their oracles bitwise.  The level-batched hull pass used above it is
 never above its oracle and at most FAST_PATH_ULPS (tests/test_maximal.py)
 below it on plateaus; on lognormal, indicator and sorted data it is bitwise.
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid import pyramid
 from .weights import GridFunction, GridWeight
 
 NAIVE_CEILING = 4096
@@ -45,23 +48,31 @@ def _prefix(values: np.ndarray) -> np.ndarray:
     return P
 
 
-def _sum_pyramid(values: np.ndarray) -> list[np.ndarray]:
-    levels = [np.asarray(values, dtype=float)]
-    cur = levels[0]
-    while len(cur) > 1:
-        cur = cur[0::2] + cur[1::2]
-        levels.append(cur)
-    return levels
-
-
 # ---------------------------------------------------------------------------
-# dyadic maximal
+# dyadic maximal, plain and weighted: per-level candidates, one ancestor max
+
+def _ancestor_max(cands: list[np.ndarray]) -> np.ndarray:
+    """Per cell i, the max of cands[d][i >> d] over all levels d, in one
+    top-down pass."""
+    run = cands[-1]
+    for cand in reversed(cands[:-1]):
+        run = np.maximum(np.repeat(run, 2), cand)
+    return run
+
+
+def _ancestor_max_brute(cands: list[np.ndarray]) -> np.ndarray:
+    """Oracle: explicit sweep over every dyadic ancestor of every cell."""
+    out = np.empty(len(cands[0]))
+    for i in range(len(out)):
+        out[i] = max(cands[d][i >> d] for d in range(len(cands)))
+    return out
+
 
 def _dyadic_candidates(values: np.ndarray, signed: bool) -> list[np.ndarray]:
     """Per level d (cube size 2^d cells), the |average| candidates."""
     base = values if signed else np.abs(values)
     cands = []
-    for d, sums in enumerate(_sum_pyramid(base)):
+    for d, sums in enumerate(pyramid(base)):
         avg = sums / (1 << d)
         cands.append(np.abs(avg) if signed else avg)
     return cands
@@ -69,31 +80,18 @@ def _dyadic_candidates(values: np.ndarray, signed: bool) -> list[np.ndarray]:
 
 def dyadic_maximal(f: GridFunction, signed: bool = False) -> GridFunction:
     """Dyadic maximal function; signed=True gives the tilde variant."""
-    cands = _dyadic_candidates(f.values, signed)
-    run = None
-    for cand in reversed(cands):
-        run = cand if run is None else np.maximum(np.repeat(run, 2), cand)
-    return GridFunction(f.grid, run)
+    return GridFunction(f.grid, _ancestor_max(_dyadic_candidates(f.values, signed)))
 
 
 def dyadic_maximal_brute(f: GridFunction, signed: bool = False) -> GridFunction:
-    """Oracle: explicit sweep over every dyadic ancestor of every cell."""
-    cands = _dyadic_candidates(f.values, signed)
-    n = f.grid.ncells
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = max(cands[d][i >> d] for d in range(len(cands)))
-    return GridFunction(f.grid, out)
+    """Oracle for ``dyadic_maximal``: the same candidates, cell by cell."""
+    return GridFunction(f.grid, _ancestor_max_brute(_dyadic_candidates(f.values, signed)))
 
-
-# ---------------------------------------------------------------------------
-# weighted dyadic maximal
 
 def _weighted_candidates(f: GridFunction, v: GridWeight) -> list[np.ndarray]:
-    num = _sum_pyramid(np.abs(f.values) * v.cell_masses)
-    den = _sum_pyramid(v.cell_masses)
+    num = pyramid(np.abs(f.values) * v.cell_masses)
     cands = []
-    for ns, ds in zip(num, den):
+    for ns, ds in zip(num, v.mass.levels):
         with np.errstate(invalid="ignore", divide="ignore"):
             avg = np.where(ds > 0, ns / ds, -np.inf)  # zero-mass cubes skipped
         cands.append(avg)
@@ -102,20 +100,12 @@ def _weighted_candidates(f: GridFunction, v: GridWeight) -> list[np.ndarray]:
 
 def weighted_dyadic_maximal(f: GridFunction, v: GridWeight) -> GridFunction:
     """M_v f: maximal v dx-averages over dyadic ancestors."""
-    cands = _weighted_candidates(f, v)
-    run = None
-    for cand in reversed(cands):
-        run = cand if run is None else np.maximum(np.repeat(run, 2), cand)
-    return GridFunction(f.grid, run)
+    return GridFunction(f.grid, _ancestor_max(_weighted_candidates(f, v)))
 
 
 def weighted_dyadic_maximal_brute(f: GridFunction, v: GridWeight) -> GridFunction:
-    cands = _weighted_candidates(f, v)
-    n = f.grid.ncells
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = max(cands[d][i >> d] for d in range(len(cands)))
-    return GridFunction(f.grid, out)
+    """Oracle for ``weighted_dyadic_maximal``: the same candidates, cell by cell."""
+    return GridFunction(f.grid, _ancestor_max_brute(_weighted_candidates(f, v)))
 
 
 # ---------------------------------------------------------------------------

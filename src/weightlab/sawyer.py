@@ -38,7 +38,7 @@ import numpy as np
 
 from .constants import DIM, a1_constant
 from .errors import ConfigError
-from .grid import Cube, Grid, cells_of, contains
+from .grid import Cube, Grid, cells_of, contains, pyramid
 from .maximal import dyadic_maximal
 from .weights import GridFunction, GridWeight, product_cell_masses
 
@@ -50,11 +50,7 @@ def region_maximal_cubes(grid: Grid, mask: np.ndarray) -> list[Cube]:
     """Maximal disjoint dyadic cubes whose union is the given cell set."""
     if mask.shape != (grid.ncells,):
         raise ConfigError("mask length does not match grid")
-    counts = [np.asarray(mask, dtype=np.int64)]
-    cur = counts[0]
-    while len(cur) > 1:
-        cur = cur[0::2] + cur[1::2]
-        counts.append(cur)
+    counts = pyramid(np.asarray(mask, dtype=np.int64))
     out: list[Cube] = []
     stack = [grid.root]
     while stack:
@@ -67,8 +63,7 @@ def region_maximal_cubes(grid: Grid, mask: np.ndarray) -> list[Cube]:
             out.append(q)
             continue
         stack.append(Cube(q.level + 1, 2 * q.index + 1))
-        stack.append(Cube(q.level + 1, 2 * q.index))
-    out.sort(key=lambda q: cells_of(grid, q).start)
+        stack.append(Cube(q.level + 1, 2 * q.index))  # popped first: left to right
     return out
 
 

@@ -9,13 +9,16 @@ integrals (possible for dual/power tables of power weights at the origin)
 are stored as +inf sentinels and propagate through cube queries; they are
 values, not failures.
 
-Cube aggregates are served from reduction pyramids built by pairwise
-combination, so mass(parent) == mass(child) + mass(sibling) holds exactly
-in floating point, not just in exact arithmetic.
+Cube aggregates are served by ``CellTable``, which takes a ufunc (np.add
+for integrals, np.minimum for the essential infimum) and reduces with
+``grid.pyramid``, pairwise, so mass(parent) == mass(child) + mass(sibling)
+holds exactly in floating point, not just in exact arithmetic.  Weight
+values, from Python or from a CSV file, pass one check: positive and finite.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -23,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, CsvFormatError, UncachedExponentError
-from .grid import Cube, Grid, cells_of
+from .grid import Cube, Grid, pyramid
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +63,16 @@ class Step:
             raise ConfigError(f"Step weight needs 0 < alpha <= 1, got {self.alpha}")
 
 
+def _bad_weight_value(values) -> tuple[int, str] | None:
+    """Index and complaint of the first value that is not positive and finite."""
+    vals = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~((vals > 0) & (vals < np.inf)))  # NaN fails both
+    if not len(bad):
+        return None
+    v = values[bad[0]]
+    return int(bad[0]), f"weight value must be {'finite' if v > 0 else 'positive'}, got {v}"
+
+
 @dataclass(frozen=True)
 class Piecewise:
     """Constant value per grid cell."""
@@ -67,9 +80,9 @@ class Piecewise:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        for i, v in enumerate(self.values):
-            if not v > 0:
-                raise ConfigError(f"Piecewise weight needs positive cells, got {v} at cell {i}")
+        bad = _bad_weight_value(self.values)
+        if bad:
+            raise ConfigError(f"Piecewise weight cell {bad[0]}: {bad[1]}")
 
 
 @dataclass(frozen=True)
@@ -157,25 +170,15 @@ def _local_essinf(a: np.ndarray, b: np.ndarray, coef: np.ndarray, q: np.ndarray)
 class CellTable:
     """Per-cell values plus the full reduction pyramid over dyadic cubes.
 
-    levels[d] holds the reduction at cube level k = L - d, built by pairwise
-    combination, which makes parent = op(child, sibling) exact in floats.
+    levels[d] holds the reduction by the ufunc ``op`` (np.add for integrals,
+    np.minimum for essential infima) at cube level k = L - d, built by
+    ``grid.pyramid``, which makes parent = op(child, sibling) exact in floats.
     """
 
-    __slots__ = ("levels", "op")
+    __slots__ = ("levels",)
 
-    def __init__(self, values: np.ndarray, op: str):
-        if op not in ("sum", "min"):
-            raise ValueError(op)
-        self.op = op
-        levels = [np.asarray(values, dtype=float)]
-        cur = levels[0]
-        while len(cur) > 1:
-            if self.op == "sum":
-                cur = cur[0::2] + cur[1::2]
-            else:
-                cur = np.minimum(cur[0::2], cur[1::2])
-            levels.append(cur)
-        self.levels = levels
+    def __init__(self, values: np.ndarray, op=np.add):
+        self.levels = pyramid(np.asarray(values, dtype=float), op)
 
     @property
     def cells(self) -> np.ndarray:
@@ -290,18 +293,27 @@ def _from_local_form(
         grid=grid,
         coef=coef,
         expo=expo,
-        mass=CellTable(_power_integral(a, b, coef, expo), "sum"),
-        essinf=CellTable(_local_essinf(a, b, coef, expo), "min"),
-        logmass=CellTable(_log_integral(a, b, coef, expo), "sum"),
+        mass=CellTable(_power_integral(a, b, coef, expo)),
+        essinf=CellTable(_local_essinf(a, b, coef, expo), np.minimum),
+        logmass=CellTable(_log_integral(a, b, coef, expo)),
         spec=spec,
     )
+    return _cache_tables(w, dual, power)
+
+
+def _cache_tables(w: GridWeight, dual: tuple[float, ...], power: tuple[float, ...]) -> GridWeight:
+    """Add the dual tables w^(1-p') and the power tables w^r to w in place."""
+    a, b = _cell_edges(w.grid)
+
+    def table(s: float) -> CellTable:
+        return CellTable(_power_integral(a, b, w.coef**s, w.expo * s))
+
     for p in dual:
-        s = 1.0 - _conjugate(p)
-        w.duals[p] = CellTable(_power_integral(a, b, coef**s, expo * s), "sum")
+        w.duals[p] = table(1.0 - _conjugate(p))
     for r in power:
         if not r > 0:
             raise ConfigError(f"power exponent needs r > 0, got {r}")
-        w.powers[r] = CellTable(_power_integral(a, b, coef**r, expo * r), "sum")
+        w.powers[r] = table(r)
     return w
 
 
@@ -326,24 +338,8 @@ def with_cached(
     need_power = tuple(r for r in power if r not in w.powers)
     if not need_dual and not need_power:
         return w
-    a, b = _cell_edges(w.grid)
-    out = GridWeight(
-        grid=w.grid,
-        coef=w.coef,
-        expo=w.expo,
-        mass=w.mass,
-        essinf=w.essinf,
-        logmass=w.logmass,
-        duals=dict(w.duals),
-        powers=dict(w.powers),
-        spec=w.spec,
-    )
-    for p in need_dual:
-        s = 1.0 - _conjugate(p)
-        out.duals[p] = CellTable(_power_integral(a, b, w.coef**s, w.expo * s), "sum")
-    for r in need_power:
-        out.powers[r] = CellTable(_power_integral(a, b, w.coef**r, w.expo * r), "sum")
-    return out
+    out = dataclasses.replace(w, duals=dict(w.duals), powers=dict(w.powers))
+    return _cache_tables(out, need_dual, need_power)
 
 
 def dual_weight(w: GridWeight, p: float) -> GridWeight:
@@ -388,12 +384,9 @@ def load_csv(path, grid: Grid) -> GridWeight:
 def _read_weight_rows(path) -> list[float]:
     """Rows of a weight CSV; each must be positive and finite."""
     rows = _read_rows(path)
-    vals = np.asarray(rows)
-    bad = np.flatnonzero(~((vals > 0) & (vals < np.inf)))  # NaN fails both
-    if len(bad):
-        v = rows[bad[0]]
-        need = "finite" if v > 0 else "positive"
-        raise CsvFormatError(int(bad[0]) + 1, f"weight value must be {need}, got {v}")
+    bad = _bad_weight_value(rows)
+    if bad:
+        raise CsvFormatError(bad[0] + 1, bad[1])
     return rows
 
 
@@ -467,17 +460,3 @@ def _split_spec_pair(body: str) -> tuple[str, str]:
         elif ch == "," and depth == 0:
             return body[:i], body[i + 1 :]
     raise ConfigError(f"prod spec needs a top-level comma: {body!r}")
-
-
-def format_weight_spec(spec: WeightSpec) -> str:
-    if isinstance(spec, Constant):
-        return f"const:c={spec.c!r}"
-    if isinstance(spec, Power):
-        return f"power:delta={spec.delta!r}"
-    if isinstance(spec, Step):
-        return f"step:alpha={spec.alpha!r}"
-    if isinstance(spec, Piecewise):
-        return f"piecewise[{len(spec.values)} cells]"
-    if isinstance(spec, Product):
-        return f"prod:({format_weight_spec(spec.left)},{format_weight_spec(spec.right)})"
-    raise ConfigError(f"unknown weight spec {spec!r}")

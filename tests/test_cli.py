@@ -1,10 +1,16 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
 
 import weightlab as wl
 from weightlab.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_digests.json")
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +185,11 @@ def test_usage_errors(capsys, tmp_path):
     )
     assert code == 2
     assert out == "" and "f is zero" in err and "Traceback" not in err
+    # a blank row in a function csv is an empty row, not a bad row count
+    f.write_text("1.0\n2.0\n\n3.0\n")
+    code, out, err = run_cli(capsys, "maximal", "--f", str(f), "--variant", "dyadic")
+    assert code == 2
+    assert out == "" and "row 3: empty row" in err and "Traceback" not in err
 
 
 def test_byte_identical_reruns(capsys):
@@ -186,3 +197,41 @@ def test_byte_identical_reruns(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def cli_digests(tmp_path, seed: int) -> dict:
+    """Exit codes and SHA-256 digests of czd (stdout, --out-g, --out-b) and
+    sawyer-verify (stdout) on one seeded input of N = 256 cells."""
+    g = wl.build_grid(1, 7)
+    rng = np.random.default_rng(seed)
+    u = rng.lognormal(0.0, 0.3, g.ncells)
+    v = rng.lognormal(0.0, 0.3, g.ncells)
+    f = rng.lognormal(size=g.ncells) * (rng.random(g.ncells) < 0.6)
+    t = 1.5 * float(np.sum(f * v) / np.sum(v))
+    path = {k: str(tmp_path / f"{k}.csv") for k in ("u", "v", "f", "g", "b")}
+    for k, x in (("u", u), ("v", v), ("f", f)):
+        wl.save_function_csv(wl.GridFunction(g, x), path[k])
+
+    def run(name, *argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            out[name + "_code"] = main(list(argv))
+        out[name + "_stdout"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+    out = {}
+    run("czd", "czd", "--f", path["f"], "--v", f"csv:{path['v']}", "--height", repr(t),
+        "--J", "1", "--out-g", path["g"], "--out-b", path["b"])
+    for k in ("g", "b"):
+        with open(path[k], "rb") as fh:
+            out[f"czd_out_{k}"] = hashlib.sha256(fh.read()).hexdigest()
+    run("sawyer", "sawyer-verify", "--u", f"csv:{path['u']}", "--v", f"csv:{path['v']}",
+        "--g", path["f"], "--J", "1")
+    return out
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    # The digests were recorded before the dyadic-tree code was merged into
+    # grid.pyramid; a refactor must leave these bytes unchanged.
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    assert cli_digests(tmp_path, golden["seed"]) == golden["digests"]

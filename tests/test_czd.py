@@ -1,3 +1,6 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -157,18 +160,64 @@ def test_domination_b_zero_is_equality():
     assert rep.max_violation <= 0.0
 
 
-def test_domination_random_and_off_omega_vanishing(rng):
+def off_omega_exact_zero_oracle(dec, v):
+    """Oracle: int_Q b v in Fractions for every cell and every dyadic
+    ancestor Q of every off-Omega cell, with b = f - a_j on Omega (a_j the
+    rational v-average) and b = 0 off it."""
+    g = dec.good.grid
+    cells = [Fraction(0)] * g.ncells
+    for q in dec.cubes:
+        rng = wl.cells_of(g, q)
+        vm = [Fraction(float(v.cell_masses[i])) for i in rng]
+        fv = [Fraction(float(dec.source.values[i])) * vm[k] for k, i in enumerate(rng)]
+        a = sum(fv) / sum(vm)
+        for off, i in enumerate(rng):
+            cells[i] = fv[off] - a * vm[off]
+    levels = [cells]
+    while len(levels[-1]) > 1:
+        cur = levels[-1]
+        levels.append([cur[2 * i] + cur[2 * i + 1] for i in range(len(cur) // 2)])
+    return all(
+        levels[d][int(i) >> d] == 0
+        for i in np.flatnonzero(~dec.omega_mask)
+        for d in range(len(levels))
+    )
+
+
+def random_decompositions(rng, count=5):
     g = wl.build_grid(1, 8)
-    for _ in range(5):
+    for _ in range(count):
         f = random_function(g, rng)
         vals = tuple(float(x) for x in np.exp(rng.standard_normal(g.ncells) * 0.7))
         v = wl.realize(wl.Piecewise(vals), g)
         root_avg = float(np.sum(np.abs(f.values) * v.cell_masses) / v.cell_masses.sum())
-        dec = wl.cz_decompose(f, v, root_avg * 1.4)
+        yield wl.cz_decompose(f, v, root_avg * 1.4), v
+
+
+def test_domination_random_and_off_omega_vanishing(rng):
+    for dec, v in random_decompositions(rng):
         rep = wl.pointwise_domination_check(dec, v)
         assert rep.domination_ok
         assert rep.off_omega_exact_zero  # exact rational arithmetic
+        assert rep.off_omega_exact_zero == off_omega_exact_zero_oracle(dec, v)
         assert rep.off_omega_float_residual <= 1e-12
+
+
+def test_off_omega_exact_zero_catches_faults(rng):
+    dec, v = next(random_decompositions(rng, 1))
+    off = np.flatnonzero(~dec.omega_mask)
+    assert len(dec.cubes) > 1 and len(off) > 0
+    assert wl.pointwise_domination_check(dec, v).off_omega_exact_zero
+    # a nonzero b off Omega, a value the oracle never reads
+    bad = dataclasses.replace(dec, bad_total=wl.GridFunction(dec.good.grid, dec.bad_total.values.copy()))
+    bad.bad_total.values[off[0]] = 1e-300
+    assert off_omega_exact_zero_oracle(bad, v)
+    assert not wl.pointwise_domination_check(bad, v).off_omega_exact_zero
+    # two overlapping cubes: a selected cube and its left child
+    q = next(q for q in dec.cubes if q.level < dec.good.grid.L)
+    child = wl.children(dec.good.grid, q)[0]
+    overlap = dataclasses.replace(dec, cubes=[*dec.cubes, child], averages=[*dec.averages, 0.0])
+    assert not wl.pointwise_domination_check(overlap, v).off_omega_exact_zero
 
 
 def test_mass_accounting(rng):

@@ -129,6 +129,26 @@ def test_uncached_exponent_error():
     w2 = wl.with_cached(w, dual=(2.0,))
     assert w2.dual_mass_of(g.root, 2.0) == 1.0
     assert wl.with_cached(w2, dual=(2.0,)) is w2
+    # with_cached and realize share one table builder, so both refuse r <= 0
+    for r in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="r > 0"):
+            wl.with_cached(w, power=(r,))
+        with pytest.raises(ConfigError, match="r > 0"):
+            wl.realize(wl.Constant(1.0), g, power_exponents=(r,))
+
+
+def test_piecewise_needs_positive_finite_cells():
+    # inf > 0, so a positivity test alone lets it through
+    for vals, need in [
+        ((1.0, math.inf, 1.0, 1.0), "finite"),
+        ((1.0, 1.0, 0.0, 1.0), "positive"),
+        ((1.0, 1.0, 1.0, -2.0), "positive"),
+        ((math.nan, 1.0, 1.0, 1.0), "positive"),
+    ]:
+        with pytest.raises(ConfigError) as exc:
+            wl.Piecewise(vals)
+        cell = next(i for i, v in enumerate(vals) if not 0 < v < math.inf)
+        assert f"cell {cell}" in str(exc.value) and need in str(exc.value)
 
 
 def test_csv_round_trip(tmp_path, rng):
