@@ -5,19 +5,17 @@ Weight spec grammar (exact):
     | prod:(<spec>,<spec>)
 
 Exit codes: 0 success, 1 a verification block failed, 2 usage error.
-All JSON reports carry a top-level {"schema": 1}; non-finite constants are
-encoded as the strings "inf", "-inf" and "nan".  All randomness hangs off
---seed (default 0), so identical invocations are byte-identical.
+All JSON reports carry a top-level {"schema": 1}; every non-finite float,
+at any depth, is encoded as the string "inf", "-inf" or "nan".  All
+randomness hangs off --seed (default 0), so identical invocations are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-
-import numpy as np
 
 from . import czd as czd_mod
 from . import experiments as exp
@@ -25,6 +23,7 @@ from . import sawyer as pc
 from .constants import (
     ConstantKind,
     doubling_check,
+    encode_nonfinite,
     global_constant,
     reverse_holder_check,
 )
@@ -43,7 +42,7 @@ SCHEMA = 1
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps({"schema": SCHEMA} | payload, sort_keys=True))
+    print(json.dumps(encode_nonfinite({"schema": SCHEMA} | payload), sort_keys=True, allow_nan=False))
 
 
 def _floats(text: str) -> list[float]:
@@ -51,13 +50,6 @@ def _floats(text: str) -> list[float]:
         return [float(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise ConfigError(f"bad numeric list {text!r}") from None
-
-
-def _grid_for_rows(nrows: int, J: int):
-    L = (nrows).bit_length() - 1 - J
-    if nrows != 1 << (J + L) or L < 0:
-        raise ConfigError(f"{nrows} rows do not form a grid with J={J}")
-    return build_grid(J, L)
 
 
 def _realize_spec(text: str, grid, dual=(), power=()):
@@ -93,8 +85,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_maximal(args) -> int:
-    grid = _grid_for_rows(_count_rows(args.f), args.J)
-    f = load_function_csv(args.f, grid)
+    f = load_function_csv(args.f, args.J)
     if args.variant == "dyadic":
         out = dyadic_maximal(f, signed=args.signed)
     elif args.variant == "uncentered":
@@ -102,7 +93,7 @@ def _cmd_maximal(args) -> int:
     elif args.variant == "weighted":
         if args.v is None:
             raise ConfigError("--v required for the weighted variant")
-        v = _realize_spec(args.v, grid)
+        v = _realize_spec(args.v, f.grid)
         out = weighted_dyadic_maximal(f, v)
     else:
         raise ConfigError(f"unknown variant {args.variant!r}")
@@ -112,9 +103,8 @@ def _cmd_maximal(args) -> int:
 
 
 def _cmd_czd(args) -> int:
-    grid = _grid_for_rows(_count_rows(args.f), args.J)
-    f = load_function_csv(args.f, grid)
-    v = _realize_spec(args.v, grid)
+    f = load_function_csv(args.f, args.J)
+    v = _realize_spec(args.v, f.grid)
     dec = czd_mod.cz_decompose(f, v, args.height)
     verify = czd_mod.verify_cz(dec, v, args.r)
     dom = czd_mod.pointwise_domination_check(dec, v)
@@ -131,10 +121,9 @@ def _cmd_czd(args) -> int:
 
 
 def _cmd_weaknorm(args) -> int:
-    grid = _grid_for_rows(_count_rows(args.f), args.J)
-    f = load_function_csv(args.f, grid)
-    u = _realize_spec(args.u, grid)
-    v = _realize_spec(args.v, grid)
+    f = load_function_csv(args.f, args.J)
+    u = _realize_spec(args.u, f.grid)
+    v = _realize_spec(args.v, f.grid)
     rep = mixed_ratio(f, u, v, variant=args.variant)
     _emit_json(rep.to_json_dict())
     return 0
@@ -176,19 +165,20 @@ def _cmd_bound_audit(args) -> int:
         corpus = []
         for name in sorted(os.listdir(args.corpus)):
             if name.endswith(".csv"):
-                corpus.append(
-                    (name, load_function_csv(os.path.join(args.corpus, name), grid))
-                )
+                f = load_function_csv(os.path.join(args.corpus, name), grid.J)
+                if f.grid != grid:
+                    n = len(f.values)
+                    raise CsvFormatError(n + 1, f"expected {grid.ncells} rows, got {n}")
+                corpus.append((name, f))
     report = exp.bound_audit_ap(weights, args.p, corpus=corpus, seed=args.seed)
     _emit_json(report.to_json_dict())
     return 0 if report.all_ok else 1
 
 
 def _cmd_sawyer_verify(args) -> int:
-    grid = _grid_for_rows(_count_rows(args.g), args.J)
-    g = load_function_csv(args.g, grid)
-    u = _realize_spec(args.u, grid)
-    v = _realize_spec(args.v, grid)
+    g = load_function_csv(args.g, args.J)
+    u = _realize_spec(args.u, g.grid)
+    v = _realize_spec(args.v, g.grid)
     record = pc.build_record(g, v, a=args.a, delta_frac=args.delta_frac)
     pc.principal_cubes(record, u)
     report = pc.verify_chain(record, u, v, g, seed=args.seed)
@@ -218,17 +208,6 @@ def _cmd_doubling(args) -> int:
     report = doubling_check(w, args.p)
     _emit_json(report.to_json_dict())
     return 0 if report.parent_ok else 1
-
-
-def _count_rows(path: str) -> int:
-    """Rows of a function CSV as ``load_function_csv`` reads them: every
-    line is a row, and a blank one is an error."""
-    n = 0
-    with open(path, "r", encoding="ascii") as fh:
-        for n, line in enumerate(fh, start=1):
-            if not line.strip():
-                raise CsvFormatError(n, "empty row")
-    return n
 
 
 # ---------------------------------------------------------------------------

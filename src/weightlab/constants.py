@@ -52,9 +52,6 @@ class ConstantReport:
     truncation: tuple[int, int]  # (J, L)
 
     def to_json_dict(self) -> dict:
-        def enc(x: float):
-            return x if math.isfinite(x) else str(x)  # "inf", "-inf" or "nan"
-
         d: dict = {"kind": self.kind.tag}
         if self.kind.p is not None:
             d["p"] = self.kind.p
@@ -62,13 +59,25 @@ class ConstantReport:
             d["alpha"] = self.kind.alpha
         if self.kind.beta is not None:
             d["beta"] = self.kind.beta
-        d["value"] = enc(self.value)
+        d["value"] = self.value
         d["argmax"] = {"level": self.argmax.level, "index": self.argmax.index}
         d["per_level"] = [
-            {"level": k, "value": enc(v), "argmax_index": m} for k, v, m in self.per_level
+            {"level": k, "value": v, "argmax_index": m} for k, v, m in self.per_level
         ]
         d["truncation"] = {"J": self.truncation[0], "L": self.truncation[1]}
-        return d
+        return encode_nonfinite(d)
+
+
+def encode_nonfinite(obj):
+    """obj with every non-finite float, at any depth of its dicts and lists,
+    written as the string "inf", "-inf" or "nan"."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else str(obj)
+    if isinstance(obj, dict):
+        return {k: encode_nonfinite(x) for k, x in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [encode_nonfinite(x) for x in obj]
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +286,18 @@ def _levelset_ratios(w: GridWeight, eps: float, n_subsets: int, rng):
 
 def _union_ratios(blocks, wq, cube, mask, eps) -> np.ndarray:
     """[w(E)/w(Q)] / [2 (|E|/|Q|)^eps] for the non-empty unions E = mask[i]
-    of the cells of cube[i].  The rows of one size |E| are summed as one 2-D
-    array, so each w(E) is numpy's pairwise sum of the cells in E, bitwise
-    what ``block[mask].sum()`` gives row by row."""
+    of the cells of cube[i].  The rows of one size |E| are gathered and
+    summed as one 2-D array, so each w(E) is numpy's pairwise sum of the
+    cells in E, bitwise what ``block[mask].sum()`` gives row by row; the
+    output runs by size, then by row."""
     m = blocks.shape[1]
     sizes = mask.sum(axis=1)
-    order = np.argsort(sizes, kind="stable")
-    vals = blocks[cube[order]][mask[order]]
     out = []
-    start = 0
-    for sz, count in zip(*(a.tolist() for a in np.unique(sizes, return_counts=True))):
+    for sz in np.flatnonzero(np.bincount(sizes)).tolist():
         if sz:
-            sel = order[start : start + count]
-            we = vals[: count * sz].reshape(count, sz).sum(axis=1)
+            sel = np.flatnonzero(sizes == sz)
+            we = blocks[cube[sel]][mask[sel]].reshape(len(sel), sz).sum(axis=1)
             out.append((we / wq[cube[sel]]) / (2.0 * (sz / m) ** eps))
-        vals = vals[count * sz :]
-        start += count
     return np.concatenate(out) if out else np.empty(0)
 
 

@@ -46,7 +46,6 @@ class CZDecomposition:
     good: GridFunction
     bad_total: GridFunction
     source: GridFunction
-    weight: GridWeight
     truncated: bool  # root v-average of |f| already exceeded t
 
     @property
@@ -117,7 +116,6 @@ def cz_decompose(f: GridFunction, v: GridWeight, t: float) -> CZDecomposition:
         good=GridFunction(grid, good_vals),
         bad_total=GridFunction(grid, bad_vals),
         source=f,
-        weight=v,
         truncated=truncated,
     )
 

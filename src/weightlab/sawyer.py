@@ -27,16 +27,31 @@ tolerance issue.
 The stratum floor defaults to the stabilization level: below the minimum
 of M_d g (and of the v value bands) the strata repeat the root cube, so
 nothing is lost by cutting there.
+
+Cost.  principal_cubes finds the Gamma pairs above each pair by walking
+its dyadic ancestors through a dict from cube to pairs: pairs x levels
+lookups, with no scan over pairs of pairs.  verify_chain walks the u-growth
+chain once per run of cells between two consecutive boundaries of the J
+cubes (maximal cubes of {M_d g > a^k}) that hold principal cubes; all cells
+of a run lie in the same J cubes, so they share one chain, and its b9 and
+b10 counts are multiplied by the run length.  The h bound of all cells is
+one numpy expression.  Block b3 draws its random unions from the seeded
+stream in chunks of at most constants.RH_CHUNK doubles and sums each union
+with constants._union_ratios, the reverse-Holder check's kernel, bitwise
+the per-union sums.  The record keeps no "smallest principal cube" per
+pair; that every Gamma cube lies in a principal cube is checked in tests.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
-from .constants import DIM, a1_constant
+from .constants import DIM, RH_CHUNK, _union_ratios, a1_constant
 from .errors import ConfigError
 from .grid import Cube, Grid, cells_of, contains, pyramid
 from .maximal import dyadic_maximal
@@ -111,7 +126,6 @@ class PrincipalCubeRecord:
     u_a1: float | None = None
     generations: list[list[tuple[int, int]]] = field(default_factory=list)
     principal: list[tuple[int, int]] = field(default_factory=list)
-    smallest_principal: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
 
     def stratum(self, k: int) -> Stratum:
         return self.strata[k - self.floor_k]
@@ -261,8 +275,7 @@ def build_record(
     )
     top_k = _band_floor(a, float(both.max()))
     for k in range(floor_k, top_k + 1):
-        mask = (mdv > a**k) & (mdg > a**k)
-        cubes = region_maximal_cubes(grid, mask)
+        cubes = level_cubes(g, v, a, k, mdg, mdv)
         res = gamma_filter(cubes, v, a, k, v_a1=v_a1)
         strata.append(Stratum(k, cubes, res.flags))
     return PrincipalCubeRecord(
@@ -278,26 +291,32 @@ def _strictly_inside(inner: Cube, outer: Cube) -> bool:
 
 
 def principal_cubes(record: PrincipalCubeRecord, u: GridWeight) -> list[list[tuple[int, int]]]:
-    """Run the generation induction; fills generations, P, and the smallest
-    containing principal cube of every Gamma pair.
+    """Run the generation induction; fills generations and P.
 
     The intermediate-cube side condition quantifies over Gamma pairs with
     I_j^k strictly inside I_i^l and I_i^l inside (possibly equal to) the
-    generation cube, the literal reading; see ``chain_intermediate``.
+    generation cube, the literal reading that ``principal_cubes_brute``
+    transcribes.  The Gamma pairs above a pair are found by walking its
+    dyadic ancestors, pairs x levels lookups in all.
     """
-    grid = record.grid
     u_a1 = a1_constant(u)
     record.u_a1 = u_a1
     record.nu = 1.0 / (1.0 + 2.0 ** (DIM + 1) * u_a1)
     pairs = record.gamma_pairs()
     cube_of = {p: record.cube(p) for p in pairs}
     uavg = {p: u.mass_of(cube_of[p]) / cube_of[p].length for p in pairs}
-    # ancestors[p]: Gamma pairs whose cube strictly contains p's cube
-    ancestors: dict[tuple[int, int], list[tuple[int, int]]] = {p: [] for p in pairs}
+    pairs_at: dict[Cube, list[tuple[int, int]]] = {}
     for p in pairs:
-        for q in pairs:
-            if _strictly_inside(cube_of[p], cube_of[q]):
-                ancestors[p].append(q)
+        pairs_at.setdefault(cube_of[p], []).append(p)
+    # ancestors[p]: Gamma pairs whose cube strictly contains p's cube
+    ancestors: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for p in pairs:
+        q = cube_of[p]
+        ancestors[p] = [
+            anc
+            for d in range(1, q.level + record.grid.J + 1)
+            for anc in pairs_at.get(Cube(q.level - d, q.index >> d), ())
+        ]
     a, delta = record.a, record.delta
 
     g0 = [p for p in pairs if not ancestors[p]]
@@ -340,23 +359,6 @@ def principal_cubes(record: PrincipalCubeRecord, u: GridWeight) -> list[list[tup
         chosen.update(nxt)
     record.generations = generations
     record.principal = sorted(chosen)
-    # smallest principal cube containing each Gamma pair
-    record.smallest_principal = {}
-    for p in pairs:
-        cands = [q for q in record.principal if contains(cube_of[q], cube_of[p])]
-        if not cands:
-            continue
-        k = p[0]
-        cands.sort(
-            key=lambda q: (
-                -cube_of[q].level,
-                0 if q[0] <= k else 1,
-                abs(k - q[0]),
-                q[0],
-                q[1],
-            )
-        )
-        record.smallest_principal[p] = cands[0]
     return generations
 
 
@@ -519,37 +521,30 @@ def verify_chain(
             b2_worst = max(b2_worst, res.worst_upper, 1.0 / res.worst_lower if res.worst_lower > 0 else math.inf)
     b2 = BlockResult(b2_ok, b2_count, b2_viol, b2_worst, "CZ sandwich on Gamma cubes")
 
-    # b3: v(E)/v(I) <= 2 (|E|/|I|)^eps on targeted and sampled E
+    # b3: v(E)/v(I) <= 2 (|E|/|I|)^eps on targeted and sampled E: the sets
+    # the sum estimate uses, every single cell of a cube of <= 64 cells, and
+    # n_subsets seeded random unions drawn in chunks of <= RH_CHUNK doubles
     rng = np.random.default_rng(seed)
-    vcells = v.cell_masses
-    mdv = record.mdv
-    b3_worst = 0.0
-    b3_count = 0
-    b3_viol = 0
+    ratios = []
     for p in pairs:
         q = cube_of[p]
         r = cells_of(grid, q)
-        sl = slice(r.start, r.stop)
         m = r.stop - r.start
-        vq = v.mass_of(q)
-        subsets = []
-        for k in range(p[0], record.top_k + 1):
-            subsets.append(mdv[sl] > a**k)  # the sets the sum estimate uses
-        eye = np.eye(m, dtype=bool) if m <= 64 else None
-        if eye is not None:
-            subsets.extend(eye)
-        for _ in range(n_subsets if m > 1 else 0):
-            subsets.append(rng.random(m) < 0.5)
-        for mask in subsets:
-            sz = int(np.count_nonzero(mask))
-            if sz == 0:
-                continue
-            ratio = (float(vcells[sl][mask].sum()) / vq) / (2.0 * (sz / m) ** eps)
-            b3_count += 1
-            if ratio > tol:
-                b3_viol += 1
-            b3_worst = max(b3_worst, ratio)
-    b3 = BlockResult(b3_viol == 0, b3_count, b3_viol, b3_worst, "reverse-Holder consequence for v")
+        blocks = v.cell_masses.reshape(-1, m)
+        vq = v.mass.at_level(grid, q.level)
+        masks = [record.mdv[r.start : r.stop] > a**k for k in range(p[0], record.top_k + 1)]
+        if m <= 64:
+            masks.extend(np.eye(m, dtype=bool))
+        chunks = [np.array(masks)]
+        step = max(1, RH_CHUNK // m)
+        for start in range(0, n_subsets if m > 1 else 0, step):
+            chunks.append(rng.random((min(step, n_subsets - start), m)) < 0.5)
+        for mask in chunks:
+            ratios.append(_union_ratios(blocks, vq, np.full(len(mask), q.index), mask, eps))
+    ratios = np.concatenate(ratios) if ratios else np.empty(0)
+    b3_viol = int(np.count_nonzero(ratios > tol))
+    b3 = BlockResult(b3_viol == 0, len(ratios), b3_viol, float(np.fmax.reduce(ratios, initial=0.0)),
+                     "reverse-Holder consequence for v")
 
     # b6: Gamma sum <= C_eps * principal sum
     def score(p) -> float:
@@ -562,39 +557,32 @@ def verify_chain(
     b6 = BlockResult(b6_worst <= tol, len(pairs), int(b6_worst > tol), b6_worst,
                      "sum over Gamma vs C_eps * sum over principal cubes")
 
-    # Steps 2-4: J-strata, per-cell chains, b9 / b10 / h bound
+    # Steps 2-4: J-strata, chains, b9 / b10 / h bound.  A cell's chain
+    # depends only on the J cubes with principal cubes that hold it, so all
+    # cells between two consecutive boundaries of such cubes share one chain,
+    # walked once for the run.
     mdg = record.mdg
-    n = grid.ncells
-    urep = u.cell_values
     ks = range(record.floor_k, record.top_k + 1)
-    jmap: dict[int, np.ndarray] = {}
-    jcubes: dict[int, list[Cube]] = {}
-    for k in ks:
-        mask = mdg > a**k
-        cubes = region_maximal_cubes(grid, mask)
-        cellmap = np.full(n, -1, dtype=np.int64)
-        for i, q in enumerate(cubes):
-            r = cells_of(grid, q)
-            cellmap[r.start : r.stop] = i
-        jmap[k] = cellmap
-        jcubes[k] = cubes
+    jcubes = {k: region_maximal_cubes(grid, mdg > a**k) for k in ks}
+    jspans = {k: [cells_of(grid, q) for q in cubes] for k, cubes in jcubes.items()}
+
+    def jcube_at(k: int, x: int) -> tuple[int, int] | None:
+        """(k, i) for the J cube I_i^k that holds cell x; None off {M_d g > a^k}."""
+        i = bisect_right(jspans[k], x, key=attrgetter("start")) - 1
+        return (k, i) if i >= 0 and x < jspans[k][i].stop else None
+
     # group principal pairs by (stratum, containing J cube)
     groups: dict[tuple[int, int], list[tuple[float, float]]] = {}
     for p in record.principal:
-        k = p[0]
         q = cube_of[p]
-        jid = int(jmap[k][cells_of(grid, q).start])
-        if jid < 0:
+        key = jcube_at(p[0], cells_of(grid, q).start)
+        if key is None:
             continue
         umass = u.mass_of(q)
-        groups.setdefault((k, jid), []).append((umass, umass / q.length))
-    juavg: dict[tuple[int, int], float] = {}
-    jumass: dict[tuple[int, int], float] = {}
-    for k in ks:
-        for i, q in enumerate(jcubes[k]):
-            um = u.mass_of(q)
-            jumass[(k, i)] = um
-            juavg[(k, i)] = um / q.length
+        groups.setdefault(key, []).append((umass, umass / q.length))
+    jumass = {(k, i): u.mass_of(jcubes[k][i]) for k, i in groups}
+    juavg = {(k, i): um / jcubes[k][i].length for (k, i), um in jumass.items()}
+    cuts = sorted({c for k, i in groups for c in (jspans[k][i].start, jspans[k][i].stop)})
 
     b9_worst = 0.0
     b9_count = 0
@@ -602,27 +590,20 @@ def verify_chain(
     b10_worst = 0.0  # max of rhs/lhs; pass needs < 1
     b10_count = 0
     b10_viol = 0
-    h_worst = 0.0
-    h_count = 0
-    h_viol = 0
-    max_chain_index = 0
-    for x in range(n):
-        gx = []
-        for k in ks:
-            jid = int(jmap[k][x])
-            if jid >= 0 and (k, jid) in groups:
-                gx.append((k, jid))
+    chain_index = np.full(grid.ncells, -1)  # m of the cell's chain; -1 if it has none
+    hx = np.zeros(grid.ncells)
+    for x, end in zip(cuts, cuts[1:]):
+        gx = [key for key in (jcube_at(k, x) for k in ks) if key in groups]
         if not gx:
             continue
+        run = end - x
         # u-growth chain (first stratum whose J-average doubles)
         chain = [0]
         for i in range(1, len(gx)):
             if juavg[gx[i]] > 2.0 * juavg[gx[chain[-1]]]:
                 chain.append(i)
-        mmax = len(chain) - 1
-        max_chain_index = max(max_chain_index, mmax)
         bounds = chain + [len(gx)]
-        hx = 0.0
+        h_run = 0.0
         for mi in range(len(chain)):
             k_m = gx[chain[mi]][0]
             block = 0.0
@@ -634,27 +615,29 @@ def verify_chain(
                     block += umass / uj
                     # b10: principal average vs chain-discounted J average
                     rhs = a ** ((l - k_m) * delta) / (2.0 * u_a1) * juavg[key]
-                    b10_count += 1
+                    b10_count += run
                     ratio = rhs / uav if uav > 0 else math.inf
                     b10_worst = max(b10_worst, ratio)
                     if not uav > rhs * (1 - rtol):
-                        b10_viol += 1
-                hx += sum(um for um, _ in groups[key]) / jcubes[l][key[1]].length
-            b9_count += 1
+                        b10_viol += run
+                h_run += sum(um for um, _ in groups[key]) / jcubes[l][key[1]].length
+            b9_count += run
             b9_worst = max(b9_worst, block / c9)
             if block > c9 * tol:
-                b9_viol += 1
-        h_count += 1
-        hbound = 2.0 * c9 * (2.0 - 0.5**mmax) * u_a1 * urep[x]
-        hr = hx / hbound if hbound > 0 else math.inf
-        h_worst = max(h_worst, hr)
-        if hr > tol:
-            h_viol += 1
+                b9_viol += run
+        chain_index[x:end] = len(chain) - 1
+        hx[x:end] = h_run
     b9 = BlockResult(b9_viol == 0, b9_count, b9_viol, b9_worst, "per-chain block sums vs C_9")
     b10 = BlockResult(b10_viol == 0, b10_count, b10_viol, b10_worst,
                       "principal u-average growth along chains")
-    h_bound = BlockResult(h_viol == 0, h_count, h_viol, h_worst,
+    # the h bound of every held cell at once, with the per-cell products
+    held = chain_index >= 0
+    hbound = 2.0 * c9 * (2.0 - 0.5 ** chain_index[held]) * u_a1 * u.cell_values[held]
+    hr = np.divide(hx[held], hbound, out=np.full(len(hbound), math.inf), where=hbound > 0)
+    h_viol = int(np.count_nonzero(hr > tol))
+    h_bound = BlockResult(h_viol == 0, len(hr), h_viol, float(np.fmax.reduce(hr, initial=0.0)),
                           "h(x) <= 2 C_9 (2 - 2^-m) [u]_{A1} u(x)")
+    max_chain_index = int(np.max(chain_index, initial=0))
 
     # level-set estimate: uv({M_d g > v}) <= a [v]_{A1} * Gamma sum
     uvcells = product_cell_masses(u, v)

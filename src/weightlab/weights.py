@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, CsvFormatError, UncachedExponentError
-from .grid import Cube, Grid, pyramid
+from .grid import Cube, Grid, build_grid, pyramid
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,6 @@ class GridWeight:
     logmass: CellTable
     duals: dict[float, CellTable] = field(default_factory=dict)
     powers: dict[float, CellTable] = field(default_factory=dict)
-    spec: WeightSpec | None = None
 
     # -- cell-level views ---------------------------------------------------
     @property
@@ -286,7 +285,6 @@ def _from_local_form(
     expo: np.ndarray,
     dual: tuple[float, ...] = (),
     power: tuple[float, ...] = (),
-    spec: WeightSpec | None = None,
 ) -> GridWeight:
     a, b = _cell_edges(grid)
     w = GridWeight(
@@ -296,7 +294,6 @@ def _from_local_form(
         mass=CellTable(_power_integral(a, b, coef, expo)),
         essinf=CellTable(_local_essinf(a, b, coef, expo), np.minimum),
         logmass=CellTable(_log_integral(a, b, coef, expo)),
-        spec=spec,
     )
     return _cache_tables(w, dual, power)
 
@@ -325,7 +322,7 @@ def realize(
 ) -> GridWeight:
     """Realize an analytic weight spec on a grid with the requested caches."""
     coef, expo = local_form(spec, grid)
-    return _from_local_form(grid, coef, expo, dual_exponents, power_exponents, spec)
+    return _from_local_form(grid, coef, expo, dual_exponents, power_exponents)
 
 
 def with_cached(
@@ -395,10 +392,14 @@ def save_csv(w: GridWeight, path) -> None:
     _write_rows(path, w.cell_values)
 
 
-def load_function_csv(path, grid: Grid) -> GridFunction:
+def load_function_csv(path, J: int) -> GridFunction:
+    """Load a function, one finite value per row, on the grid over [0, 2^J)
+    whose 2^(J+L) cells the rows fill."""
     rows = _read_rows(path)
-    if len(rows) != grid.ncells:
-        raise CsvFormatError(len(rows) + 1, f"expected {grid.ncells} rows, got {len(rows)}")
+    L = len(rows).bit_length() - 1 - J
+    if L < 0 or len(rows) != 1 << (J + L):
+        raise ConfigError(f"{len(rows)} rows do not form a grid with J={J}")
+    grid = build_grid(J, L)
     vals = np.asarray(rows)
     bad = np.flatnonzero(~np.isfinite(vals))
     if len(bad):

@@ -190,6 +190,11 @@ def test_usage_errors(capsys, tmp_path):
     code, out, err = run_cli(capsys, "maximal", "--f", str(f), "--variant", "dyadic")
     assert code == 2
     assert out == "" and "row 3: empty row" in err and "Traceback" not in err
+    # an empty function csv forms no grid
+    f.write_text("")
+    code, out, err = run_cli(capsys, "maximal", "--f", str(f), "--variant", "dyadic")
+    assert code == 2
+    assert out == "" and "0 rows do not form a grid" in err
 
 
 def test_byte_identical_reruns(capsys):
@@ -229,9 +234,49 @@ def cli_digests(tmp_path, seed: int) -> dict:
     return out
 
 
+def deep_chain_digest(tmp_path, seed: int) -> dict:
+    """Exit code and SHA-256 digest of sawyer-verify on power weights at
+    N = 2048 (J = 1, L = 10), whose principal cubes run to three generations
+    and whose chains reach index 1."""
+    g = wl.build_grid(1, 10)
+    path = {k: str(tmp_path / f"deep_{k}.csv") for k in ("u", "v", "g")}
+    for k, delta in (("u", 0.05), ("v", 0.6)):
+        wl.save_function_csv(wl.GridFunction(g, wl.realize(wl.Power(delta), g).cell_values), path[k])
+    x = (np.arange(g.ncells) + 0.5) * g.cell_width
+    wl.save_function_csv(wl.GridFunction(g, x**-0.95), path["g"])
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["--seed", str(seed), "sawyer-verify", "--u", f"csv:{path['u']}",
+                     "--v", f"csv:{path['v']}", "--g", path["g"], "--J", "1",
+                     "--a", "3", "--delta-frac", "0.9"])
+    payload = json.loads(buf.getvalue())
+    assert len(payload["generations"]) >= 3 and payload["chain"]["max_chain_index"] >= 1
+    return {"sawyer_code": code, "sawyer_stdout": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
+
+
 def test_outputs_match_recorded_digests(tmp_path):
     # The digests were recorded before the dyadic-tree code was merged into
-    # grid.pyramid; a refactor must leave these bytes unchanged.
+    # grid.pyramid, and the deep-chain one before the principal-cubes
+    # ancestor walk and the per-run chain walk; a refactor must leave these
+    # bytes unchanged.
     with open(GOLDEN) as fh:
         golden = json.load(fh)
     assert cli_digests(tmp_path, golden["seed"]) == golden["digests"]
+    assert deep_chain_digest(tmp_path, golden["seed"]) == golden["deep_chain"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_non_finite_json_is_quoted(capsys, tmp_path):
+    # cells of 1e308 overflow the pyramid sums; the report still parses as
+    # strict JSON, with the non-finite values as strings
+    f = tmp_path / "big.csv"
+    f.write_text("1e308\n" * 4)
+
+    def refuse(token):
+        raise ValueError(f"bare {token} in JSON output")
+
+    code, out, _ = run_cli(capsys, "czd", "--f", str(f), "--v", "const:c=1", "--height", "0.5")
+    payload = json.loads(out, parse_constant=refuse)
+    assert code in (0, 1)
+    assert payload["domination"]["max_violation"] == "nan"
+    assert payload["verify"]["checks"]["above_height"]["worst"] == "inf"
