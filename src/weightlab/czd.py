@@ -1,38 +1,38 @@
 """Calderon-Zygmund decomposition at height t with respect to v dx.
 
-The stopping time walks the dyadic tree from the root and selects a cube
-the first time its v-average of f exceeds t.  Selected cubes {Q_j} carry
-the good/bad split g + sum_j b_j with exact cell-wise reconstruction and
-mean-zero bad parts.  Signed f is supported by running the stopping time
-on |f| while the averages a_j (and hence g, b_j) use f itself, which keeps
-int b_j v = 0 exact.
+The stopping time selects the first cubes, from the root down, whose
+v-average of f exceeds t: grid.first_cubes on the per-level averages, one
+top-down pass.  Selected cubes {Q_j} carry the good/bad split
+g + sum_j b_j with exact cell-wise reconstruction and mean-zero bad parts.
+Signed f is supported by running the stopping time on |f| while the
+averages a_j (and hence g, b_j) use f itself, which keeps int b_j v = 0
+exact.
 
 The off-Omega vanishing of the signed dyadic maximal of b v is decided
-exactly, from three facts checked on the decomposition itself:
+exactly, from two facts checked on the decomposition itself:
 
 * b = 0 on every off-Omega cell, in the stored floats;
 * the selected cubes are pairwise disjoint (their sorted cell ranges do
   not overlap), so every dyadic ancestor of an off-Omega cell is a union
-  of whole selected cubes and off-Omega cells;
-* int_{Q_j} (f - a_j) v = 0 on every selected cube, summed in rational
-  arithmetic (every float lifts exactly to a Fraction) with the rational
-  a_j = sum f v / sum v.
+  of whole selected cubes and off-Omega cells.
 
-So int_Q b v = 0 on every such ancestor Q, and "exactly zero" is a
-computed fact, not a tolerance.
+On each selected cube the rational bad part has mean zero by identity:
+with a_j = sum f v / sum v in rationals, sum (f - a_j) v = 0 whenever
+sum v > 0, and cz_decompose refuses a cell of zero v-mass.  So
+int_Q b v = 0 on every such ancestor Q, and "exactly zero" is a computed
+fact, not a tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .constants import DIM, ap_constant
 from .errors import ConfigError
-from .grid import Cube, cells_of, children, pyramid
+from .grid import Cube, cells_of, first_cubes, pyramid
 from .maximal import dyadic_maximal
 from .weights import GridFunction, GridWeight
 
@@ -76,30 +76,13 @@ def cz_decompose(f: GridFunction, v: GridWeight, t: float) -> CZDecomposition:
     grid = f.grid
     if np.any(v.cell_masses <= 0) or not np.all(np.isfinite(v.cell_masses)):
         raise ConfigError("CZ decomposition needs strictly positive finite v-mass per cell")
-    abs_pyr = pyramid(np.abs(f.values) * v.cell_masses)
-    signed_pyr = pyramid(f.values * v.cell_masses)
-
-    def avg(pyr, q: Cube) -> float:
-        d = grid.L - q.level
-        return float(pyr[d][q.index] / v.mass.levels[d][q.index])
-
-    root = grid.root
-    truncated = avg(abs_pyr, root) > t
-    cubes: list[Cube] = []
-    sel_avgs: list[float] = []
-    stack = [root]
-    while stack:
-        q = stack.pop()
-        val = avg(abs_pyr, q)
-        if val > t:
-            cubes.append(q)
-            sel_avgs.append(val)
-            continue
-        if q.level < grid.L:
-            left, right = children(grid, q)
-            stack.append(right)
-            stack.append(left)  # popped first: cubes come out left to right
-    averages = [avg(signed_pyr, q) for q in cubes]
+    vsums = v.mass.levels
+    sel = [s / m for s, m in zip(pyramid(np.abs(f.values) * v.cell_masses), vsums)]
+    signed = pyramid(f.values * v.cell_masses)
+    hits = first_cubes([a > t for a in sel])
+    cubes = [Cube(grid.L - d, i) for d, i in hits]
+    sel_avgs = [float(sel[d][i]) for d, i in hits]
+    averages = [float(signed[d][i] / vsums[d][i]) for d, i in hits]
 
     good_vals = f.values.copy()
     bad_vals = np.zeros_like(f.values)
@@ -116,7 +99,7 @@ def cz_decompose(f: GridFunction, v: GridWeight, t: float) -> CZDecomposition:
         good=GridFunction(grid, good_vals),
         bad_total=GridFunction(grid, bad_vals),
         source=f,
-        truncated=truncated,
+        truncated=bool(sel[-1][0] > t),
     )
 
 
@@ -271,7 +254,7 @@ def verify_cz(
 class DominationReport:
     domination_ok: bool
     max_violation: float  # max of (lhs - rhs) / scale, cell-wise
-    off_omega_exact_zero: bool  # exact rational evaluation of Mtilde_d(bv)
+    off_omega_exact_zero: bool  # exact vanishing of Mtilde_d(bv) off Omega
     off_omega_float_residual: float  # float-path max off Omega
 
     @property
@@ -288,29 +271,21 @@ class DominationReport:
         }
 
 
-def _off_omega_exact_zero(dec: CZDecomposition, v: GridWeight) -> bool:
+def _off_omega_exact_zero(dec: CZDecomposition) -> bool:
     """Whether Mtilde_d(bv) vanishes exactly on every off-Omega cell.
 
-    Three facts decide it in O(N) plus one rational sum per selected cube:
-    b = 0 off Omega in the stored floats; the selected cubes are pairwise
-    disjoint, so every dyadic ancestor of an off-Omega cell is a union of
-    whole selected cubes and off-Omega cells; and int_{Q_j} (f - a_j) v = 0
-    in rationals, with a_j = sum f v / sum v over Q_j.
+    Two facts decide it in O(N), and both are computed: b = 0 off Omega in
+    the stored floats, and the selected cubes are pairwise disjoint, so every
+    dyadic ancestor of an off-Omega cell is a union of whole selected cubes
+    and off-Omega cells.  The third fact, int_{Q_j} (f - a_j) v = 0 with the
+    rational a_j = sum f v / sum v over Q_j, holds by identity whenever
+    sum v > 0, which cz_decompose requires of every cell.
     """
     grid = dec.good.grid
     ranges = sorted((cells_of(grid, q) for q in dec.cubes), key=lambda r: (r.start, r.stop))
     if any(r.stop > s.start for r, s in zip(ranges, ranges[1:])):
         return False
-    if np.any(dec.bad_total.values[~dec.omega_mask] != 0):
-        return False
-    for r in ranges:
-        f = dec.source.values[r.start : r.stop].tolist()
-        vm = v.cell_masses[r.start : r.stop].tolist()
-        fv = sum(Fraction(x) * Fraction(y) for x, y in zip(f, vm))
-        vs = sum(map(Fraction, vm))
-        if fv - fv / vs * vs != 0:  # int_{Q_j} (f - a_j) v with a_j = fv / vs
-            return False
-    return True
+    return not np.any(dec.bad_total.values[~dec.omega_mask] != 0)
 
 
 def pointwise_domination_check(
@@ -322,8 +297,8 @@ def pointwise_domination_check(
     Mtilde_d(bv) off Omega.
 
     The float inequality is checked at relative tolerance rtol; the
-    off-Omega vanishing is decided in exact rational arithmetic over the
-    decomposition's defining averages, alongside the float-path residual.
+    off-Omega vanishing is decided exactly from the decomposition's
+    structure (see the module docstring), alongside the float-path residual.
     """
     grid = dec.good.grid
     vrep = v.cell_values
@@ -342,6 +317,6 @@ def pointwise_domination_check(
     return DominationReport(
         domination_ok=dominated,
         max_violation=viol,
-        off_omega_exact_zero=_off_omega_exact_zero(dec, v),
+        off_omega_exact_zero=_off_omega_exact_zero(dec),
         off_omega_float_residual=float_resid,
     )

@@ -9,7 +9,10 @@ floats, are exact dyadic rationals well inside the double range.
 
 ``pyramid`` is the one reduction over the tree: every cube aggregate of the
 package (weight tables, maximal-function averages, the CZ stopping time,
-region cubes) is one of its levels.
+region cubes) is one of its levels.  ``first_cubes`` is the one top-down
+selection: the CZ cubes (first cubes whose average exceeds the height) and
+the maximal cubes of a cell set (first cubes it covers) are both its output
+on a boolean pyramid.
 """
 
 from __future__ import annotations
@@ -81,6 +84,21 @@ def pyramid(values: np.ndarray, op=np.add) -> list[np.ndarray]:
         cur = levels[-1]
         levels.append(op(cur[0::2], cur[1::2]))
     return levels
+
+
+def first_cubes(hit: list[np.ndarray]) -> list[tuple[int, int]]:
+    """The (d, index) of every cube with hit[d][index] true and no strict
+    ancestor hit, left to right.  hit[d] runs over the cubes of 2^d cells,
+    laid out like the levels of ``pyramid``.  One top-down pass carries the
+    mask of cubes with a hit ancestor down the tree."""
+    covered = np.zeros(len(hit[-1]), dtype=bool)
+    level = np.full(len(hit[0]), -1)  # per cell: d of the found cube starting there
+    for d in range(len(hit) - 1, -1, -1):
+        level[np.flatnonzero(hit[d] & ~covered) << d] = d
+        covered = np.repeat(covered | hit[d], 2)
+    starts = np.flatnonzero(level >= 0)
+    ds = level[starts]
+    return list(zip(ds.tolist(), (starts >> ds).tolist()))
 
 
 def build_grid(J: int, L: int) -> Grid:

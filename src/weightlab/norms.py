@@ -129,6 +129,8 @@ def mixed_ratio(
     numerator, t_star = weak_l1_norm(h, uv)
     level_mass = t_star and numerator / t_star
     denominator = l1_norm(f, uv)
+    if denominator == 0:
+        raise ConfigError("the L1(uv) norm of f underflows to 0: the mixed ratio is undefined")
     return WeakTypeReport(
         variant=variant,
         numerator=numerator,

@@ -28,7 +28,11 @@ The stratum floor defaults to the stabilization level: below the minimum
 of M_d g (and of the v value bands) the strata repeat the root cube, so
 nothing is lost by cutting there.
 
-Cost.  principal_cubes finds the Gamma pairs above each pair by walking
+Cost.  Every stratum and every set of J cubes is region_maximal_cubes:
+grid.first_cubes on the logical-and pyramid of its cell mask, one top-down
+numpy pass with no walk over Cube objects.  build_record refuses a
+non-finite M_d g or M_d v, whose strata and bands would be undefined.
+principal_cubes finds the Gamma pairs above each pair by walking
 its dyadic ancestors through a dict from cube to pairs: pairs x levels
 lookups, with no scan over pairs of pairs.  verify_chain walks the u-growth
 chain once per run of cells between two consecutive boundaries of the J
@@ -53,7 +57,7 @@ import numpy as np
 
 from .constants import DIM, RH_CHUNK, _union_ratios, a1_constant
 from .errors import ConfigError
-from .grid import Cube, Grid, cells_of, contains, pyramid
+from .grid import Cube, Grid, cells_of, contains, first_cubes, pyramid
 from .maximal import dyadic_maximal
 from .weights import GridFunction, GridWeight, product_cell_masses
 
@@ -65,21 +69,8 @@ def region_maximal_cubes(grid: Grid, mask: np.ndarray) -> list[Cube]:
     """Maximal disjoint dyadic cubes whose union is the given cell set."""
     if mask.shape != (grid.ncells,):
         raise ConfigError("mask length does not match grid")
-    counts = pyramid(np.asarray(mask, dtype=np.int64))
-    out: list[Cube] = []
-    stack = [grid.root]
-    while stack:
-        q = stack.pop()
-        d = grid.L - q.level
-        c = int(counts[d][q.index])
-        if c == 0:
-            continue
-        if c == (1 << d):
-            out.append(q)
-            continue
-        stack.append(Cube(q.level + 1, 2 * q.index + 1))
-        stack.append(Cube(q.level + 1, 2 * q.index))  # popped first: left to right
-    return out
+    full = pyramid(np.asarray(mask, dtype=bool), np.logical_and)
+    return [Cube(grid.L - d, i) for d, i in first_cubes(full)]
 
 
 def region_maximal_cubes_brute(grid: Grid, mask: np.ndarray) -> list[Cube]:
@@ -262,6 +253,10 @@ def build_record(
         raise ConfigError(f"need 0 < delta < eps = {eps}, got {delta}")
     mdg = dyadic_maximal(g).values
     mdv = dyadic_maximal(GridFunction(grid, v.cell_values)).values
+    for name, md in (("g", mdg), ("v", mdv)):
+        if not np.all(np.isfinite(md)):
+            cell = int(np.argmin(np.isfinite(md)))
+            raise ConfigError(f"M_d {name} is not finite at cell {cell}: its cube sums overflow")
     both = np.minimum(mdv, mdg)
     strata: list[Stratum] = []
     if float(both.max()) <= 0:

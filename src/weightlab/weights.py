@@ -255,9 +255,6 @@ class GridWeight:
             )
         return self.powers[r].of(self.grid, Q)
 
-    def avg(self, Q: Cube) -> float:
-        return self.mass_of(Q) / Q.length
-
 
 @dataclass
 class GridFunction:
@@ -287,11 +284,14 @@ def _from_local_form(
     power: tuple[float, ...] = (),
 ) -> GridWeight:
     a, b = _cell_edges(grid)
+    mass = _power_integral(a, b, coef, expo)
+    if not np.all(mass > 0):
+        raise ConfigError(f"weight has no positive mass on cell {int(np.argmin(mass > 0))}")
     w = GridWeight(
         grid=grid,
         coef=coef,
         expo=expo,
-        mass=CellTable(_power_integral(a, b, coef, expo)),
+        mass=CellTable(mass),
         essinf=CellTable(_local_essinf(a, b, coef, expo), np.minimum),
         logmass=CellTable(_log_integral(a, b, coef, expo)),
     )

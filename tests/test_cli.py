@@ -185,6 +185,28 @@ def test_usage_errors(capsys, tmp_path):
     )
     assert code == 2
     assert out == "" and "f is zero" in err and "Traceback" not in err
+    # a nonzero f whose L1(uv) norm underflows to 0
+    f.write_text("5e-324\n" * 4)
+    code, out, err = run_cli(
+        capsys, "weaknorm", "--f", str(f), "--u", "const:c=1", "--v", "const:c=1"
+    )
+    assert code == 2
+    assert out == "" and "underflows to 0" in err
+    # a weight whose cell masses underflow to 0, and cells whose cube sums overflow
+    for rows, message in (("5e-324", "no positive mass on cell 0"), ("1e308", "M_d g is not finite")):
+        f.write_text(f"{rows}\n" * 4)
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(
+                capsys, "sawyer-verify", "--u", f"csv:{f}", "--v", f"csv:{f}", "--g", str(f)
+            )
+        assert code == 2
+        assert out == "" and message in err
+    f.write_text("5e-324\n" * 4)
+    code, out, err = run_cli(
+        capsys, "constants", "--weight", f"csv:{f}", "--kind", "A1", "--J", "0", "--L", "2"
+    )
+    assert code == 2
+    assert out == "" and "no positive mass on cell 0" in err
     # a blank row in a function csv is an empty row, not a bad row count
     f.write_text("1.0\n2.0\n\n3.0\n")
     code, out, err = run_cli(capsys, "maximal", "--f", str(f), "--variant", "dyadic")
@@ -206,13 +228,15 @@ def test_byte_identical_reruns(capsys):
 
 def cli_digests(tmp_path, seed: int) -> dict:
     """Exit codes and SHA-256 digests of czd (stdout, --out-g, --out-b) and
-    sawyer-verify (stdout) on one seeded input of N = 256 cells."""
+    sawyer-verify (stdout) on one seeded input of N = 256 cells.  czd runs at
+    three heights: one that selects cubes of several sizes, one below the
+    root average (a truncated root) and one that selects single cells only."""
     g = wl.build_grid(1, 7)
     rng = np.random.default_rng(seed)
     u = rng.lognormal(0.0, 0.3, g.ncells)
     v = rng.lognormal(0.0, 0.3, g.ncells)
     f = rng.lognormal(size=g.ncells) * (rng.random(g.ncells) < 0.6)
-    t = 1.5 * float(np.sum(f * v) / np.sum(v))
+    root = float(np.sum(f * v) / np.sum(v))
     path = {k: str(tmp_path / f"{k}.csv") for k in ("u", "v", "f", "g", "b")}
     for k, x in (("u", u), ("v", v), ("f", f)):
         wl.save_function_csv(wl.GridFunction(g, x), path[k])
@@ -222,13 +246,18 @@ def cli_digests(tmp_path, seed: int) -> dict:
         with contextlib.redirect_stdout(buf):
             out[name + "_code"] = main(list(argv))
         out[name + "_stdout"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        return json.loads(buf.getvalue())
 
     out = {}
-    run("czd", "czd", "--f", path["f"], "--v", f"csv:{path['v']}", "--height", repr(t),
-        "--J", "1", "--out-g", path["g"], "--out-b", path["b"])
-    for k in ("g", "b"):
-        with open(path[k], "rb") as fh:
-            out[f"czd_out_{k}"] = hashlib.sha256(fh.read()).hexdigest()
+    for name, t in (("czd", 1.5 * root), ("czd_root", 0.5 * root), ("czd_cells", 0.75 * float(f.max()))):
+        payload = run(name, "czd", "--f", path["f"], "--v", f"csv:{path['v']}",
+                      "--height", repr(t), "--J", "1", "--out-g", path["g"], "--out-b", path["b"])
+        for k in ("g", "b"):
+            with open(path[k], "rb") as fh:
+                out[f"{name}_out_{k}"] = hashlib.sha256(fh.read()).hexdigest()
+        levels = {q["level"] for q in payload["cubes"]}
+        assert payload["truncated"] == (name == "czd_root")
+        assert (levels == {g.L}) == (name == "czd_cells")
     run("sawyer", "sawyer-verify", "--u", f"csv:{path['u']}", "--v", f"csv:{path['v']}",
         "--g", path["f"], "--J", "1")
     return out
@@ -256,9 +285,10 @@ def deep_chain_digest(tmp_path, seed: int) -> dict:
 
 def test_outputs_match_recorded_digests(tmp_path):
     # The digests were recorded before the dyadic-tree code was merged into
-    # grid.pyramid, and the deep-chain one before the principal-cubes
-    # ancestor walk and the per-run chain walk; a refactor must leave these
-    # bytes unchanged.
+    # grid.pyramid, the deep-chain one before the principal-cubes ancestor
+    # walk and the per-run chain walk, and the truncated-root and cell-level
+    # czd ones before the stopping time moved to grid.first_cubes; a
+    # refactor must leave these bytes unchanged.
     with open(GOLDEN) as fh:
         golden = json.load(fh)
     assert cli_digests(tmp_path, golden["seed"]) == golden["digests"]
@@ -280,3 +310,54 @@ def test_non_finite_json_is_quoted(capsys, tmp_path):
     assert code in (0, 1)
     assert payload["domination"]["max_violation"] == "nan"
     assert payload["verify"]["checks"]["above_height"]["worst"] == "inf"
+
+
+def three_piece_step() -> list[float]:
+    x = np.ones(8192)
+    x[3979:5888] = 3.0
+    x[5888:] = 2.0
+    return x.tolist()
+
+
+DEGENERATE_ROWS = {
+    "zero": [0.0] * 4,
+    "subnormal": [5e-324] * 4,
+    "huge": [1e308] * 4,
+    "single": [1.0],
+    "step": three_piece_step(),
+}
+
+# every subcommand that reads --f, --g or --weight; {p} is the CSV, {s} the
+# csv: spec of it and {L} the level of its cells (J = 0)
+DEGENERATE_COMMANDS = [
+    "maximal --f {p} --variant dyadic",
+    "maximal --f {p} --variant dyadic --signed",
+    "maximal --f {p} --variant uncentered",
+    "maximal --f {p} --variant weighted --v {s}",
+    "czd --f {p} --v const:c=1 --height 1.5",
+    "czd --f {p} --v {s} --height 1.5",
+    "weaknorm --f {p} --u const:c=1 --v const:c=1",
+    "weaknorm --f {p} --u {s} --v {s} --variant M",
+    "sawyer-verify --u {s} --v {s} --g {p}",
+    "constants --weight {s} --kind A1 --J 0 --L {L}",
+    "constants --weight {s} --kind Ap --p 2 --J 0 --L {L}",
+    "constants --weight {s} --kind AinfExp --J 0 --L {L}",
+    "constants --weight {s} --kind AinfFW --J 0 --L {L}",
+    "constants --weight {s} --kind Mixed --p 2 --alpha 0.5 --beta 0.5 --J 0 --L {L}",
+    "rh-check --weight {s} --J 0 --L {L}",
+    "doubling --weight {s} --p 2 --J 0 --L {L}",
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("rows", sorted(DEGENERATE_ROWS))
+@pytest.mark.parametrize("command", DEGENERATE_COMMANDS,
+                         ids=lambda c: "-".join(t.strip("-") for t in c.split() if "{" not in t))
+def test_degenerate_inputs_exit_cleanly(capsys, tmp_path, command, rows):
+    values = DEGENERATE_ROWS[rows]
+    path = tmp_path / f"{rows}.csv"
+    path.write_text("".join(f"{x!r}\n" for x in values))
+    argv = command.format(p=path, s=f"csv:{path}", L=len(values).bit_length() - 1).split()
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.startswith("error:")

@@ -101,6 +101,19 @@ def test_matches_brute_stopping_time(rng):
         t = max(float(np.median(np.abs(f.values))) or 0.1, root_avg * 1.05)
         dec = wl.cz_decompose(f, v, t)
         assert dec.cubes == brute_stopping_cubes(f, v, t)
+    # a truncated root, and a height that selects single cells only
+    for t, levels in ((root_avg * 0.5, {-g.J}), (float(np.abs(f.values).max()) * 0.99, {g.L})):
+        dec = wl.cz_decompose(f, v, t)
+        assert dec.cubes == brute_stopping_cubes(f, v, t)
+        assert {q.level for q in dec.cubes} == levels
+    # a height equal to a cube average, with exact sums (integer f, v = 1):
+    # the test is strict, so neither that cube nor the root is selected
+    f = wl.GridFunction(g, rng.integers(0, 9, g.ncells).astype(float))
+    v = wl.realize(wl.Constant(1.0), g)
+    t = max(float(f.values[:64].mean()), float(f.values[64:].mean()))
+    dec = wl.cz_decompose(f, v, t)
+    assert dec.cubes == brute_stopping_cubes(f, v, t)
+    assert dec.cubes and not any(q.level <= 0 for q in dec.cubes)
 
 
 def test_invariants_random(rng):

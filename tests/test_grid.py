@@ -1,10 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import weightlab as wl
 from weightlab.errors import ConfigError, NoParentError
-from weightlab.grid import Cube, cube_containing_cell
+from weightlab.grid import Cube, cube_containing_cell, first_cubes
 
 
 def test_build_grid_basic():
@@ -111,3 +112,31 @@ def test_cube_containing_cell():
     q = cube_containing_cell(g, 11, 0)
     assert q == Cube(0, 1)
     assert 11 in wl.cells_of(g, q)
+
+
+def first_cubes_brute(hit):
+    """Oracle: every hit cube none of whose strict ancestors is hit, ordered
+    by its first cell."""
+    out = []
+    for d in range(len(hit)):
+        for i in np.flatnonzero(hit[d]):
+            if not any(hit[e][i >> (e - d)] for e in range(d + 1, len(hit))):
+                out.append((d, int(i)))
+    return sorted(out, key=lambda c: c[1] << c[0])
+
+
+def test_first_cubes_matches_brute(rng):
+    for depth in range(9):
+        sizes = [1 << (depth - d) for d in range(depth + 1)]
+        patterns = [[rng.random(n) < frac for n in sizes] for frac in (0.05, 0.3, 0.7, 0.95)]
+        patterns += [
+            [np.ones(n, dtype=bool) for n in sizes],
+            [np.zeros(n, dtype=bool) for n in sizes],
+            [np.full(n, n == 1) for n in sizes],  # root only
+            [np.full(n, n == sizes[0]) for n in sizes],  # cells only
+        ]
+        for hit in patterns:
+            assert first_cubes(hit) == first_cubes_brute(hit)
+        assert first_cubes(patterns[4]) == [(depth, 0)]
+        assert first_cubes(patterns[5]) == []
+        assert first_cubes(patterns[7]) == [(0, i) for i in range(sizes[0])]

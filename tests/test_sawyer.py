@@ -11,8 +11,12 @@ from conftest import random_function
 
 def test_region_extraction_matches_brute(rng):
     g = wl.build_grid(1, 6)
-    for frac in (0.1, 0.5, 0.9):
-        mask = rng.random(g.ncells) < frac
+    single = np.zeros(g.ncells, dtype=bool)
+    single[37] = True
+    masks = [rng.random(g.ncells) < frac for frac in (0.1, 0.5, 0.9)]
+    masks += [np.ones(g.ncells, dtype=bool), np.zeros(g.ncells, dtype=bool), single,
+              np.arange(g.ncells) % 2 == 0]
+    for mask in masks:
         fast = sw.region_maximal_cubes(g, mask)
         brute = sw.region_maximal_cubes_brute(g, mask)
         assert fast == brute
