@@ -32,6 +32,7 @@ from .grid import build_grid
 from .maximal import dyadic_maximal, uncentered_maximal, weighted_dyadic_maximal
 from .norms import mixed_ratio
 from .weights import (
+    format_rows,
     load_function_csv,
     parse_weight_spec,
     realize,
@@ -97,8 +98,7 @@ def _cmd_maximal(args) -> int:
         out = weighted_dyadic_maximal(f, v)
     else:
         raise ConfigError(f"unknown variant {args.variant!r}")
-    for val in out.values:
-        print(repr(float(val)))
+    sys.stdout.writelines(format_rows(out.values))
     return 0
 
 

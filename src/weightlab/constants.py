@@ -314,7 +314,10 @@ def reverse_holder_check(
     drawn in the order of a loop over cubes and then subsets, one
     ``rng.random(m)`` row per union, in chunks of at most RH_CHUNK doubles
     (one row if a cube has more cells), so the stream and every sample are
-    those of that loop; empty unions are skipped, as there."""
+    those of that loop; empty unions are skipped, as there.  A level whose
+    averages of w^{r_w} or of w are not finite (their sums overflow) is
+    refused with a ConfigError naming its first such cube: the ratio there
+    would be NaN, which passes every comparison."""
     a1 = a1_constant(w)
     if not math.isfinite(a1):
         raise ConfigError("reverse Holder check needs a finite A1 constant")
@@ -328,6 +331,10 @@ def reverse_holder_check(
         scale = 2.0 ** float(k)
         lhs = (w.powers[rw].at_level(grid, k) * scale) ** (1.0 / rw)
         rhs = 2.0 * w.mass.at_level(grid, k) * scale
+        bad = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs)))
+        if len(bad):
+            raise ConfigError(f"reverse Holder check: the averages of w^{rw!r} or of w are not "
+                              f"finite on cube (level {k}, index {int(bad[0])})")
         ratio = lhs / rhs
         arg = int(np.argmax(ratio))
         if float(ratio[arg]) > worst:

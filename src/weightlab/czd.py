@@ -8,13 +8,20 @@ Signed f is supported by running the stopping time on |f| while the
 averages a_j (and hence g, b_j) use f itself, which keeps int b_j v = 0
 exact.
 
+Every per-cube quantity goes through grid.level_rows and grid.rows, one
+numpy call per cube size: the good/bad fill, the Omega mask and checks
+(i)-(v) and the mass accounting of verify_cz.  A per-cube sum is the
+row-wise np.sum, bitwise numpy's pairwise sum of the cube's cell slice;
+the worsts use np.fmin/np.fmax, which skip NaN as a running Python
+min/max from a non-NaN start does.
+
 The off-Omega vanishing of the signed dyadic maximal of b v is decided
 exactly, from two facts checked on the decomposition itself:
 
 * b = 0 on every off-Omega cell, in the stored floats;
-* the selected cubes are pairwise disjoint (their sorted cell ranges do
-  not overlap), so every dyadic ancestor of an off-Omega cell is a union
-  of whole selected cubes and off-Omega cells.
+* the selected cubes are pairwise disjoint (their sizes add up to the
+  cells they cover), so every dyadic ancestor of an off-Omega cell is a
+  union of whole selected cubes and off-Omega cells.
 
 On each selected cube the rational bad part has mean zero by identity:
 with a_j = sum f v / sum v in rationals, sum (f - a_j) v = 0 whenever
@@ -32,7 +39,7 @@ import numpy as np
 
 from .constants import DIM, ap_constant
 from .errors import ConfigError
-from .grid import Cube, cells_of, first_cubes, pyramid
+from .grid import Cube, first_cubes, level_rows, pyramid, rows
 from .maximal import dyadic_maximal
 from .weights import GridFunction, GridWeight
 
@@ -51,9 +58,8 @@ class CZDecomposition:
     @property
     def omega_mask(self) -> np.ndarray:
         mask = np.zeros(self.good.grid.ncells, dtype=bool)
-        for q in self.cubes:
-            r = cells_of(self.good.grid, q)
-            mask[r.start : r.stop] = True
+        for d, _, idx in level_rows(self.good.grid, self.cubes):
+            rows(mask, d)[idx] = True
         return mask
 
     def to_json_dict(self) -> dict:
@@ -79,23 +85,22 @@ def cz_decompose(f: GridFunction, v: GridWeight, t: float) -> CZDecomposition:
     vsums = v.mass.levels
     sel = [s / m for s, m in zip(pyramid(np.abs(f.values) * v.cell_masses), vsums)]
     signed = pyramid(f.values * v.cell_masses)
-    hits = first_cubes([a > t for a in sel])
-    cubes = [Cube(grid.L - d, i) for d, i in hits]
-    sel_avgs = [float(sel[d][i]) for d, i in hits]
-    averages = [float(signed[d][i] / vsums[d][i]) for d, i in hits]
-
+    cubes = [Cube(grid.L - d, i) for d, i in first_cubes([a > t for a in sel])]
+    sel_avgs = np.empty(len(cubes))
+    averages = np.empty(len(cubes))
     good_vals = f.values.copy()
-    bad_vals = np.zeros_like(f.values)
-    for q, a in zip(cubes, averages):
-        r = cells_of(grid, q)
-        sl = slice(r.start, r.stop)
-        bad_vals[sl] = f.values[sl] - a
-        good_vals[sl] = a
+    bad_vals = np.zeros(grid.ncells)
+    for d, pos, idx in level_rows(grid, cubes):
+        sel_avgs[pos] = sel[d][idx]
+        a = signed[d][idx] / vsums[d][idx]
+        averages[pos] = a
+        rows(bad_vals, d)[idx] = rows(f.values, d)[idx] - a[:, None]
+        rows(good_vals, d)[idx] = a[:, None]
     return CZDecomposition(
         height=t,
         cubes=cubes,
-        averages=averages,
-        selection_averages=sel_avgs,
+        averages=averages.tolist(),
+        selection_averages=sel_avgs.tolist(),
         good=GridFunction(grid, good_vals),
         bad_total=GridFunction(grid, bad_vals),
         source=f,
@@ -179,57 +184,50 @@ def verify_cz(
     ar = ap_constant(v, r)
     bound = 2.0 ** (DIM * r) * ar * t
     tol = 1.0 + rtol
+    sel = np.asarray(dec.selection_averages, dtype=float)
+    avg = np.asarray(dec.averages, dtype=float)
+    # per cube: whether it is a proper cube (not the truncated root, which
+    # has no parent route), int_{Q_j} b v, int_{Q_j} |f| v and v(Q_j)
+    n = len(dec.cubes)
+    proper = np.empty(n, dtype=bool)
+    bv_sum, fv_sum, vmass = np.empty(n), np.empty(n), np.empty(n)
+    bv = dec.bad_total.values * v.cell_masses
+    fv = np.abs(dec.source.values) * v.cell_masses
+    for d, pos, idx in level_rows(grid, dec.cubes):
+        proper[pos] = d < grid.J + grid.L
+        bv_sum[pos] = rows(bv, d)[idx].sum(axis=1)
+        fv_sum[pos] = rows(fv, d)[idx].sum(axis=1)
+        vmass[pos] = v.mass.levels[d][idx]
 
     # (i) t < a_j on the stopping averages
-    worst_i = min((a / t for a in dec.selection_averages), default=math.inf)
-    check_i = CheckResult(all(a > t for a in dec.selection_averages), worst_i,
+    check_i = CheckResult(bool(np.all(sel > t)), float(np.fmin.reduce(sel / t, initial=math.inf)),
                           "min selection average over t")
 
     # (ii) selection averages against the doubling bound
-    worst_ii = 0.0
-    ok_ii = True
-    for q, a in zip(dec.cubes, dec.selection_averages):
-        if q.level == -grid.J:
-            continue  # truncated root: flagged, no parent route
-        worst_ii = max(worst_ii, a / bound)
-        if a > bound * tol:
-            ok_ii = False
-    check_ii = CheckResult(ok_ii, worst_ii, "max selection average over 2^{nr}[v]_{A_r} t")
+    check_ii = CheckResult(not np.any(sel[proper] > bound * tol),
+                           float(np.fmax.reduce(sel[proper] / bound, initial=0.0)),
+                           "max selection average over 2^{nr}[v]_{A_r} t")
 
     # (iii) |g| <= bound cell-wise; a truncated root selection has no parent
     # route, so only off-Omega values and non-root averages are in scope
-    gmax = 0.0
-    mask_root = np.zeros(grid.ncells, dtype=bool)
-    for q, a in zip(dec.cubes, dec.averages):
-        if q.level == -grid.J:
-            mask_root[:] = True
-            continue
-        gmax = max(gmax, abs(a))
-    off_root = ~mask_root
-    if off_root.any():
-        gmax = max(gmax, float(np.abs(np.where(off_root, dec.good.values, 0.0)).max()))
+    gmax = float(np.fmax.reduce(np.abs(avg[proper]), initial=0.0))
+    if proper.all():
+        gmax = max(gmax, float(np.abs(dec.good.values).max()))
     check_iii = CheckResult(gmax <= bound * tol, gmax / bound, "max |g| over bound")
 
     # (iv) cancellation, relative to int_{Q_j} |f| v
-    worst_iv = 0.0
-    for j, q in enumerate(dec.cubes):
-        rng = cells_of(grid, q)
-        sl = slice(rng.start, rng.stop)
-        resid = abs(float(np.sum(dec.bad_total.values[sl] * v.cell_masses[sl])))
-        scale = float(np.sum(np.abs(dec.source.values[sl]) * v.cell_masses[sl]))
-        if scale > 0:
-            worst_iv = max(worst_iv, resid / scale)
+    live = fv_sum > 0
+    worst_iv = float(np.fmax.reduce(np.abs(bv_sum[live]) / fv_sum[live], initial=0.0))
     check_iv = CheckResult(worst_iv <= 1e-12, worst_iv, "max |int b_j v| / int_{Q_j} |f| v")
 
     # (v) |f| <= t off Omega (exact: unselected cells never exceeded t)
-    mask = dec.omega_mask
-    off = np.abs(dec.source.values[~mask])
+    off = np.abs(dec.source.values[~dec.omega_mask])
     worst_v = float(off.max() / t) if off.size else 0.0
     check_v = CheckResult(bool(np.all(off <= t)), worst_v, "max |f|/t off Omega")
 
-    # mass accounting: sum_j v(Q_j) <= (1/t) int |f| v
-    vsum = sum(v.mass_of(q) for q in dec.cubes)
-    total = float(np.sum(np.abs(dec.source.values) * v.cell_masses))
+    # mass accounting: sum_j v(Q_j) <= (1/t) int |f| v, summed in cube order
+    vsum = sum(vmass.tolist())
+    total = float(np.sum(fv))
     ok_m = vsum * t <= total * tol
     check_m = CheckResult(ok_m, (vsum * t / total) if total > 0 else 0.0,
                           "t sum_j v(Q_j) over int |f| v")
@@ -271,21 +269,20 @@ class DominationReport:
         }
 
 
-def _off_omega_exact_zero(dec: CZDecomposition) -> bool:
-    """Whether Mtilde_d(bv) vanishes exactly on every off-Omega cell.
+def _off_omega_exact_zero(dec: CZDecomposition, mask: np.ndarray) -> bool:
+    """Whether Mtilde_d(bv) vanishes exactly on every off-Omega cell, given
+    the Omega mask.
 
     Two facts decide it in O(N), and both are computed: b = 0 off Omega in
-    the stored floats, and the selected cubes are pairwise disjoint, so every
-    dyadic ancestor of an off-Omega cell is a union of whole selected cubes
-    and off-Omega cells.  The third fact, int_{Q_j} (f - a_j) v = 0 with the
-    rational a_j = sum f v / sum v over Q_j, holds by identity whenever
-    sum v > 0, which cz_decompose requires of every cell.
+    the stored floats, and the selected cubes are pairwise disjoint (their
+    sizes add up to the cells they cover), so every dyadic ancestor of an
+    off-Omega cell is a union of whole selected cubes and off-Omega cells.
+    The third fact, int_{Q_j} (f - a_j) v = 0 with the rational
+    a_j = sum f v / sum v over Q_j, holds by identity whenever sum v > 0,
+    which cz_decompose requires of every cell.
     """
-    grid = dec.good.grid
-    ranges = sorted((cells_of(grid, q) for q in dec.cubes), key=lambda r: (r.start, r.stop))
-    if any(r.stop > s.start for r, s in zip(ranges, ranges[1:])):
-        return False
-    return not np.any(dec.bad_total.values[~dec.omega_mask] != 0)
+    cells = sum(len(idx) << d for d, _, idx in level_rows(dec.good.grid, dec.cubes))
+    return cells == np.count_nonzero(mask) and not np.any(dec.bad_total.values[~mask] != 0)
 
 
 def pointwise_domination_check(
@@ -312,11 +309,12 @@ def pointwise_domination_check(
     viol = float(((lhs - rhs) / scale).max())
     dominated = bool(np.all(lhs <= rhs * (1.0 + rtol) + 1e-300))
 
-    off = ~dec.omega_mask
+    mask = dec.omega_mask
+    off = ~mask
     float_resid = float(tilde[off].max()) if off.any() else 0.0
     return DominationReport(
         domination_ok=dominated,
         max_violation=viol,
-        off_omega_exact_zero=_off_omega_exact_zero(dec),
+        off_omega_exact_zero=_off_omega_exact_zero(dec, mask),
         off_omega_float_residual=float_resid,
     )

@@ -12,7 +12,10 @@ package (weight tables, maximal-function averages, the CZ stopping time,
 region cubes) is one of its levels.  ``first_cubes`` is the one top-down
 selection: the CZ cubes (first cubes whose average exceeds the height) and
 the maximal cubes of a cell set (first cubes it covers) are both its output
-on a boolean pyramid.
+on a boolean pyramid.  ``level_rows`` and ``rows`` are the one rule for the
+cells a cube set covers: the cubes of 2^d cells are rows of the cell array
+viewed as rows of 2^d, so every per-cube sum, mask or fill is one numpy
+call per cube size; ``cube_spans`` gives their start and stop cells.
 """
 
 from __future__ import annotations
@@ -99,6 +102,48 @@ def first_cubes(hit: list[np.ndarray]) -> list[tuple[int, int]]:
     starts = np.flatnonzero(level >= 0)
     ds = level[starts]
     return list(zip(ds.tolist(), (starts >> ds).tolist()))
+
+
+def _sizes_and_indices(grid: Grid, cubes: list[Cube]) -> tuple[np.ndarray, np.ndarray]:
+    """Per cube, d (it has 2^d cells) and its index; a cube off the grid is
+    refused with the error of cells_of."""
+    n = len(cubes)
+    ds = grid.L - np.fromiter((q.level for q in cubes), np.int64, n)
+    idx = np.fromiter((q.index for q in cubes), np.int64, n)
+    off = (ds < 0) | (ds > grid.J + grid.L) | (idx < 0) | (idx >= grid.ncells >> np.clip(ds, 0, 63))
+    if off.any():
+        _check_cube(grid, cubes[int(np.argmax(off))])
+    return ds, idx
+
+
+def cube_spans(grid: Grid, cubes: list[Cube]) -> tuple[np.ndarray, np.ndarray]:
+    """The start and stop cells of every cube, as cells_of gives them one
+    cube at a time."""
+    ds, idx = _sizes_and_indices(grid, cubes)
+    return idx << ds, (idx + 1) << ds
+
+
+def level_rows(grid: Grid, cubes: list[Cube]) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The cubes grouped by size: one (d, pos, idx) per d with cubes of 2^d
+    cells, finest first.  pos are the positions of those cubes in ``cubes``
+    and idx their indices, so row idx[j] of ``rows(values, d)`` holds the
+    cells of cubes[pos[j]].  Callers gather from the rows (a row sum is
+    numpy's pairwise sum, bitwise np.sum of the cube's cell slice) or assign
+    to them."""
+    ds, idx = _sizes_and_indices(grid, cubes)
+    out = []
+    for d in np.flatnonzero(np.bincount(ds)).tolist():
+        pos = np.flatnonzero(ds == d)
+        out.append((d, pos, idx[pos]))
+    return out
+
+
+def rows(values: np.ndarray, d: int) -> np.ndarray:
+    """A cell array as rows of 2^d cells, row i being the cells of the i-th
+    cube of that size.  It is always a view (numpy raises ValueError where
+    the reshape would need a copy), so an assignment to its rows writes
+    ``values``."""
+    return np.reshape(values, (-1, 1 << d), copy=False)
 
 
 def build_grid(J: int, L: int) -> Grid:

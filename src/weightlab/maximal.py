@@ -231,16 +231,20 @@ def uncentered_maximal(f: GridFunction, method: str = "auto") -> GridFunction:
 
 
 def uncentered_maximal_brute(f: GridFunction) -> GridFunction:
-    """Oracle: exhaustive max over every grid-endpoint interval per cell."""
+    """Oracle: exhaustive max over every grid-endpoint interval per cell.
+
+    For each left end a, the averages (P[b] - P[a]) / (b - a) of all right
+    ends b > a form one row; its suffix max from b = c + 1 on is the best
+    interval [a, b) holding cell c, folded into every cell c >= a.  O(N^2)
+    time and O(N) memory; a NaN candidate propagates, as in a max."""
     vals = np.abs(f.values)
     P = _prefix(vals)
     n = len(vals)
     idx = np.arange(n + 1, dtype=np.int64)
-    out = np.empty(n)
-    for c in range(n):
-        num = P[c + 1 :][None, :] - P[: c + 1][:, None]
-        den = idx[c + 1 :][None, :] - idx[: c + 1][:, None]
-        out[c] = (num / den).max()
+    out = np.full(n, -np.inf)
+    for a in range(n):
+        row = (P[a + 1 :] - P[a]) / (idx[a + 1 :] - a)
+        np.maximum(out[a:], np.maximum.accumulate(row[::-1])[::-1], out=out[a:])
     return GridFunction(f.grid, out)
 
 

@@ -30,8 +30,16 @@ nothing is lost by cutting there.
 
 Cost.  Every stratum and every set of J cubes is region_maximal_cubes:
 grid.first_cubes on the logical-and pyramid of its cell mask, one top-down
-numpy pass with no walk over Cube objects.  build_record refuses a
-non-finite M_d g or M_d v, whose strata and bands would be undefined.
+numpy pass with no walk over Cube objects.  gamma_filter reads a stratum
+through grid.level_rows, one numpy call per cube size: its flags are
+`any` over the cubes' rows of cells, essinf and mass are their pyramid
+entries, and the worsts use np.fmin/np.fmax, which skip NaN as a running
+Python min/max from a non-NaN start does.  verify_chain finds the J cube
+that holds a cell by np.searchsorted over the J cubes' start cells
+(grid.cube_spans), one call per stratum for all principal pairs and one
+for all run boundaries, in memory proportional to the cubes.  build_record
+refuses a non-finite M_d g or M_d v, whose strata and bands would be
+undefined.
 principal_cubes finds the Gamma pairs above each pair by walking
 its dyadic ancestors through a dict from cube to pairs: pairs x levels
 lookups, with no scan over pairs of pairs.  verify_chain walks the u-growth
@@ -49,15 +57,13 @@ pair; that every Gamma cube lies in a principal cube is checked in tests.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
 from .constants import DIM, RH_CHUNK, _union_ratios, a1_constant
 from .errors import ConfigError
-from .grid import Cube, Grid, cells_of, contains, first_cubes, pyramid
+from .grid import Cube, Grid, cells_of, contains, cube_spans, first_cubes, level_rows, pyramid, rows
 from .maximal import dyadic_maximal
 from .weights import GridFunction, GridWeight, product_cell_masses
 
@@ -205,26 +211,19 @@ def gamma_filter(
     a^k/[v] <= essinf_I v <= avg_I v <= [v] a^{k+1} for flagged cubes."""
     if v_a1 is None:
         v_a1 = a1_constant(v)
-    vrep = v.cell_values
-    flags: list[bool] = []
-    worst_lower = math.inf
-    worst_upper = 0.0
-    ok = True
-    for q in cubes:
-        r = cells_of(v.grid, q)
-        flag = bool(np.any(vrep[r.start : r.stop] <= a ** (k + 1)))
-        flags.append(flag)
-        if not flag:
-            continue
-        lo = a**k / v_a1
-        hi = v_a1 * a ** (k + 1)
-        inf_q = v.essinf.of(v.grid, q)
-        avg_q = v.mass_of(q) / q.length
-        worst_lower = min(worst_lower, inf_q / lo)
-        worst_upper = max(worst_upper, avg_q / hi)
-        if inf_q < lo * (1 - rtol) or avg_q > hi * (1 + rtol):
-            ok = False
-    return GammaResult(flags, ok, worst_lower, worst_upper)
+    lo = a**k / v_a1
+    hi = v_a1 * a ** (k + 1)
+    meets = v.cell_values <= a ** (k + 1)
+    flags = np.empty(len(cubes), dtype=bool)
+    essinf, avg = np.empty(len(cubes)), np.empty(len(cubes))
+    for d, pos, idx in level_rows(v.grid, cubes):
+        flags[pos] = rows(meets, d)[idx].any(axis=1)
+        essinf[pos] = v.essinf.levels[d][idx]
+        avg[pos] = v.mass.levels[d][idx] / 2.0 ** (d - v.grid.L)
+    inf_q, avg_q = essinf[flags], avg[flags]
+    ok = not np.any((inf_q < lo * (1 - rtol)) | (avg_q > hi * (1 + rtol)))
+    return GammaResult(flags.tolist(), ok, float(np.fmin.reduce(inf_q / lo, initial=math.inf)),
+                       float(np.fmax.reduce(avg_q / hi, initial=0.0)))
 
 
 def build_record(
@@ -559,25 +558,35 @@ def verify_chain(
     mdg = record.mdg
     ks = range(record.floor_k, record.top_k + 1)
     jcubes = {k: region_maximal_cubes(grid, mdg > a**k) for k in ks}
-    jspans = {k: [cells_of(grid, q) for q in cubes] for k, cubes in jcubes.items()}
+    jspans = {k: cube_spans(grid, cubes) for k, cubes in jcubes.items()}
 
-    def jcube_at(k: int, x: int) -> tuple[int, int] | None:
-        """(k, i) for the J cube I_i^k that holds cell x; None off {M_d g > a^k}."""
-        i = bisect_right(jspans[k], x, key=attrgetter("start")) - 1
-        return (k, i) if i >= 0 and x < jspans[k][i].stop else None
+    def jcube_at(k: int, xs: np.ndarray) -> np.ndarray:
+        """Per cell of xs, the position in jcubes[k] of the J cube that holds
+        it; -1 off {M_d g > a^k}."""
+        starts, stops = jspans[k]
+        i = np.searchsorted(starts, xs, "right") - 1
+        # i = -1 reads the appended 0, which no cell is below
+        return np.where(xs < np.append(stops, 0)[i], i, -1)
 
     # group principal pairs by (stratum, containing J cube)
+    pk = np.array([p[0] for p in record.principal], dtype=np.int64)
+    pstart = cube_spans(grid, [cube_of[p] for p in record.principal])[0]
+    owner = np.full(len(pk), -1)
+    for k in ks:
+        owner[pk == k] = jcube_at(k, pstart[pk == k])
     groups: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    for p in record.principal:
-        q = cube_of[p]
-        key = jcube_at(p[0], cells_of(grid, q).start)
-        if key is None:
+    for p, i in zip(record.principal, owner.tolist()):
+        if i < 0:
             continue
+        q = cube_of[p]
         umass = u.mass_of(q)
-        groups.setdefault(key, []).append((umass, umass / q.length))
+        groups.setdefault((p[0], i), []).append((umass, umass / q.length))
     jumass = {(k, i): u.mass_of(jcubes[k][i]) for k, i in groups}
     juavg = {(k, i): um / jcubes[k][i].length for (k, i), um in jumass.items()}
-    cuts = sorted({c for k, i in groups for c in (jspans[k][i].start, jspans[k][i].stop)})
+    spans = [cells_of(grid, jcubes[k][i]) for k, i in groups]
+    cuts = sorted({r.start for r in spans} | {r.stop for r in spans})
+    # owners[c][k - floor_k]: the J cube of stratum k that holds cell cuts[c]
+    owners = np.array([jcube_at(k, np.array(cuts, dtype=np.int64)) for k in ks]).T.tolist()
 
     b9_worst = 0.0
     b9_count = 0
@@ -587,8 +596,8 @@ def verify_chain(
     b10_viol = 0
     chain_index = np.full(grid.ncells, -1)  # m of the cell's chain; -1 if it has none
     hx = np.zeros(grid.ncells)
-    for x, end in zip(cuts, cuts[1:]):
-        gx = [key for key in (jcube_at(k, x) for k in ks) if key in groups]
+    for x, end, own in zip(cuts, cuts[1:], owners):
+        gx = [key for key in zip(ks, own) if key in groups]
         if not gx:
             continue
         run = end - x

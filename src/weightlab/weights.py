@@ -358,8 +358,11 @@ def product_cell_masses(u: GridWeight, v: GridWeight) -> np.ndarray:
 
 def _read_rows(path) -> list[float]:
     rows: list[float] = []
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte decodes to a lone surrogate, refused below with its row
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for i, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise CsvFormatError(i, f"non-ASCII byte in {line.rstrip().encode('ascii', 'surrogateescape')!r}")
             text = line.strip()
             if not text:
                 raise CsvFormatError(i, "empty row")
@@ -411,11 +414,19 @@ def save_function_csv(f: GridFunction, path) -> None:
     _write_rows(path, f.values)
 
 
+ROW_CHUNK = 1 << 16  # CSV lines formatted per string, so memory stays flat in N
+
+
+def format_rows(values: np.ndarray):
+    """The CSV text of ``values``, one repr per line, as strings of at most
+    ROW_CHUNK lines each."""
+    for start in range(0, len(values), ROW_CHUNK):
+        yield "".join(repr(x) + "\n" for x in values[start : start + ROW_CHUNK].tolist())
+
+
 def _write_rows(path, values: np.ndarray) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for v in values:
-            fh.write(repr(float(v)))
-            fh.write("\n")
+        fh.writelines(format_rows(values))
 
 
 # ---------------------------------------------------------------------------

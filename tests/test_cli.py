@@ -217,6 +217,19 @@ def test_usage_errors(capsys, tmp_path):
     code, out, err = run_cli(capsys, "maximal", "--f", str(f), "--variant", "dyadic")
     assert code == 2
     assert out == "" and "0 rows do not form a grid" in err
+    # a non-ASCII byte in a function csv and in a weight csv
+    f.write_bytes(b"1.0\n2.\xc3\xa9\n3.0\n4.0\n")
+    for argv in (("maximal", "--f", str(f), "--variant", "dyadic"),
+                 ("constants", "--weight", f"csv:{f}", "--kind", "A1", "--J", "0", "--L", "2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and "row 2: non-ASCII byte" in err
+    # a weight whose w^{r_w} averages overflow: every ratio would be NaN
+    f.write_text("1e308\n" * 8)
+    with np.errstate(over="ignore"):
+        code, out, err = run_cli(capsys, "rh-check", "--weight", f"csv:{f}", "--J", "0", "--L", "3")
+    assert code == 2
+    assert out == "" and "not finite on cube (level 0, index 0)" in err
 
 
 def test_byte_identical_reruns(capsys):
@@ -230,15 +243,17 @@ def cli_digests(tmp_path, seed: int) -> dict:
     """Exit codes and SHA-256 digests of czd (stdout, --out-g, --out-b) and
     sawyer-verify (stdout) on one seeded input of N = 256 cells.  czd runs at
     three heights: one that selects cubes of several sizes, one below the
-    root average (a truncated root) and one that selects single cells only."""
+    root average (a truncated root) and one that selects single cells only;
+    and once more on f with seeded signs, at the first height."""
     g = wl.build_grid(1, 7)
     rng = np.random.default_rng(seed)
     u = rng.lognormal(0.0, 0.3, g.ncells)
     v = rng.lognormal(0.0, 0.3, g.ncells)
     f = rng.lognormal(size=g.ncells) * (rng.random(g.ncells) < 0.6)
+    signed = f * rng.choice([-1.0, 1.0], size=g.ncells)
     root = float(np.sum(f * v) / np.sum(v))
-    path = {k: str(tmp_path / f"{k}.csv") for k in ("u", "v", "f", "g", "b")}
-    for k, x in (("u", u), ("v", v), ("f", f)):
+    path = {k: str(tmp_path / f"{k}.csv") for k in ("u", "v", "f", "s", "g", "b")}
+    for k, x in (("u", u), ("v", v), ("f", f), ("s", signed)):
         wl.save_function_csv(wl.GridFunction(g, x), path[k])
 
     def run(name, *argv):
@@ -249,8 +264,9 @@ def cli_digests(tmp_path, seed: int) -> dict:
         return json.loads(buf.getvalue())
 
     out = {}
-    for name, t in (("czd", 1.5 * root), ("czd_root", 0.5 * root), ("czd_cells", 0.75 * float(f.max()))):
-        payload = run(name, "czd", "--f", path["f"], "--v", f"csv:{path['v']}",
+    for name, src, t in (("czd", "f", 1.5 * root), ("czd_root", "f", 0.5 * root),
+                         ("czd_cells", "f", 0.75 * float(f.max())), ("czd_signed", "s", 1.5 * root)):
+        payload = run(name, "czd", "--f", path[src], "--v", f"csv:{path['v']}",
                       "--height", repr(t), "--J", "1", "--out-g", path["g"], "--out-b", path["b"])
         for k in ("g", "b"):
             with open(path[k], "rb") as fh:
@@ -286,9 +302,10 @@ def deep_chain_digest(tmp_path, seed: int) -> dict:
 def test_outputs_match_recorded_digests(tmp_path):
     # The digests were recorded before the dyadic-tree code was merged into
     # grid.pyramid, the deep-chain one before the principal-cubes ancestor
-    # walk and the per-run chain walk, and the truncated-root and cell-level
-    # czd ones before the stopping time moved to grid.first_cubes; a
-    # refactor must leave these bytes unchanged.
+    # walk and the per-run chain walk, the truncated-root and cell-level
+    # czd ones before the stopping time moved to grid.first_cubes, and the
+    # signed-f czd one before the CZ fill and checks moved to
+    # grid.level_rows; a refactor must leave these bytes unchanged.
     with open(GOLDEN) as fh:
         golden = json.load(fh)
     assert cli_digests(tmp_path, golden["seed"]) == golden["digests"]
@@ -361,3 +378,5 @@ def test_degenerate_inputs_exit_cleanly(capsys, tmp_path, command, rows):
     code, _, err = run_cli(capsys, *argv)
     assert code in (0, 1, 2)
     assert (code == 2) == err.startswith("error:")
+    if rows == "huge" and command.startswith("rh-check"):
+        assert code == 2  # the w^{r_w} averages overflow

@@ -1,10 +1,14 @@
 import dataclasses
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import weightlab as wl
+from weightlab.constants import DIM, ap_constant, encode_nonfinite
+from weightlab.czd import CheckResult, CZVerifyReport
 from weightlab.errors import ConfigError
 from weightlab.grid import Cube
 from conftest import random_function
@@ -255,3 +259,117 @@ def test_json_shape():
     assert d["t"] == 0.75
     assert d["cubes"] == [{"level": 0, "index": 0, "avg": 1.0}]
     assert d["truncated"] is False
+
+
+def omega_mask_oracle(dec):
+    """Oracle: the cells of every selected cube, one slice per cube."""
+    mask = np.zeros(dec.good.grid.ncells, dtype=bool)
+    for q in dec.cubes:
+        r = wl.cells_of(dec.good.grid, q)
+        mask[r.start : r.stop] = True
+    return mask
+
+
+def verify_cz_oracle(dec, v, r, rtol=1e-12):
+    """Oracle for verify_cz: every check as a loop over the selected cubes,
+    one cell slice and one np.sum per cube, Python max/min for the worsts."""
+    grid = dec.good.grid
+    t = dec.height
+    ar = ap_constant(v, r)
+    bound = 2.0 ** (DIM * r) * ar * t
+    tol = 1.0 + rtol
+
+    worst_i = min((a / t for a in dec.selection_averages), default=math.inf)
+    check_i = CheckResult(all(a > t for a in dec.selection_averages), worst_i,
+                          "min selection average over t")
+
+    worst_ii = 0.0
+    ok_ii = True
+    for q, a in zip(dec.cubes, dec.selection_averages):
+        if q.level == -grid.J:
+            continue
+        worst_ii = max(worst_ii, a / bound)
+        if a > bound * tol:
+            ok_ii = False
+    check_ii = CheckResult(ok_ii, worst_ii, "max selection average over 2^{nr}[v]_{A_r} t")
+
+    gmax = 0.0
+    mask_root = np.zeros(grid.ncells, dtype=bool)
+    for q, a in zip(dec.cubes, dec.averages):
+        if q.level == -grid.J:
+            mask_root[:] = True
+            continue
+        gmax = max(gmax, abs(a))
+    off_root = ~mask_root
+    if off_root.any():
+        gmax = max(gmax, float(np.abs(np.where(off_root, dec.good.values, 0.0)).max()))
+    check_iii = CheckResult(gmax <= bound * tol, gmax / bound, "max |g| over bound")
+
+    worst_iv = 0.0
+    for q in dec.cubes:
+        rng = wl.cells_of(grid, q)
+        sl = slice(rng.start, rng.stop)
+        resid = abs(float(np.sum(dec.bad_total.values[sl] * v.cell_masses[sl])))
+        scale = float(np.sum(np.abs(dec.source.values[sl]) * v.cell_masses[sl]))
+        if scale > 0:
+            worst_iv = max(worst_iv, resid / scale)
+    check_iv = CheckResult(worst_iv <= 1e-12, worst_iv, "max |int b_j v| / int_{Q_j} |f| v")
+
+    off = np.abs(dec.source.values[~omega_mask_oracle(dec)])
+    worst_v = float(off.max() / t) if off.size else 0.0
+    check_v = CheckResult(bool(np.all(off <= t)), worst_v, "max |f|/t off Omega")
+
+    vsum = sum(v.mass_of(q) for q in dec.cubes)
+    total = float(np.sum(np.abs(dec.source.values) * v.cell_masses))
+    ok_m = vsum * t <= total * tol
+    check_m = CheckResult(ok_m, (vsum * t / total) if total > 0 else 0.0,
+                          "t sum_j v(Q_j) over int |f| v")
+    return CZVerifyReport(r, ar, bound, check_i, check_ii, check_iii, check_iv, check_v, check_m)
+
+
+def oracle_cases(rng):
+    """(decomposition, v): random, signed, truncated-root, cells-only, empty
+    and overflowing (1e308 cells: inf and NaN averages) selections, and two
+    faulty ones: a perturbed average, and an overlapping child cube."""
+    g = wl.build_grid(1, 7)
+    for signed in (False, True, False, True):
+        f = random_function(g, rng, signed=signed)
+        v = wl.realize(wl.Piecewise(tuple(float(x) for x in rng.lognormal(size=g.ncells))), g)
+        root = float(np.sum(np.abs(f.values) * v.cell_masses) / v.cell_masses.sum())
+        top = float(np.abs(f.values).max())
+        for t in (root * 1.2, root * 3.0, root * 0.5, top * 0.99, top * 2.0):
+            yield wl.cz_decompose(f, v, t), v
+    dec, v = next(random_decompositions(rng, 1))
+    yield dataclasses.replace(dec, averages=[dec.averages[0] * 1e3, *dec.averages[1:]]), v
+    q = next(q for q in dec.cubes if q.level < dec.good.grid.L)
+    child = wl.children(dec.good.grid, q)[0]
+    yield dataclasses.replace(dec, cubes=[*dec.cubes, child], averages=[*dec.averages, 0.0],
+                              selection_averages=[*dec.selection_averages, 0.0]), v
+    # cell products f v and the v sums of cubes of 4 cells overflow: inf and
+    # NaN (inf - inf) averages, NaN good values, no truncated root
+    g = wl.build_grid(2, 1)
+    big = wl.GridFunction(g, np.array([1e308, -1e308, 3.0, 1.0, 1e308, 1e308, 2.0, 0.5]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in (1e308, 1e307):
+            v = wl.realize(wl.Constant(c), g)
+            for t in (0.5, 1.5, 1e300):
+                yield wl.cz_decompose(big, v, t), v
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_verify_cz_matches_per_cube_oracle(rng):
+    def text(rep):
+        return json.dumps(encode_nonfinite(rep.to_json_dict()), sort_keys=True)
+
+    seen = {"nonfinite": 0, "failed": 0, "empty": 0, "root": 0, "cells": 0}
+    for dec, v in oracle_cases(rng):
+        assert np.array_equal(dec.omega_mask, omega_mask_oracle(dec))
+        for r in (2.0, 3.0):
+            fast, slow = wl.verify_cz(dec, v, r), verify_cz_oracle(dec, v, r)
+            assert text(fast) == text(slow)
+        seen["nonfinite"] += not np.all(np.isfinite(dec.averages + dec.selection_averages))
+        seen["failed"] += not fast.all_ok
+        seen["empty"] += not dec.cubes
+        seen["root"] += dec.truncated
+        seen["cells"] += bool(dec.cubes) and {q.level for q in dec.cubes} == {dec.good.grid.L}
+    assert all(seen.values()), seen

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 import weightlab as wl
 from weightlab.errors import ConfigError, NoParentError
-from weightlab.grid import Cube, cube_containing_cell, first_cubes
+from weightlab.grid import Cube, cube_containing_cell, cube_spans, first_cubes, level_rows, rows
 
 
 def test_build_grid_basic():
@@ -140,3 +140,38 @@ def test_first_cubes_matches_brute(rng):
         assert first_cubes(patterns[4]) == [(depth, 0)]
         assert first_cubes(patterns[5]) == []
         assert first_cubes(patterns[7]) == [(0, i) for i in range(sizes[0])]
+
+
+def test_level_rows_and_spans_match_cells_of(rng):
+    g = wl.build_grid(1, 4)
+    cubes = [Cube(k, int(rng.integers(g.ncubes(k)))) for k in rng.integers(-1, 5, size=40)]
+    starts, stops = cube_spans(g, cubes)
+    assert [range(a, b) for a, b in zip(starts.tolist(), stops.tolist())] == [wl.cells_of(g, q) for q in cubes]
+    values = np.arange(g.ncells, dtype=float)
+    seen = 0
+    for d, pos, idx in level_rows(g, cubes):
+        got = rows(values, d)[idx]
+        for j, p in enumerate(pos.tolist()):
+            assert got[j].tolist() == values[wl.cells_of(g, cubes[p]).start : wl.cells_of(g, cubes[p]).stop].tolist()
+        seen += len(pos)
+    assert seen == len(cubes)
+
+
+@pytest.mark.parametrize("q", [Cube(2, -1), Cube(2, 4), Cube(3, 0), Cube(-1, 0)])
+def test_level_rows_refuses_cubes_off_the_grid(q):
+    g = wl.build_grid(0, 2)
+    with pytest.raises(ConfigError):
+        level_rows(g, [Cube(0, 0), q])
+    with pytest.raises(ConfigError):
+        cube_spans(g, [q])
+
+
+def test_rows_writes_through_and_refuses_a_copy():
+    values = np.zeros(8)
+    rows(values, 2)[[1]] = 1.0
+    assert values.tolist() == [0, 0, 0, 0, 1, 1, 1, 1]
+    strided = np.zeros(16)
+    rows(strided[::2], 2)[[1]] = 1.0  # a 1-D array of any stride reshapes to a view
+    assert np.flatnonzero(strided).tolist() == [8, 10, 12, 14]
+    with pytest.raises(ValueError):
+        rows(np.zeros((4, 4))[:, :2], 2)

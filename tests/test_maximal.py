@@ -81,6 +81,41 @@ def test_oracle_agreement_random(rng):
         )
 
 
+def uncentered_maximal_cubic(f):
+    """Oracle of the oracle: per cell, the full table of intervals [a, b)
+    with a <= c < b, in O(N^3)."""
+    vals = np.abs(f.values)
+    P = maximal._prefix(vals)
+    n = len(vals)
+    idx = np.arange(n + 1, dtype=np.int64)
+    out = np.empty(n)
+    for c in range(n):
+        num = P[c + 1 :][None, :] - P[: c + 1][:, None]
+        den = idx[c + 1 :][None, :] - idx[: c + 1][:, None]
+        out[c] = (num / den).max()
+    return out
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_uncentered_brute_matches_cubic_oracle(rng):
+    for L in range(9):
+        g = wl.build_grid(0, L)
+        n = g.ncells
+        cases = [
+            rng.lognormal(size=n),
+            rng.lognormal(size=n) * (rng.random(n) < 0.5),
+            np.repeat(rng.lognormal(size=3), [n // 3, n // 3, n - 2 * (n // 3)]),
+            np.full(n, 1.7),
+            np.zeros(n),
+            np.where(np.arange(n) % 7 < 3, 0.0, rng.lognormal(size=n)),
+            np.full(n, 1e308),
+        ]
+        for vals in cases:
+            f = wl.GridFunction(g, vals)
+            assert np.array_equal(wl.uncentered_maximal_brute(f).values, uncentered_maximal_cubic(f),
+                                  equal_nan=True)
+
+
 def test_oracle_agreement_special_shapes():
     g = wl.build_grid(0, 6)
     shapes = {

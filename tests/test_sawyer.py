@@ -290,6 +290,44 @@ def chain_blocks_oracle(rec, u, v, n_subsets=16, seed=0, rtol=1e-9):
     return out
 
 
+def gamma_filter_oracle(cubes, v, a, k, v_a1, rtol=1e-12):
+    """Oracle for gamma_filter: one cell slice, one essinf and one mass
+    lookup per cube, Python min/max for the worsts."""
+    vrep = v.cell_values
+    flags = []
+    worst_lower, worst_upper, ok = math.inf, 0.0, True
+    for q in cubes:
+        r = wl.cells_of(v.grid, q)
+        flag = bool(np.any(vrep[r.start : r.stop] <= a ** (k + 1)))
+        flags.append(flag)
+        if not flag:
+            continue
+        lo = a**k / v_a1
+        hi = v_a1 * a ** (k + 1)
+        inf_q = v.essinf.of(v.grid, q)
+        avg_q = v.mass_of(q) / q.length
+        worst_lower = min(worst_lower, inf_q / lo)
+        worst_upper = max(worst_upper, avg_q / hi)
+        if inf_q < lo * (1 - rtol) or avg_q > hi * (1 + rtol):
+            ok = False
+    return sw.GammaResult(flags, ok, worst_lower, worst_upper)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_gamma_filter_skips_nan_like_oracle():
+    # NaN sandwich ratios, from a NaN [v]_{A1} or from cube masses that
+    # overflow against an infinite bound, are skipped by both worsts
+    g = wl.build_grid(2, 1)
+    with np.errstate(over="ignore"):
+        v = wl.realize(wl.Piecewise((1e308, 1.0, 1e308, 1e308, 2.0, 1e308, 0.5, 1e308)), g)
+    for k in g.levels():
+        cubes = wl.dyadic_cubes(g, k)
+        for v_a1 in (math.nan, 1e300, 1.0):
+            for band in (-1, 0, 500):
+                fast = wl.gamma_filter(cubes, v, 4.0, band, v_a1=v_a1)
+                assert repr(fast) == repr(gamma_filter_oracle(cubes, v, 4.0, band, v_a1))
+
+
 def test_chain_blocks_match_per_cell_oracle(rng):
     # power weights for long chains, random A1 pairs for many short runs
     power = list(power_inputs(rng))
@@ -299,9 +337,16 @@ def test_chain_blocks_match_per_cell_oracle(rng):
          random_function(g, rng), 4.0, 0.5)
         for _ in range(4)
     ]
-    chained = 0
+    chained = violated = 0
     for i, (g, u, v, gf, a, frac) in enumerate(power + scattered):
         rec = wl.build_record(gf, v, a=a, delta_frac=frac)
+        # the Gamma flags and the b2 sandwich of every stratum; rtol = -0.5
+        # turns some sandwiches into violations
+        for s in rec.strata:
+            for rtol in (1e-12, -0.5):
+                res = wl.gamma_filter(s.cubes, v, a, s.k, v_a1=rec.v_a1, rtol=rtol)
+                assert res == gamma_filter_oracle(s.cubes, v, a, s.k, rec.v_a1, rtol)
+                violated += not res.sandwich_ok
         wl.principal_cubes(rec, u)
         # a negative rtol turns some checks into violations (b9 and h at
         # -0.999, b10 at -30), so that the violation counts are compared too
@@ -313,7 +358,7 @@ def test_chain_blocks_match_per_cell_oracle(rng):
                 block = getattr(rep, name)
                 assert (block.count, block.violations, block.worst) == oracle[name], name
         chained += i < len(power) and rep.max_chain_index >= 1
-    assert chained >= 12
+    assert chained >= 12 and violated > 0
 
 
 def test_empty_record():
