@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import Cube, Grid, cells_of, parent
-from .maximal import uncentered_restricted
+from .maximal import uncentered_dyadic, uncentered_restricted
 from .weights import GridWeight, with_cached
 
 DIM = 1  # n in the dimensional factors
@@ -34,13 +34,12 @@ class ConstantKind:
     def __post_init__(self):
         if self.tag not in ("A1", "Ap", "AinfExp", "AinfFW", "Mixed"):
             raise ConfigError(f"unknown constant kind {self.tag!r}")
-        if self.tag == "Ap" and not (self.p is not None and self.p > 1):
-            raise ConfigError("Ap kind needs p > 1")
+        # comparisons that NaN fails, so a NaN parameter is refused too
+        if self.tag in ("Ap", "Mixed") and not (self.p is not None and 1 < self.p < math.inf):
+            raise ConfigError(f"{self.tag} kind needs a finite p > 1, got {self.p}")
         if self.tag == "Mixed":
-            if not (self.p is not None and self.p > 1):
-                raise ConfigError("Mixed kind needs p > 1")
-            if self.alpha is None or self.beta is None or self.alpha < 0 or self.beta < 0:
-                raise ConfigError("Mixed kind needs alpha, beta >= 0")
+            if not all(x is not None and 0 <= x < math.inf for x in (self.alpha, self.beta)):
+                raise ConfigError(f"Mixed kind needs finite alpha, beta >= 0, got {self.alpha}, {self.beta}")
 
 
 @dataclass
@@ -78,6 +77,14 @@ def encode_nonfinite(obj):
     if isinstance(obj, (list, tuple)):
         return [encode_nonfinite(x) for x in obj]
     return obj
+
+
+def pow_or_inf(x: float, y: float) -> float:
+    """x ** y, or +inf where the float power overflows (Python raises there)."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +158,6 @@ def mixed_local(w: GridWeight, Q: Cube, p: float, alpha: float, beta: float) -> 
 
 def _level_values(w: GridWeight, kind: ConstantKind, k: int) -> np.ndarray:
     grid = w.grid
-    if kind.tag == "AinfFW":
-        # every cube of the level as one row block, same formula as ainf_fw_local
-        _require_piecewise(w)
-        blocks = w.cell_values.reshape(grid.ncubes(k), -1)
-        integral = uncentered_restricted(blocks).sum(axis=1) * grid.cell_width
-        return integral / w.mass.at_level(grid, k)
     scale = 2.0 ** float(k)  # 1/|Q| at level k
     m = w.mass.at_level(grid, k) * scale
     if kind.tag == "A1":
@@ -181,6 +182,16 @@ def _level_values(w: GridWeight, kind: ConstantKind, k: int) -> np.ndarray:
     raise ConfigError(f"no vectorized path for {kind.tag}")
 
 
+def _fw_levels(w: GridWeight) -> list[np.ndarray]:
+    """The Fujii-Wilson functional of every cube, one array per level from
+    the top, by the same formula as ainf_fw_local: each cube of a level is
+    one row of ``uncentered_dyadic``, which builds the levels bottom-up."""
+    _require_piecewise(w)
+    grid = w.grid
+    integrals = [m.sum(axis=1) * grid.cell_width for m in uncentered_dyadic(w.cell_values)]
+    return [s / w.mass.at_level(grid, k) for k, s in zip(grid.levels(), reversed(integrals))]
+
+
 def global_constant(w: GridWeight, kind: ConstantKind) -> ConstantReport:
     """Supremum of the local constant over every dyadic cube of the grid.
 
@@ -189,11 +200,14 @@ def global_constant(w: GridWeight, kind: ConstantKind) -> ConstantReport:
     if kind.tag in ("Ap", "Mixed") and kind.p not in w.duals:
         w = with_cached(w, dual=(kind.p,))
     grid = w.grid
+    if kind.tag == "AinfFW":
+        levels = _fw_levels(w)
+    else:
+        levels = (_level_values(w, kind, k) for k in grid.levels())
     best = -math.inf
     best_cube = grid.root
     per_level: list[tuple[int, float, int]] = []
-    for k in grid.levels():
-        vals = _level_values(w, kind, k)
+    for k, vals in zip(grid.levels(), levels):
         arg = int(np.argmax(vals))
         vmax = float(vals[arg])
         per_level.append((k, vmax, arg))
@@ -401,7 +415,7 @@ def doubling_check(v: GridWeight, p: float, rtol: float = 1e-12) -> DoublingRepo
     """
     grid = v.grid
     ap = ap_constant(v, p)
-    bound = 2.0 ** (DIM * p) * ap
+    bound = pow_or_inf(2.0, DIM * p) * ap
     # parent-cube variant over all non-root cubes
     max_parent = -math.inf
     for k in grid.levels():

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DIM, ap_constant
+from .constants import DIM, ap_constant, pow_or_inf
 from .errors import ConfigError
 from .grid import Cube, first_cubes, level_rows, pyramid, rows
 from .maximal import dyadic_maximal
@@ -182,7 +182,9 @@ def verify_cz(
     grid = dec.good.grid
     t = dec.height
     ar = ap_constant(v, r)
-    bound = 2.0 ** (DIM * r) * ar * t
+    if ar == 0.0:  # [v]_{A_r} >= 1: the dual weight's integrals underflow
+        raise ConfigError(f"[v]_{{A_r}} at r = {r} underflows to 0; the bound of check (iii) would be 0")
+    bound = pow_or_inf(2.0, DIM * r) * ar * t
     tol = 1.0 + rtol
     sel = np.asarray(dec.selection_averages, dtype=float)
     avg = np.asarray(dec.averages, dtype=float)

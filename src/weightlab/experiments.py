@@ -32,10 +32,11 @@ from .constants import (
     ainf_fw_constant,
     ap_constant,
     global_constant,
+    pow_or_inf,
 )
 from .errors import ConfigError
 from .grid import Cube, Grid, build_grid, cells_of
-from .maximal import uncentered_maximal
+from .maximal import SWEEP_CELLS, uncentered_restricted
 from .norms import lp_norm, mixed_ratio
 from .weights import (
     Constant,
@@ -251,6 +252,8 @@ def sharpness_product_sweep(alphas: list[float], deltas: list[float]) -> SweepRe
     Asserts ratio >= (1/2) / (alpha delta) for delta <= 1/2 (exact algebra:
     ratio * alpha * delta = 1 - delta^2 >= 1/2 there).
     """
+    if not (alphas and deltas):
+        raise ConfigError("product sweep needs at least one alpha and one delta")
     rows = []
     for alpha in alphas:
         for delta in deltas:
@@ -335,8 +338,8 @@ def bound_audit_ap(
 ) -> BoundAuditReport:
     """Measured mixed ratios (u = 1, dyadic operator) against the two
     bound expressions, plus the r-parameter algebra per weight."""
-    if p < 1:
-        raise ConfigError(f"bound audit needs p >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ConfigError(f"bound audit needs a finite p >= 1, got {p}")
     rows = []
     algebra = []
     env_ainf = 0.0
@@ -417,15 +420,16 @@ def mixed_lemma_check(
     rows = []
     for name, w in weights:
         for p in ps:
-            if not p > 1:
-                raise ConfigError("mixed lemma needs p > 1")
+            if not 1 < p < math.inf:
+                raise ConfigError(f"mixed lemma needs a finite p > 1, got {p}")
             w = with_cached(w, dual=(p,))
             pc = p / (p - 1.0)
             apv = global_constant(w, ConstantKind("Ap", p=p)).value
             mixed = global_constant(
                 w, ConstantKind("Mixed", p=p, alpha=1.0 / p, beta=1.0 / pc)
             ).value
-            chain_ok = mixed <= apv * (1 + rtol) and apv <= mixed**p * (1 + rtol)
+            mixed_pow = pow_or_inf(mixed, p)
+            chain_ok = mixed <= apv * (1 + rtol) and apv <= mixed_pow * (1 + rtol)
             vals = [
                 global_constant(
                     w, ConstantKind("Mixed", p=p, alpha=a_, beta=1.0 - a_)
@@ -441,7 +445,7 @@ def mixed_lemma_check(
                     "p": p,
                     "ap": apv,
                     "mixed": mixed,
-                    "mixed_pow_p": mixed**p,
+                    "mixed_pow_p": mixed_pow,
                     "chain_ok": chain_ok,
                     "split_values": vals,
                     "monotone_ok": monotone_ok,
@@ -504,8 +508,8 @@ def buckley_empirical(
     corpus: list[tuple[str, GridFunction]] | None = None,
     seed: int = 0,
 ) -> BuckleyReport:
-    if not p > 1:
-        raise ConfigError(f"buckley check needs p > 1, got {p}")
+    if not 1 < p < math.inf:
+        raise ConfigError(f"buckley check needs a finite p > 1, got {p}")
     grid = v.grid
     if corpus is None:
         corpus = test_function_corpus(grid, seed=seed)
@@ -514,13 +518,17 @@ def buckley_empirical(
     sigma = dual_weight(v, p)
     dual_fw = ainf_fw_constant(sigma)
     bound = pc * apv ** (1.0 / p) * dual_fw ** (1.0 / p)
+    denoms = [lp_norm(f, v, p) for _, f in corpus]
+    live = [i for i, d in enumerate(denoms) if d != 0.0]
     best = 0.0
-    for _, f in corpus:
-        denom = lp_norm(f, v, p)
-        if denom == 0.0:
-            continue
-        num = lp_norm(uncentered_maximal(f), v, p)
-        best = max(best, num / denom)
+    # M f of the functions with a non-zero norm, SWEEP_CELLS cells of rows per call
+    step = max(1, SWEEP_CELLS // grid.ncells)
+    for j in range(0, len(live), step):
+        block = live[j : j + step]
+        mf = uncentered_restricted(np.array([corpus[i][1].values for i in block]))
+        for i, row in zip(block, mf):
+            num = lp_norm(GridFunction(grid, row), v, p)
+            best = max(best, num / denoms[i])
     ident = dual_exponent_identity_max_rel(v, max(p, 1.5))
     return BuckleyReport(
         p=p,

@@ -23,9 +23,15 @@ never above its oracle and at most FAST_PATH_ULPS (tests/test_maximal.py)
 below it on plateaus; on lognormal, indicator and sorted data it is bitwise.
 
 The uncentered internals also take a 2-D array whose rows are independent
-blocks (``uncentered_restricted`` on all cubes of one dyadic level): each
-row gives bitwise what it gives alone.  The sweep runs over every row at
-once; the hull pass, above NAIVE_CEILING cells per row, one row at a time.
+blocks (``uncentered_restricted`` on all cubes of one dyadic level, or on
+a corpus of functions): each row gives bitwise what it gives alone.  The
+sweep runs over every row at once, so a caller that stacks many rows
+passes blocks of at most SWEEP_CELLS cells; the hull pass, above
+NAIVE_CEILING cells per row, runs one row at a time.
+``uncentered_dyadic`` gives the restricted maximal on every dyadic level
+and builds each level up to NAIVE_CEILING cells from the one below: only
+the intervals that leave a cube's left half are swept again, 3/4 of the
+pairs in half the steps, with the same candidates and so the same bits.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .grid import pyramid
 from .weights import GridFunction, GridWeight
 
 NAIVE_CEILING = 4096
+SWEEP_CELLS = 1 << 14  # cells per block of stacked rows handed to one sweep
 
 
 # ---------------------------------------------------------------------------
@@ -111,20 +118,32 @@ def weighted_dyadic_maximal_brute(f: GridFunction, v: GridWeight) -> GridFunctio
 # ---------------------------------------------------------------------------
 # uncentered maximal: naive sweep, level-batched hull pass, exhaustive oracle
 
-def _uncentered_naive(P: np.ndarray) -> np.ndarray:
+def _uncentered_naive(P: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
     """Max interval average per cell by an O(N^2) sweep over right ends b,
     every row of P at once; acc[a] is the best (P[b'] - P[a]) / (b' - a)
-    over b' >= b.  The steps reuse one scratch row and one distance row."""
+    over b' >= b.  Each step takes res[:b], not yet written, as its scratch
+    row, and all share one distance row.
+
+    With ``left``, the maxima of every row's left half h = N/2 on its own,
+    the sweep stops after b = h + 1: a left-half cell c then takes the max
+    of acc[a] over a <= c (the intervals that leave the left half) and of
+    left[c] (those inside it), which is the same set of candidates.
+    """
     n = P.shape[-1] - 1
+    h = 0 if left is None else n // 2
     res = np.empty(P.shape[:-1] + (n,))
-    acc, tmp = np.full_like(res, -np.inf), np.empty_like(res)
+    acc = np.full_like(res, -np.inf)
     dist = np.arange(n, 0, -1.0)  # dist[n - b:] = b - a for a = 0..b-1
-    for b in range(n, 0, -1):
-        t, a = tmp[..., :b], acc[..., :b]
+    for b in range(n, h, -1):
+        t, a = res[..., :b], acc[..., :b]
         np.subtract(P[..., b, None], P[..., :b], out=t)
         np.divide(t, dist[n - b :], out=t)
         np.maximum(a, t, out=a)
-        a.max(axis=-1, out=res[..., b - 1])
+        np.maximum.reduce(a, axis=-1, out=res[..., b - 1])
+    if h:
+        out = res[..., :h]
+        np.maximum.accumulate(acc[..., :h], axis=-1, out=out)
+        np.maximum(out, left, out=out)
     return res
 
 
@@ -209,15 +228,15 @@ def _tangents(P, Q, V, st, en) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _uncentered(values: np.ndarray, method: str = "auto") -> np.ndarray:
-    vals = np.abs(np.asarray(values, dtype=float))
-    P = _prefix(vals)
+    values = np.asarray(values, dtype=float)
+    P = _prefix(np.abs(values))
     if method == "auto":
-        method = "naive" if vals.shape[-1] <= NAIVE_CEILING else "fast"
+        method = "naive" if values.shape[-1] <= NAIVE_CEILING else "fast"
     if method == "naive":
         return _uncentered_naive(P)
     if method == "fast":
         rows = P.reshape(-1, P.shape[-1])
-        return np.array([_uncentered_levels(row) for row in rows]).reshape(vals.shape)
+        return np.array([_uncentered_levels(row) for row in rows]).reshape(values.shape)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -257,3 +276,25 @@ def uncentered_restricted(values: np.ndarray) -> np.ndarray:
     suffice.
     """
     return _uncentered(values)
+
+
+def uncentered_dyadic(values: np.ndarray):
+    """For d = 0, 1, ..., m on an array of N = 2^m cells, the uncentered
+    maximal restricted to every dyadic block of 2^d cells, as the rows of
+    one (N / 2^d, 2^d) array: bitwise ``uncentered_restricted`` of
+    ``values.reshape(-1, 2^d)``.
+
+    The blocks of 2^d cells are built from those of 2^(d-1) while the
+    sweep serves them (2^d <= NAIVE_CEILING): np.cumsum is sequential, so
+    the prefix row of a block's left half is bitwise its left child's, and
+    the child's maxima stand for every interval inside the left half.  Each
+    such level sweeps only the right ends b > 2^(d-1).
+    """
+    below = None
+    for d in range(len(values).bit_length()):
+        rows = np.reshape(values, (-1, 1 << d))
+        if below is None or rows.shape[1] > NAIVE_CEILING:
+            below = uncentered_restricted(rows)
+        else:
+            below = _uncentered_naive(_prefix(np.abs(rows)), below[::2])
+        yield below

@@ -357,19 +357,28 @@ def product_cell_masses(u: GridWeight, v: GridWeight) -> np.ndarray:
 # CSV interchange: one decimal per line, LF-terminated
 
 def _read_rows(path) -> list[float]:
-    rows: list[float] = []
     # a non-ASCII byte decodes to a lone surrogate, refused below with its row
     with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.isascii():
-                raise CsvFormatError(i, f"non-ASCII byte in {line.rstrip().encode('ascii', 'surrogateescape')!r}")
-            text = line.strip()
-            if not text:
-                raise CsvFormatError(i, "empty row")
-            try:
-                rows.append(float(text))
-            except ValueError:
-                raise CsvFormatError(i, f"not a number: {text!r}") from None
+        content = fh.read()
+    lines = content.split("\n")  # the lines of iterating fh, without their "\n"
+    if not lines[-1]:
+        lines.pop()  # after the final newline, or of an empty file
+    if content.isascii():
+        try:
+            return list(map(float, lines))  # float strips as line.strip() does
+        except ValueError:
+            pass  # the loop below names the first bad row
+    rows: list[float] = []
+    for i, line in enumerate(lines, start=1):
+        if not line.isascii():
+            raise CsvFormatError(i, f"non-ASCII byte in {line.rstrip().encode('ascii', 'surrogateescape')!r}")
+        text = line.strip()
+        if not text:
+            raise CsvFormatError(i, "empty row")
+        try:
+            rows.append(float(text))
+        except ValueError:
+            raise CsvFormatError(i, f"not a number: {text!r}") from None
     return rows
 
 

@@ -353,6 +353,7 @@ DEGENERATE_COMMANDS = [
     "maximal --f {p} --variant weighted --v {s}",
     "czd --f {p} --v const:c=1 --height 1.5",
     "czd --f {p} --v {s} --height 1.5",
+    "czd --f {p} --v const:c=1e308 --height 1.5 --r 1.5",
     "weaknorm --f {p} --u const:c=1 --v const:c=1",
     "weaknorm --f {p} --u {s} --v {s} --variant M",
     "sawyer-verify --u {s} --v {s} --g {p}",
@@ -380,3 +381,65 @@ def test_degenerate_inputs_exit_cleanly(capsys, tmp_path, command, rows):
     assert (code == 2) == err.startswith("error:")
     if rows == "huge" and command.startswith("rh-check"):
         assert code == 2  # the w^{r_w} averages overflow
+    if "c=1e308" in command:
+        assert code == 2 and "underflows" in err  # [v]_{A_r} = 0: no bound for (iii)
+
+
+# every subcommand without a CSV input, one parameter {x} at a time, L <= 4
+PARAMETER_COMMANDS = [
+    "sharpness-a1 --deltas {x}",
+    "sharpness-a1 --deltas 0.5,{x} --grid --L 4",
+    "sharpness-a1 --deltas 0.75 --grid --L {x}",
+    "sharpness-product --alphas {x} --deltas 0.25",
+    "sharpness-product --alphas 0.5 --deltas {x}",
+    "bound-audit --p {x} --J 0 --L 2",
+    "bound-audit --v const:c={x} --p 2 --J 0 --L 2",
+    "bound-audit --v step:alpha={x} --p 1 --J 1 --L 2",
+    "bound-audit --p 2 --J 0 --L {x}",
+    "lemma-check --v step:alpha=0.5 --p-grid {x} --J 1 --L 3",
+    "lemma-check --v power:delta={x} --p-grid 2 --J 0 --L 3",
+    "constants --weight const:c={x} --kind A1 --J 0 --L 3",
+    "constants --weight step:alpha=0.5 --kind Ap --p {x} --J 1 --L 3",
+    "constants --weight step:alpha=0.5 --kind Mixed --p {x} --alpha 0.5 --beta 0.5 --J 1 --L 3",
+    "constants --weight step:alpha=0.5 --kind Mixed --p 2 --alpha {x} --beta 1 --J 1 --L 3",
+    "constants --weight step:alpha=0.5 --kind Mixed --p 2 --alpha 0.5 --beta {x} --J 1 --L 3",
+    "constants --weight power:delta={x} --kind AinfExp --J 0 --L 4",
+    "constants --weight step:alpha={x} --kind AinfFW --J 1 --L 3",
+    "constants --weight const:c=2 --kind AinfFW --J 0 --L {x}",
+    "rh-check --weight power:delta={x} --J 0 --L 4",
+    "rh-check --weight const:c={x} --J {x} --L 2",
+    "doubling --weight step:alpha=0.5 --p {x} --J 1 --L 3",
+    "doubling --weight prod:(power:delta=0.5,const:c={x}) --p 2 --J 0 --L 2",
+]
+PARAMETER_VALUES = ["nan", "inf", "0", "-1", "1e308", ","]  # "," is an empty list
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("x", PARAMETER_VALUES)
+@pytest.mark.parametrize("command", PARAMETER_COMMANDS,
+                         ids=lambda c: "-".join(t.strip("-") for t in c.replace("{x}", "X").split()))
+def test_extreme_parameters_exit_cleanly(capsys, command, x):
+    def refuse(token):
+        raise ValueError(f"bare {token} in JSON output")
+
+    code, out, err = run_cli(capsys, *command.format(x=x).split())
+    assert code in (0, 1, 2)
+    assert (code == 2) == ("error:" in err)
+    if code == 2:
+        assert out == ""
+    else:
+        json.loads(out, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command", [
+    "bound-audit --p inf --J 0 --L 2",
+    "bound-audit --p nan --J 0 --L 2",
+    "lemma-check --v step:alpha=0.5 --p-grid inf",
+    "constants --weight step:alpha=0.5 --kind Mixed --p 2 --alpha nan --beta 1 --J 1 --L 3",
+    "constants --weight step:alpha=0.5 --kind Ap --p inf --J 1 --L 3",
+])
+def test_non_finite_parameters_are_usage_errors(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "finite" in err
+

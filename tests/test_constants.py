@@ -139,19 +139,20 @@ def fw_weight(shape, J, L):
     return wl.realize(wl.Piecewise(tuple(vals.tolist())), wl.build_grid(J, L))
 
 
-@pytest.mark.parametrize(
-    "shape, J, L",
-    [
-        ("steps", 0, 0),
-        ("steps", 1, 1),
-        ("lognormal", 0, 2),
-        ("steps", 1, 6),
-        ("plateau", 0, 7),
-        ("end spikes", 1, 7),
-        ("lognormal", 2, 6),
-        ("steps", 0, 13),  # the top cube (8192 cells) takes the hull pass
-    ],
-)
+FW_CASES = [
+    ("steps", 0, 0),
+    ("lognormal", 0, 1),
+    ("steps", 1, 1),
+    ("lognormal", 0, 2),
+    ("steps", 1, 6),
+    ("plateau", 0, 7),
+    ("end spikes", 1, 7),
+    ("lognormal", 2, 6),
+    ("steps", 0, 13),  # the top cube (8192 cells) takes the hull pass
+]
+
+
+@pytest.mark.parametrize("shape, J, L", FW_CASES)
 def test_ainf_fw_levels_equal_per_cube_oracle(shape, J, L):
     w = fw_weight(shape, J, L)
     g = w.grid
@@ -161,22 +162,65 @@ def test_ainf_fw_levels_equal_per_cube_oracle(shape, J, L):
         assert (value, arg) == (max(local), int(np.argmax(local))), k
 
 
-def test_ainf_fw_one_restricted_call_per_level(monkeypatch):
-    # the per-level batching, counted instead of timed: one call per level,
-    # plus (at most) one per cube above the naive ceiling
-    calls = []
+def assert_carried_levels_equal_per_level_sweep(cells):
+    # oracle: every level swept on its own, one uncentered_restricted call each
+    levels = list(maximal.uncentered_dyadic(cells))
+    assert len(levels) == len(cells).bit_length()
+    for d, got in enumerate(levels):
+        want = uncentered_restricted(cells.reshape(-1, 1 << d))
+        assert got.shape == want.shape and np.array_equal(got, want, equal_nan=True), d
 
-    def counted(values):
-        calls.append(values.shape)
-        return uncentered_restricted(values)
 
-    monkeypatch.setattr(constants, "uncentered_restricted", counted)
-    w = fw_weight("steps", 0, 13)
-    wl.ainf_fw_constant(w)
-    g = w.grid
-    big = sum(g.ncubes(k) for k in g.levels() if 1 << (g.L - k) > maximal.NAIVE_CEILING)
-    assert big == 1
-    assert len(calls) <= len(list(g.levels())) + big, calls
+@pytest.mark.parametrize("shape, J, L", FW_CASES)
+def test_carried_levels_equal_per_level_sweep(shape, J, L):
+    assert_carried_levels_equal_per_level_sweep(fw_weight(shape, J, L).cell_values)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("n, cell", [(1, 0), (2, 0), (2, 1), (64, 0), (64, 31), (64, 32), (64, 63)])
+def test_carried_levels_equal_per_level_sweep_on_a_nan_cell(n, cell):
+    cells = np.random.default_rng(n + cell).lognormal(size=n)
+    cells[cell] = np.nan
+    assert_carried_levels_equal_per_level_sweep(cells)
+    assert np.isnan(list(maximal.uncentered_dyadic(cells))[-1]).all()
+
+
+def test_prefix_rows_of_a_level_are_left_halves_of_the_next(rng):
+    # the premise of the carry: np.cumsum is sequential, so the prefix row
+    # of a cube's left half is bitwise the prefix row of its left child
+    cells = rng.lognormal(sigma=4.0, size=1 << 12) * (rng.random(1 << 12) < 0.7)
+    for d in range(12):
+        child = maximal._prefix(cells.reshape(-1, 1 << d))
+        parent = maximal._prefix(cells.reshape(-1, 2 << d))
+        assert np.array_equal(child[::2], parent[:, : (1 << d) + 1]), d
+
+
+def test_ainf_fw_carried_levels_call_structure(monkeypatch):
+    # counted instead of timed: a level of 2^d cells up to the naive ceiling
+    # sweeps the right ends b > 2^(d-1) only, 2^(d-1) steps; above it, each
+    # cube is one hull call
+    sweeps, hulls = [], []
+    naive, levels = maximal._uncentered_naive, maximal._uncentered_levels
+
+    def counted_naive(P, left=None):
+        steps = []
+        maximal.range = lambda *a: steps.append(len(range(*a))) or range(*a)
+        try:
+            return naive(P, left)
+        finally:
+            del maximal.range
+            sweeps.append((P.shape[-1] - 1, sum(steps)))
+
+    def counted_hull(P):
+        hulls.append(len(P) - 1)
+        return levels(P)
+
+    monkeypatch.setattr(maximal, "_uncentered_naive", counted_naive)
+    monkeypatch.setattr(maximal, "_uncentered_levels", counted_hull)
+    wl.ainf_fw_constant(fw_weight("steps", 0, 13))
+    assert maximal.NAIVE_CEILING == 1 << 12
+    assert sweeps == [(1, 1)] + [(1 << d, 1 << (d - 1)) for d in range(1, 13)]
+    assert hulls == [1 << 13]
 
 
 def test_ainf_fw_at_least_one(rng):

@@ -6,6 +6,7 @@ import pytest
 import weightlab as wl
 import weightlab.experiments as exp
 from weightlab.errors import ConfigError
+from weightlab.maximal import NAIVE_CEILING
 
 
 def test_scaling_fit_trivial():
@@ -150,6 +151,36 @@ def test_buckley_empirical():
     rep2 = wl.buckley_empirical(w, 2.0)
     assert rep2.dual_identity_ok
     assert rep2.max_ratio <= rep2.bound_term * 10  # envelope stays bounded
+
+
+def buckley_max_ratio_per_function(v, p, corpus):
+    """Oracle: the corpus loop with one uncentered_maximal call per function."""
+    best = 0.0
+    for _, f in corpus:
+        denom = wl.lp_norm(f, v, p)
+        if denom == 0.0:
+            continue
+        best = max(best, wl.lp_norm(wl.uncentered_maximal(f), v, p) / denom)
+    return best
+
+
+@pytest.mark.parametrize("J, L, sweep_cells", [
+    (1, 4, None),  # one block of rows
+    (1, 4, 160),   # blocks of five rows of 32 cells, the last one short
+    (0, 13, None),  # 8192 cells: the hull pass, one row at a time
+])
+def test_buckley_batch_equals_per_function_loop(monkeypatch, J, L, sweep_cells):
+    if sweep_cells:
+        monkeypatch.setattr(exp, "SWEEP_CELLS", sweep_cells)
+    g = wl.build_grid(J, L)
+    assert (g.ncells > NAIVE_CEILING) == (L == 13)
+    v = exp.random_a1_weight(g, np.random.default_rng(L), cap=16.0)
+    zero = ("zero", wl.GridFunction(g, np.zeros(g.ncells)))
+    corpus = exp.test_function_corpus(g, seed=3, n_random=2)
+    corpus = [zero] + corpus[:4] + [zero] + corpus[4:]
+    rep = wl.buckley_empirical(v, 2.0, corpus=corpus)
+    assert rep.max_ratio == buckley_max_ratio_per_function(v, 2.0, corpus) > 1.0
+    assert wl.buckley_empirical(v, 2.0, corpus=[zero, zero]).max_ratio == 0.0
 
 
 def test_buckley_envelope_refinement_stability():

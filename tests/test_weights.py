@@ -9,7 +9,7 @@ from scipy.integrate import quad
 import weightlab as wl
 from weightlab.errors import ConfigError, CsvFormatError, UncachedExponentError
 from weightlab.grid import Cube
-from weightlab.weights import product_cell_masses
+from weightlab.weights import _read_rows, product_cell_masses
 
 
 def test_constant_weight_tables():
@@ -174,6 +174,54 @@ def test_csv_errors(tmp_path):
     p2.write_text("1.0\n2.0\n")
     with pytest.raises(CsvFormatError):
         wl.load_csv(p2, g)
+
+
+def read_rows_per_line(path):
+    """Oracle for weights._read_rows: one float() per line of the file."""
+    rows = []
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for i, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise CsvFormatError(i, f"non-ASCII byte in {line.rstrip().encode('ascii', 'surrogateescape')!r}")
+            text = line.strip()
+            if not text:
+                raise CsvFormatError(i, "empty row")
+            try:
+                rows.append(float(text))
+            except ValueError:
+                raise CsvFormatError(i, f"not a number: {text!r}") from None
+    return rows
+
+
+# file bytes -> the rows, or the (row, message) of the CsvFormatError
+CSV_CASES = {
+    "plain": (b"1.0\n-2.5\n3e-300\ninf\n", [1.0, -2.5, 3e-300, math.inf]),
+    "padded": (b" 1.0\t\n\t2\n", [1.0, 2.0]),
+    "non-ASCII byte": (b"1.0\n2.\xc3\xa9\n3.0\n", (2, "row 2: non-ASCII byte in b'2.\\xc3\\xa9'")),
+    "empty row": (b"1.0\n\n3.0\n", (2, "row 2: empty row")),
+    "whitespace-only row": (b"1.0\n2.0\n \t \n", (3, "row 3: empty row")),
+    "bad number": (b"1.0\n1.0x\n", (2, "row 2: not a number: '1.0x'")),
+    "bad number after CRLF": (b"1.0\r\nx\r\n", (2, "row 2: not a number: 'x'")),
+    "CRLF endings": (b"1.0\r\n2.0\r\n", [1.0, 2.0]),
+    "missing final newline": (b"1.0\n2.0", [1.0, 2.0]),
+    "trailing blank line": (b"1.0\n2.0\n\n", (3, "row 3: empty row")),
+    "empty file": (b"", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_read_rows_matches_per_line_reader(tmp_path, case):
+    data, want = CSV_CASES[case]
+    path = tmp_path / "rows.csv"
+    path.write_bytes(data)
+
+    def outcome(read):
+        try:
+            return read(path)
+        except CsvFormatError as e:
+            return (e.row, str(e))
+
+    assert outcome(_read_rows) == outcome(read_rows_per_line) == want
 
 
 def test_csv_identity_example(tmp_path):
