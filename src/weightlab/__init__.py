@@ -9,9 +9,7 @@ from .grid import (
     cells_of,
     children,
     contains,
-    dyadic_cubes,
     parent,
-    sibling,
 )
 from .weights import (
     Constant,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Cube, Grid, cells_of, parent
+from .grid import Cube, Grid, cells_of
 from .maximal import uncentered_dyadic, uncentered_restricted
 from .weights import GridWeight, with_cached
 

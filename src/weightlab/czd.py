@@ -39,7 +39,7 @@ import numpy as np
 
 from .constants import DIM, ap_constant, pow_or_inf
 from .errors import ConfigError
-from .grid import Cube, first_cubes, level_rows, pyramid, rows
+from .grid import Cube, as_cubes, first_cubes, level_rows, pyramid, rows
 from .maximal import dyadic_maximal
 from .weights import GridFunction, GridWeight
 
@@ -47,7 +47,8 @@ from .weights import GridFunction, GridWeight
 @dataclass
 class CZDecomposition:
     height: float
-    cubes: list[Cube]
+    d: np.ndarray  # the selected cubes as a cube set: Q_j has 2^d[j] cells
+    idx: np.ndarray  # and is row idx[j] of grid.rows(values, d[j])
     averages: list[float]  # signed v-averages a_j of f over Q_j
     selection_averages: list[float]  # v-averages of |f| (the stopping values)
     good: GridFunction
@@ -56,18 +57,23 @@ class CZDecomposition:
     truncated: bool  # root v-average of |f| already exceeded t
 
     @property
+    def cubes(self) -> list[Cube]:
+        return as_cubes(self.good.grid, self.d, self.idx)
+
+    @property
     def omega_mask(self) -> np.ndarray:
         mask = np.zeros(self.good.grid.ncells, dtype=bool)
-        for d, _, idx in level_rows(self.good.grid, self.cubes):
+        for d, _, idx in level_rows(self.good.grid, self.d, self.idx):
             rows(mask, d)[idx] = True
         return mask
 
     def to_json_dict(self) -> dict:
+        levels = (self.good.grid.L - self.d).tolist()
         return {
             "t": self.height,
             "cubes": [
-                {"level": q.level, "index": q.index, "avg": a}
-                for q, a in zip(self.cubes, self.averages)
+                {"level": k, "index": i, "avg": a}
+                for k, i, a in zip(levels, self.idx.tolist(), self.averages)
             ],
             "truncated": self.truncated,
         }
@@ -75,8 +81,8 @@ class CZDecomposition:
 
 def cz_decompose(f: GridFunction, v: GridWeight, t: float) -> CZDecomposition:
     """Stopping-time decomposition of f at height t w.r.t. the measure v dx."""
-    if not t > 0:
-        raise ConfigError(f"CZ height must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ConfigError(f"CZ height must be positive and finite, got {t}")
     if f.grid != v.grid:
         raise ConfigError("f and v on different grids")
     grid = f.grid
@@ -85,12 +91,12 @@ def cz_decompose(f: GridFunction, v: GridWeight, t: float) -> CZDecomposition:
     vsums = v.mass.levels
     sel = [s / m for s, m in zip(pyramid(np.abs(f.values) * v.cell_masses), vsums)]
     signed = pyramid(f.values * v.cell_masses)
-    cubes = [Cube(grid.L - d, i) for d, i in first_cubes([a > t for a in sel])]
-    sel_avgs = np.empty(len(cubes))
-    averages = np.empty(len(cubes))
+    ds, idxs = first_cubes([a > t for a in sel])
+    sel_avgs = np.empty(len(ds))
+    averages = np.empty(len(ds))
     good_vals = f.values.copy()
     bad_vals = np.zeros(grid.ncells)
-    for d, pos, idx in level_rows(grid, cubes):
+    for d, pos, idx in level_rows(grid, ds, idxs):
         sel_avgs[pos] = sel[d][idx]
         a = signed[d][idx] / vsums[d][idx]
         averages[pos] = a
@@ -98,7 +104,8 @@ def cz_decompose(f: GridFunction, v: GridWeight, t: float) -> CZDecomposition:
         rows(good_vals, d)[idx] = a[:, None]
     return CZDecomposition(
         height=t,
-        cubes=cubes,
+        d=ds,
+        idx=idxs,
         averages=averages.tolist(),
         selection_averages=sel_avgs.tolist(),
         good=GridFunction(grid, good_vals),
@@ -190,12 +197,12 @@ def verify_cz(
     avg = np.asarray(dec.averages, dtype=float)
     # per cube: whether it is a proper cube (not the truncated root, which
     # has no parent route), int_{Q_j} b v, int_{Q_j} |f| v and v(Q_j)
-    n = len(dec.cubes)
+    n = len(dec.d)
     proper = np.empty(n, dtype=bool)
     bv_sum, fv_sum, vmass = np.empty(n), np.empty(n), np.empty(n)
     bv = dec.bad_total.values * v.cell_masses
     fv = np.abs(dec.source.values) * v.cell_masses
-    for d, pos, idx in level_rows(grid, dec.cubes):
+    for d, pos, idx in level_rows(grid, dec.d, dec.idx):
         proper[pos] = d < grid.J + grid.L
         bv_sum[pos] = rows(bv, d)[idx].sum(axis=1)
         fv_sum[pos] = rows(fv, d)[idx].sum(axis=1)
@@ -283,7 +290,7 @@ def _off_omega_exact_zero(dec: CZDecomposition, mask: np.ndarray) -> bool:
     a_j = sum f v / sum v over Q_j, holds by identity whenever sum v > 0,
     which cz_decompose requires of every cell.
     """
-    cells = sum(len(idx) << d for d, _, idx in level_rows(dec.good.grid, dec.cubes))
+    cells = int(np.sum(1 << dec.d))
     return cells == np.count_nonzero(mask) and not np.any(dec.bad_total.values[~mask] != 0)
 
 

@@ -3,9 +3,15 @@
 A grid covers the interval [0, 2^J) with N = 2^(J+L) equal cells of width
 h = 2^-L.  Dyadic cubes live on levels k = -J .. L; the cube (k, m) is the
 half-open interval [m 2^-k, (m+1) 2^-k), always a union of whole cells.
-Addressing is pure integer arithmetic, so ancestry, sibling and cell-range
-queries carry no floating-point drift; interval endpoints, when needed as
-floats, are exact dyadic rationals well inside the double range.
+Addressing is pure integer arithmetic, so ancestry and cell-range queries
+carry no floating-point drift; interval endpoints, when needed as floats,
+are exact dyadic rationals well inside the double range.
+
+A cube set is two int64 arrays (d, idx): cube j has 2^d[j] cells, starts
+at cell idx[j] << d[j] and is row idx[j] of ``rows(values, d[j])``; its
+level is L - d[j].  Every set the package computes (CZ cubes, strata, J
+cubes) is kept in this form from the pass that finds it to every reader;
+``as_cubes`` gives the Cube objects for display and oracles.
 
 ``pyramid`` is the one reduction over the tree: every cube aggregate of the
 package (weight tables, maximal-function averages, the CZ stopping time,
@@ -15,7 +21,8 @@ the maximal cubes of a cell set (first cubes it covers) are both its output
 on a boolean pyramid.  ``level_rows`` and ``rows`` are the one rule for the
 cells a cube set covers: the cubes of 2^d cells are rows of the cell array
 viewed as rows of 2^d, so every per-cube sum, mask or fill is one numpy
-call per cube size; ``cube_spans`` gives their start and stop cells.
+call per cube size; ``cube_entries`` reads the cubes' entries of a pyramid
+the same way.
 """
 
 from __future__ import annotations
@@ -89,52 +96,49 @@ def pyramid(values: np.ndarray, op=np.add) -> list[np.ndarray]:
     return levels
 
 
-def first_cubes(hit: list[np.ndarray]) -> list[tuple[int, int]]:
-    """The (d, index) of every cube with hit[d][index] true and no strict
-    ancestor hit, left to right.  hit[d] runs over the cubes of 2^d cells,
-    laid out like the levels of ``pyramid``.  One top-down pass carries the
-    mask of cubes with a hit ancestor down the tree."""
+def first_cubes(hit: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The cube set (d, idx) of every cube with hit[d][idx] true and no
+    strict ancestor hit, left to right.  hit[d] runs over the cubes of 2^d
+    cells, laid out like the levels of ``pyramid``.  One top-down pass
+    carries the mask of cubes with a hit ancestor down the tree."""
     covered = np.zeros(len(hit[-1]), dtype=bool)
-    level = np.full(len(hit[0]), -1)  # per cell: d of the found cube starting there
+    level = np.full(len(hit[0]), -1, dtype=np.int64)  # per cell: d of the cube starting there
     for d in range(len(hit) - 1, -1, -1):
         level[np.flatnonzero(hit[d] & ~covered) << d] = d
         covered = np.repeat(covered | hit[d], 2)
     starts = np.flatnonzero(level >= 0)
     ds = level[starts]
-    return list(zip(ds.tolist(), (starts >> ds).tolist()))
+    return ds, starts >> ds
 
 
-def _sizes_and_indices(grid: Grid, cubes: list[Cube]) -> tuple[np.ndarray, np.ndarray]:
-    """Per cube, d (it has 2^d cells) and its index; a cube off the grid is
-    refused with the error of cells_of."""
-    n = len(cubes)
-    ds = grid.L - np.fromiter((q.level for q in cubes), np.int64, n)
-    idx = np.fromiter((q.index for q in cubes), np.int64, n)
-    off = (ds < 0) | (ds > grid.J + grid.L) | (idx < 0) | (idx >= grid.ncells >> np.clip(ds, 0, 63))
-    if off.any():
-        _check_cube(grid, cubes[int(np.argmax(off))])
-    return ds, idx
+def as_cubes(grid: Grid, d: np.ndarray, idx: np.ndarray) -> list[Cube]:
+    """The cube set (d, idx) as Cube objects, in its order."""
+    return [Cube(grid.L - s, i) for s, i in zip(d.tolist(), idx.tolist())]
 
 
-def cube_spans(grid: Grid, cubes: list[Cube]) -> tuple[np.ndarray, np.ndarray]:
-    """The start and stop cells of every cube, as cells_of gives them one
-    cube at a time."""
-    ds, idx = _sizes_and_indices(grid, cubes)
-    return idx << ds, (idx + 1) << ds
-
-
-def level_rows(grid: Grid, cubes: list[Cube]) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """The cubes grouped by size: one (d, pos, idx) per d with cubes of 2^d
-    cells, finest first.  pos are the positions of those cubes in ``cubes``
-    and idx their indices, so row idx[j] of ``rows(values, d)`` holds the
-    cells of cubes[pos[j]].  Callers gather from the rows (a row sum is
+def level_rows(grid: Grid, d: np.ndarray, idx: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The cube set (d, idx) grouped by size: one (s, pos, idx[pos]) per size
+    s with cubes of 2^s cells, finest first, pos the positions of those
+    cubes in the set, so row idx[pos][j] of ``rows(values, s)`` holds the
+    cells of cube pos[j].  Callers gather from the rows (a row sum is
     numpy's pairwise sum, bitwise np.sum of the cube's cell slice) or assign
-    to them."""
-    ds, idx = _sizes_and_indices(grid, cubes)
+    to them.  A cube off the grid is refused with the error of cells_of."""
+    off = (d < 0) | (d > grid.J + grid.L) | (idx < 0) | (idx >= grid.ncells >> np.clip(d, 0, 63))
+    if off.any():
+        j = int(np.argmax(off))
+        _check_cube(grid, Cube(grid.L - int(d[j]), int(idx[j])))
     out = []
-    for d in np.flatnonzero(np.bincount(ds)).tolist():
-        pos = np.flatnonzero(ds == d)
-        out.append((d, pos, idx[pos]))
+    for s in np.flatnonzero(np.bincount(d)).tolist():
+        pos = np.flatnonzero(d == s)
+        out.append((s, pos, idx[pos]))
+    return out
+
+
+def cube_entries(grid: Grid, levels: list[np.ndarray], d: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per cube of the set (d, idx), its entry levels[d][idx] of a pyramid."""
+    out = np.empty(len(d), dtype=levels[0].dtype)
+    for s, pos, i in level_rows(grid, d, idx):
+        out[pos] = levels[s][i]
     return out
 
 
@@ -170,25 +174,11 @@ def parent(grid: Grid, Q: Cube) -> Cube:
     return Cube(Q.level - 1, Q.index >> 1)
 
 
-def sibling(grid: Grid, Q: Cube) -> Cube:
-    _check_cube(grid, Q)
-    if Q.level <= -grid.J:
-        raise NoParentError("root cube has no sibling")
-    return Cube(Q.level, Q.index ^ 1)
-
-
 def children(grid: Grid, Q: Cube) -> tuple[Cube, Cube]:
     _check_cube(grid, Q)
     if Q.level >= grid.L:
         raise ConfigError("cell-level cube has no children in this grid")
     return (Cube(Q.level + 1, 2 * Q.index), Cube(Q.level + 1, 2 * Q.index + 1))
-
-
-def dyadic_cubes(grid: Grid, k: int) -> list[Cube]:
-    """All level-k cubes, disjoint, covering [0, 2^J)."""
-    if not (-grid.J <= k <= grid.L):
-        raise ConfigError(f"level {k} outside [-{grid.J}, {grid.L}]")
-    return [Cube(k, m) for m in range(grid.ncubes(k))]
 
 
 def all_cubes(grid: Grid):
@@ -203,13 +193,6 @@ def cells_of(grid: Grid, Q: Cube) -> range:
     _check_cube(grid, Q)
     shift = grid.L - Q.level
     return range(Q.index << shift, (Q.index + 1) << shift)
-
-
-def cube_containing_cell(grid: Grid, cell: int, k: int) -> Cube:
-    """The level-k ancestor cube of a cell."""
-    if not (0 <= cell < grid.ncells):
-        raise ConfigError(f"cell {cell} outside grid")
-    return Cube(k, cell >> (grid.L - k))
 
 
 def contains(outer: Cube, inner: Cube) -> bool:

@@ -63,7 +63,7 @@ import numpy as np
 
 from .constants import DIM, RH_CHUNK, _union_ratios, a1_constant
 from .errors import ConfigError
-from .grid import Cube, Grid, cells_of, contains, cube_spans, first_cubes, level_rows, pyramid, rows
+from .grid import Cube, Grid, as_cubes, cells_of, contains, cube_entries, first_cubes, level_rows, pyramid, rows
 from .maximal import dyadic_maximal
 from .weights import GridFunction, GridWeight, product_cell_masses
 
@@ -71,12 +71,12 @@ from .weights import GridFunction, GridWeight, product_cell_masses
 # ---------------------------------------------------------------------------
 # region extraction
 
-def region_maximal_cubes(grid: Grid, mask: np.ndarray) -> list[Cube]:
-    """Maximal disjoint dyadic cubes whose union is the given cell set."""
+def region_maximal_cubes(grid: Grid, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal disjoint dyadic cubes whose union is the given cell set, as
+    the cube set (d, idx), left to right."""
     if mask.shape != (grid.ncells,):
         raise ConfigError("mask length does not match grid")
-    full = pyramid(np.asarray(mask, dtype=bool), np.logical_and)
-    return [Cube(grid.L - d, i) for d, i in first_cubes(full)]
+    return first_cubes(pyramid(np.asarray(mask, dtype=bool), np.logical_and))
 
 
 def region_maximal_cubes_brute(grid: Grid, mask: np.ndarray) -> list[Cube]:
@@ -103,7 +103,8 @@ def region_maximal_cubes_brute(grid: Grid, mask: np.ndarray) -> list[Cube]:
 @dataclass
 class Stratum:
     k: int
-    cubes: list[Cube]
+    d: np.ndarray  # the maximal cubes of Omega_k as a cube set (d, idx)
+    idx: np.ndarray
     gamma: list[bool]
 
 
@@ -127,9 +128,6 @@ class PrincipalCubeRecord:
     def stratum(self, k: int) -> Stratum:
         return self.strata[k - self.floor_k]
 
-    def cube(self, pair: tuple[int, int]) -> Cube:
-        return self.stratum(pair[0]).cubes[pair[1]]
-
     def gamma_pairs(self) -> list[tuple[int, int]]:
         return [
             (s.k, j)
@@ -137,6 +135,16 @@ class PrincipalCubeRecord:
             for j, flag in enumerate(s.gamma)
             if flag
         ]
+
+    def gamma_cubes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per Gamma pair, in the order of gamma_pairs: its stratum k and its
+        cube (d, idx)."""
+        empty = np.empty(0, dtype=np.int64)
+        flags = [np.asarray(s.gamma, dtype=bool) for s in self.strata]
+        k = [np.full(np.count_nonzero(f), s.k, dtype=np.int64) for s, f in zip(self.strata, flags)]
+        d = [s.d[f] for s, f in zip(self.strata, flags)]
+        idx = [s.idx[f] for s, f in zip(self.strata, flags)]
+        return tuple(np.concatenate([empty, *x]) for x in (k, d, idx))
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,8 +160,8 @@ class PrincipalCubeRecord:
                 {
                     "k": s.k,
                     "cubes": [
-                        {"level": q.level, "index": q.index, "gamma": g}
-                        for q, g in zip(s.cubes, s.gamma)
+                        {"level": k, "index": i, "gamma": g}
+                        for k, i, g in zip((self.grid.L - s.d).tolist(), s.idx.tolist(), s.gamma)
                     ],
                 }
                 for s in self.strata
@@ -187,8 +195,12 @@ def level_cubes(
         mdg = dyadic_maximal(g).values
     if mdv is None:
         mdv = dyadic_maximal(GridFunction(v.grid, v.cell_values)).values
-    mask = (mdv > a**k) & (mdg > a**k)
-    return region_maximal_cubes(g.grid, mask)
+    return as_cubes(g.grid, *_omega_cubes(g.grid, a, k, mdg, mdv))
+
+
+def _omega_cubes(grid: Grid, a: float, k: int, mdg: np.ndarray, mdv: np.ndarray):
+    """The maximal cubes of Omega_k as a cube set (d, idx)."""
+    return region_maximal_cubes(grid, (mdv > a**k) & (mdg > a**k))
 
 
 @dataclass
@@ -200,7 +212,8 @@ class GammaResult:
 
 
 def gamma_filter(
-    cubes: list[Cube],
+    d: np.ndarray,
+    idx: np.ndarray,
     v: GridWeight,
     a: float,
     k: int,
@@ -208,18 +221,18 @@ def gamma_filter(
     rtol: float = 1e-12,
 ) -> GammaResult:
     """Gamma membership (cube meets {v <= a^{k+1}}) plus the b2 sandwich
-    a^k/[v] <= essinf_I v <= avg_I v <= [v] a^{k+1} for flagged cubes."""
+    a^k/[v] <= essinf_I v <= avg_I v <= [v] a^{k+1} for flagged cubes of
+    the cube set (d, idx)."""
     if v_a1 is None:
         v_a1 = a1_constant(v)
     lo = a**k / v_a1
     hi = v_a1 * a ** (k + 1)
     meets = v.cell_values <= a ** (k + 1)
-    flags = np.empty(len(cubes), dtype=bool)
-    essinf, avg = np.empty(len(cubes)), np.empty(len(cubes))
-    for d, pos, idx in level_rows(v.grid, cubes):
-        flags[pos] = rows(meets, d)[idx].any(axis=1)
-        essinf[pos] = v.essinf.levels[d][idx]
-        avg[pos] = v.mass.levels[d][idx] / 2.0 ** (d - v.grid.L)
+    flags = np.empty(len(d), dtype=bool)
+    for s, pos, i in level_rows(v.grid, d, idx):
+        flags[pos] = rows(meets, s)[i].any(axis=1)
+    essinf = cube_entries(v.grid, v.essinf.levels, d, idx)
+    avg = cube_entries(v.grid, v.mass.levels, d, idx) / np.ldexp(1.0, d - v.grid.L)
     inf_q, avg_q = essinf[flags], avg[flags]
     ok = not np.any((inf_q < lo * (1 - rtol)) | (avg_q > hi * (1 + rtol)))
     return GammaResult(flags.tolist(), ok, float(np.fmin.reduce(inf_q / lo, initial=math.inf)),
@@ -269,9 +282,8 @@ def build_record(
     )
     top_k = _band_floor(a, float(both.max()))
     for k in range(floor_k, top_k + 1):
-        cubes = level_cubes(g, v, a, k, mdg, mdv)
-        res = gamma_filter(cubes, v, a, k, v_a1=v_a1)
-        strata.append(Stratum(k, cubes, res.flags))
+        d, idx = _omega_cubes(grid, a, k, mdg, mdv)
+        strata.append(Stratum(k, d, idx, gamma_filter(d, idx, v, a, k, v_a1=v_a1).flags))
     return PrincipalCubeRecord(
         grid, a, delta, eps, v_a1, floor_k, top_k, strata, mdv, mdg
     )
@@ -291,69 +303,55 @@ def principal_cubes(record: PrincipalCubeRecord, u: GridWeight) -> list[list[tup
     I_j^k strictly inside I_i^l and I_i^l inside (possibly equal to) the
     generation cube, the literal reading that ``principal_cubes_brute``
     transcribes.  The Gamma pairs above a pair are found by walking its
-    dyadic ancestors, pairs x levels lookups in all.
+    dyadic ancestors: the cube (d, idx) is node (N >> d) + idx of the tree
+    numbered as a heap (root 1, children 2h and 2h + 1), so its ancestors
+    are the nodes h >> s, pairs x levels lookups in all.
     """
     u_a1 = a1_constant(u)
     record.u_a1 = u_a1
     record.nu = 1.0 / (1.0 + 2.0 ** (DIM + 1) * u_a1)
+    grid = record.grid
     pairs = record.gamma_pairs()
-    cube_of = {p: record.cube(p) for p in pairs}
-    uavg = {p: u.mass_of(cube_of[p]) / cube_of[p].length for p in pairs}
-    pairs_at: dict[Cube, list[tuple[int, int]]] = {}
-    for p in pairs:
-        pairs_at.setdefault(cube_of[p], []).append(p)
-    # ancestors[p]: Gamma pairs whose cube strictly contains p's cube
-    ancestors: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for p in pairs:
-        q = cube_of[p]
-        ancestors[p] = [
-            anc
-            for d in range(1, q.level + record.grid.J + 1)
-            for anc in pairs_at.get(Cube(q.level - d, q.index >> d), ())
-        ]
+    ks, d, idx = record.gamma_cubes()
+    ks, size = ks.tolist(), d.tolist()
+    uavg = (cube_entries(grid, u.mass.levels, d, idx) / np.ldexp(1.0, d - grid.L)).tolist()
+    nodes = ((grid.ncells >> d) + idx).tolist()
+    pairs_at: dict[int, list[int]] = {}
+    for p, h in enumerate(nodes):
+        pairs_at.setdefault(h, []).append(p)
+    # ancestors[p]: the Gamma pairs whose cube strictly contains p's cube,
+    # all on one chain of the tree, so mid lies inside anc iff it is no larger
+    ancestors = [[q for s in range(1, h.bit_length()) for q in pairs_at.get(h >> s, ())] for h in nodes]
     a, delta = record.a, record.delta
 
-    g0 = [p for p in pairs if not ancestors[p]]
-    generations = [sorted(g0)]
-    chosen = set(g0)
+    # pairs are numbered in (k, j) order, so every generation comes sorted
+    generations = [[p for p in range(len(pairs)) if not ancestors[p]]]
+    chosen = set(generations[0])
     while True:
-        prev = generations[-1]
-        prev_set = set(prev)
+        prev = set(generations[-1])
         nxt = []
-        for cand in pairs:
+        for cand in range(len(pairs)):
             if cand in chosen:
                 continue
-            hit = False
             for anc in ancestors[cand]:
-                if anc not in prev_set:
+                if anc not in prev:
                     continue
-                t = anc[0]
+                t = ks[anc]
                 # growth condition on the u-average
-                if not uavg[cand] > a ** ((cand[0] - t) * delta) * uavg[anc]:
+                if not uavg[cand] > a ** ((ks[cand] - t) * delta) * uavg[anc]:
                     continue
                 # side condition: no intermediate Gamma pair already jumped
-                ok = True
-                anc_cube = cube_of[anc]
-                for mid in ancestors[cand]:
-                    mc = cube_of[mid]
-                    if not (contains(anc_cube, mc)):
-                        continue
-                    if uavg[mid] > a ** ((mid[0] - t) * delta) * uavg[anc]:
-                        ok = False
-                        break
-                if ok:
-                    hit = True
+                if not any(uavg[mid] > a ** ((ks[mid] - t) * delta) * uavg[anc]
+                           for mid in ancestors[cand] if size[mid] <= size[anc]):
+                    nxt.append(cand)
                     break
-            if hit:
-                nxt.append(cand)
         if not nxt:
             break
-        nxt.sort()
         generations.append(nxt)
         chosen.update(nxt)
-    record.generations = generations
-    record.principal = sorted(chosen)
-    return generations
+    record.generations = [[pairs[p] for p in gen] for gen in generations]
+    record.principal = [pairs[p] for p in sorted(chosen)]
+    return record.generations
 
 
 def principal_cubes_brute(
@@ -361,7 +359,8 @@ def principal_cubes_brute(
 ) -> list[list[tuple[int, int]]]:
     """Oracle: the generation induction transcribed directly, no indexing."""
     pairs = record.gamma_pairs()
-    cube_of = {p: record.cube(p) for p in pairs}
+    cubes = {s.k: as_cubes(record.grid, s.d, s.idx) for s in record.strata}
+    cube_of = {p: cubes[p[0]][p[1]] for p in pairs}
     uavg = {p: u.mass_of(cube_of[p]) / cube_of[p].length for p in pairs}
     a, delta = record.a, record.delta
 
@@ -478,6 +477,14 @@ class ChainReport:
         }
 
 
+def _bucket_ratios(v: GridWeight, d: int, bucket: list[tuple[int, np.ndarray]], eps: float) -> np.ndarray:
+    """The b3 ratios of a bucket of (cube index, masks) chunks of unions in
+    cubes of 2^d cells."""
+    cube = np.repeat([i for i, _ in bucket], [len(mask) for _, mask in bucket])
+    mask = np.concatenate([mask for _, mask in bucket])
+    return _union_ratios(rows(v.cell_masses, d), v.mass.levels[d], cube, mask, eps)
+
+
 def verify_chain(
     record: PrincipalCubeRecord,
     u: GridWeight,
@@ -496,7 +503,7 @@ def verify_chain(
     c_eps = a ** (2 * eps - delta) / (a ** (eps - delta) - 1.0) * 2.0 * v_a1 ** (2 * eps)
     c9 = 2.0 ** (1.0 + nu) * u_a1 ** (2 * nu) * a ** (delta * nu) / (a ** (delta * nu) - 1.0)
     pairs = record.gamma_pairs()
-    cube_of = {p: record.cube(p) for p in pairs}
+    pk, pd, pidx = record.gamma_cubes()
     tol = 1.0 + rtol
 
     # b2 re-evaluation over all strata
@@ -505,7 +512,7 @@ def verify_chain(
     b2_count = 0
     b2_viol = 0
     for s in record.strata:
-        res = gamma_filter(s.cubes, v, a, s.k, v_a1=v_a1)
+        res = gamma_filter(s.d, s.idx, v, a, s.k, v_a1=v_a1)
         flagged = sum(res.flags)
         b2_count += flagged
         if flagged and not res.sandwich_ok:
@@ -517,36 +524,43 @@ def verify_chain(
 
     # b3: v(E)/v(I) <= 2 (|E|/|I|)^eps on targeted and sampled E: the sets
     # the sum estimate uses, every single cell of a cube of <= 64 cells, and
-    # n_subsets seeded random unions drawn in chunks of <= RH_CHUNK doubles
+    # n_subsets seeded random unions per pair, drawn in pair order in chunks
+    # of <= RH_CHUNK doubles.  The unions wait in one bucket per cube size,
+    # summed by one _union_ratios call once it holds RH_CHUNK cells; the
+    # count, violations and worst do not depend on the order of the unions.
     rng = np.random.default_rng(seed)
+    heights = np.array([a**k for k in range(record.floor_k, record.top_k + 1)])
     ratios = []
-    for p in pairs:
-        q = cube_of[p]
-        r = cells_of(grid, q)
-        m = r.stop - r.start
-        blocks = v.cell_masses.reshape(-1, m)
-        vq = v.mass.at_level(grid, q.level)
-        masks = [record.mdv[r.start : r.stop] > a**k for k in range(p[0], record.top_k + 1)]
+    buckets: dict[int, list[tuple[int, np.ndarray]]] = {}  # d -> (cube index, masks) chunks
+    cells: dict[int, int] = {}  # d -> mask cells in the bucket
+    for k, d, i in zip(pk.tolist(), pd.tolist(), pidx.tolist()):
+        m = 1 << d
+        chunks = [record.mdv[i << d : (i + 1) << d] > heights[k - record.floor_k :, None]]
         if m <= 64:
-            masks.extend(np.eye(m, dtype=bool))
-        chunks = [np.array(masks)]
+            chunks.append(np.eye(m, dtype=bool))
         step = max(1, RH_CHUNK // m)
         for start in range(0, n_subsets if m > 1 else 0, step):
             chunks.append(rng.random((min(step, n_subsets - start), m)) < 0.5)
         for mask in chunks:
-            ratios.append(_union_ratios(blocks, vq, np.full(len(mask), q.index), mask, eps))
+            buckets.setdefault(d, []).append((i, mask))
+            cells[d] = cells.get(d, 0) + mask.size
+            if cells[d] >= RH_CHUNK:
+                ratios.append(_bucket_ratios(v, d, buckets.pop(d), eps))
+                cells[d] = 0
+    ratios.extend(_bucket_ratios(v, d, buckets.pop(d), eps) for d in sorted(buckets))
     ratios = np.concatenate(ratios) if ratios else np.empty(0)
     b3_viol = int(np.count_nonzero(ratios > tol))
     b3 = BlockResult(b3_viol == 0, len(ratios), b3_viol, float(np.fmax.reduce(ratios, initial=0.0)),
                      "reverse-Holder consequence for v")
 
-    # b6: Gamma sum <= C_eps * principal sum
-    def score(p) -> float:
-        q = cube_of[p]
-        return v.mass_of(q) * u.mass_of(q) / q.length
-
-    gamma_sum = sum(score(p) for p in pairs)
-    principal_sum = sum(score(p) for p in record.principal)
+    # b6: Gamma sum <= C_eps * principal sum, summed in pair order
+    length = np.ldexp(1.0, pd - grid.L)
+    umass = cube_entries(grid, u.mass.levels, pd, pidx)
+    score = cube_entries(grid, v.mass.levels, pd, pidx) * umass / length
+    principal = set(record.principal)
+    prin = np.array([n for n, p in enumerate(pairs) if p in principal], dtype=np.int64)
+    gamma_sum = sum(score.tolist())
+    principal_sum = sum(score[prin].tolist())
     b6_worst = gamma_sum / (c_eps * principal_sum) if principal_sum > 0 else (0.0 if gamma_sum == 0 else math.inf)
     b6 = BlockResult(b6_worst <= tol, len(pairs), int(b6_worst > tol), b6_worst,
                      "sum over Gamma vs C_eps * sum over principal cubes")
@@ -558,33 +572,33 @@ def verify_chain(
     mdg = record.mdg
     ks = range(record.floor_k, record.top_k + 1)
     jcubes = {k: region_maximal_cubes(grid, mdg > a**k) for k in ks}
-    jspans = {k: cube_spans(grid, cubes) for k, cubes in jcubes.items()}
 
     def jcube_at(k: int, xs: np.ndarray) -> np.ndarray:
         """Per cell of xs, the position in jcubes[k] of the J cube that holds
         it; -1 off {M_d g > a^k}."""
-        starts, stops = jspans[k]
-        i = np.searchsorted(starts, xs, "right") - 1
+        d, idx = jcubes[k]
+        i = np.searchsorted(idx << d, xs, "right") - 1
         # i = -1 reads the appended 0, which no cell is below
-        return np.where(xs < np.append(stops, 0)[i], i, -1)
+        return np.where(xs < np.append((idx + 1) << d, 0)[i], i, -1)
 
     # group principal pairs by (stratum, containing J cube)
-    pk = np.array([p[0] for p in record.principal], dtype=np.int64)
-    pstart = cube_spans(grid, [cube_of[p] for p in record.principal])[0]
-    owner = np.full(len(pk), -1)
+    owner = np.full(len(prin), -1)
     for k in ks:
-        owner[pk == k] = jcube_at(k, pstart[pk == k])
+        at = pk[prin] == k
+        owner[at] = jcube_at(k, pidx[prin][at] << pd[prin][at])
     groups: dict[tuple[int, int], list[tuple[float, float]]] = {}
-    for p, i in zip(record.principal, owner.tolist()):
-        if i < 0:
-            continue
-        q = cube_of[p]
-        umass = u.mass_of(q)
-        groups.setdefault((p[0], i), []).append((umass, umass / q.length))
-    jumass = {(k, i): u.mass_of(jcubes[k][i]) for k, i in groups}
-    juavg = {(k, i): um / jcubes[k][i].length for (k, i), um in jumass.items()}
-    spans = [cells_of(grid, jcubes[k][i]) for k, i in groups]
-    cuts = sorted({r.start for r in spans} | {r.stop for r in spans})
+    for k, i, um, uav in zip(pk[prin].tolist(), owner.tolist(), umass[prin].tolist(), (umass / length)[prin].tolist()):
+        if i >= 0:
+            groups.setdefault((k, i), []).append((um, uav))
+    # per J cube of a group: its u-mass, length and cell span
+    jumass, jlength, cuts = {}, {}, set()
+    for k, i in groups:
+        d, idx = int(jcubes[k][0][i]), int(jcubes[k][1][i])
+        jumass[k, i] = float(u.mass.levels[d][idx])
+        jlength[k, i] = 2.0 ** (d - grid.L)
+        cuts.update((idx << d, (idx + 1) << d))
+    juavg = {key: um / jlength[key] for key, um in jumass.items()}
+    cuts = sorted(cuts)
     # owners[c][k - floor_k]: the J cube of stratum k that holds cell cuts[c]
     owners = np.array([jcube_at(k, np.array(cuts, dtype=np.int64)) for k in ks]).T.tolist()
 
@@ -624,7 +638,7 @@ def verify_chain(
                     b10_worst = max(b10_worst, ratio)
                     if not uav > rhs * (1 - rtol):
                         b10_viol += run
-                h_run += sum(um for um, _ in groups[key]) / jcubes[l][key[1]].length
+                h_run += sum(um for um, _ in groups[key]) / jlength[key]
             b9_count += run
             b9_worst = max(b9_worst, block / c9)
             if block > c9 * tol:

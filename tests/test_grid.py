@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 import weightlab as wl
 from weightlab.errors import ConfigError, NoParentError
-from weightlab.grid import Cube, cube_containing_cell, cube_spans, first_cubes, level_rows, rows
+from weightlab.grid import Cube, as_cubes, cube_entries, first_cubes, level_rows, pyramid, rows
 
 
 def test_build_grid_basic():
@@ -45,17 +45,6 @@ def test_parent_examples():
         wl.parent(g2, Cube(-2, 0))  # root [0,4)
 
 
-def test_dyadic_cubes_partition():
-    g = wl.build_grid(0, 2)
-    level1 = wl.dyadic_cubes(g, 1)
-    assert [q.endpoints() for q in level1] == [(0.0, 0.5), (0.5, 1.0)]
-    g2 = wl.build_grid(1, 1)
-    level0 = wl.dyadic_cubes(g2, 0)
-    assert [q.endpoints() for q in level0] == [(0.0, 1.0), (1.0, 2.0)]
-    with pytest.raises(ConfigError):
-        wl.dyadic_cubes(g, 5)
-
-
 def test_total_cube_count_geometric_series():
     # enumeration oracle: levels -J..L hold 2^(J+k) cubes each
     for J, L in [(0, 3), (2, 2), (3, 4)]:
@@ -84,7 +73,7 @@ def test_ancestry_invariants(data):
     m = data.draw(st.integers(0, g.ncubes(k) - 1))
     q = Cube(k, m)
     p = wl.parent(g, q)
-    s = wl.sibling(g, q)
+    s = Cube(k, m ^ 1)
     assert wl.contains(p, q)
     assert p.length == 2 * q.length
     # cells_of(parent) is the disjoint union of the children's cell ranges
@@ -101,17 +90,10 @@ def test_level_partition(J, L):
     g = wl.build_grid(J, L)
     for k in g.levels():
         seen = []
-        for q in wl.dyadic_cubes(g, k):
+        for q in (Cube(k, m) for m in range(g.ncubes(k))):
             r = wl.cells_of(g, q)
             seen.extend(r)
         assert seen == list(range(g.ncells))
-
-
-def test_cube_containing_cell():
-    g = wl.build_grid(1, 3)
-    q = cube_containing_cell(g, 11, 0)
-    assert q == Cube(0, 1)
-    assert 11 in wl.cells_of(g, q)
 
 
 def first_cubes_brute(hit):
@@ -136,34 +118,49 @@ def test_first_cubes_matches_brute(rng):
             [np.full(n, n == sizes[0]) for n in sizes],  # cells only
         ]
         for hit in patterns:
-            assert first_cubes(hit) == first_cubes_brute(hit)
-        assert first_cubes(patterns[4]) == [(depth, 0)]
-        assert first_cubes(patterns[5]) == []
-        assert first_cubes(patterns[7]) == [(0, i) for i in range(sizes[0])]
+            d, idx = first_cubes(hit)
+            assert d.dtype == idx.dtype == np.int64
+            assert list(zip(d.tolist(), idx.tolist())) == first_cubes_brute(hit)
+        assert [a.tolist() for a in first_cubes(patterns[4])] == [[depth], [0]]
+        assert [a.tolist() for a in first_cubes(patterns[5])] == [[], []]
+        assert [a.tolist() for a in first_cubes(patterns[7])] == [[0] * sizes[0], list(range(sizes[0]))]
 
 
-def test_level_rows_and_spans_match_cells_of(rng):
+def random_cube_set(g, rng, count=40):
+    """count random cubes of g, overlapping, in no order, as a cube set."""
+    d = rng.integers(0, g.J + g.L + 1, size=count)
+    return d, rng.integers(0, g.ncells >> d)
+
+
+def test_level_rows_and_entries_match_cells_of(rng):
     g = wl.build_grid(1, 4)
-    cubes = [Cube(k, int(rng.integers(g.ncubes(k)))) for k in rng.integers(-1, 5, size=40)]
-    starts, stops = cube_spans(g, cubes)
-    assert [range(a, b) for a, b in zip(starts.tolist(), stops.tolist())] == [wl.cells_of(g, q) for q in cubes]
+    d, idx = random_cube_set(g, rng)
+    cubes = as_cubes(g, d, idx)
+    assert [(q.level, q.index) for q in cubes] == list(zip((g.L - d).tolist(), idx.tolist()))
+    assert [range(a, b) for a, b in zip((idx << d).tolist(), ((idx + 1) << d).tolist())] == [
+        wl.cells_of(g, q) for q in cubes]
     values = np.arange(g.ncells, dtype=float)
     seen = 0
-    for d, pos, idx in level_rows(g, cubes):
-        got = rows(values, d)[idx]
+    for s, pos, i in level_rows(g, d, idx):
+        got = rows(values, s)[i]
         for j, p in enumerate(pos.tolist()):
-            assert got[j].tolist() == values[wl.cells_of(g, cubes[p]).start : wl.cells_of(g, cubes[p]).stop].tolist()
+            r = wl.cells_of(g, cubes[p])
+            assert got[j].tolist() == values[r.start : r.stop].tolist()
         seen += len(pos)
     assert seen == len(cubes)
+    levels = pyramid(values)
+    assert cube_entries(g, levels, d, idx).tolist() == [float(values[wl.cells_of(g, q).start : wl.cells_of(g, q).stop].sum()) for q in cubes]
+    assert cube_entries(g, levels, d[:0], idx[:0]).tolist() == []
 
 
 @pytest.mark.parametrize("q", [Cube(2, -1), Cube(2, 4), Cube(3, 0), Cube(-1, 0)])
 def test_level_rows_refuses_cubes_off_the_grid(q):
     g = wl.build_grid(0, 2)
+    d, idx = np.array([2, g.L - q.level]), np.array([0, q.index])
     with pytest.raises(ConfigError):
-        level_rows(g, [Cube(0, 0), q])
+        level_rows(g, d, idx)
     with pytest.raises(ConfigError):
-        cube_spans(g, [q])
+        cube_entries(g, pyramid(np.ones(g.ncells)), d, idx)
 
 
 def test_rows_writes_through_and_refuses_a_copy():

@@ -5,7 +5,7 @@ import pytest
 
 import weightlab as wl
 import weightlab.sawyer as sw
-from weightlab.grid import Cube
+from weightlab.grid import Cube, as_cubes
 from conftest import random_function
 
 
@@ -17,7 +17,7 @@ def test_region_extraction_matches_brute(rng):
     masks += [np.ones(g.ncells, dtype=bool), np.zeros(g.ncells, dtype=bool), single,
               np.arange(g.ncells) % 2 == 0]
     for mask in masks:
-        fast = sw.region_maximal_cubes(g, mask)
+        fast = as_cubes(g, *sw.region_maximal_cubes(g, mask))
         brute = sw.region_maximal_cubes_brute(g, mask)
         assert fast == brute
         # the cubes are disjoint and cover exactly the mask
@@ -46,7 +46,7 @@ def test_level_cubes_indicator():
     gf = wl.GridFunction(g, vals)
     v = wl.realize(wl.Constant(1.0), g)
     mdg = wl.dyadic_maximal(gf).values
-    expect = sw.region_maximal_cubes(g, (mdg > 0.25) & np.ones(g.ncells, dtype=bool))
+    expect = as_cubes(g, *sw.region_maximal_cubes(g, (mdg > 0.25) & np.ones(g.ncells, dtype=bool)))
     assert wl.level_cubes(gf, v, 4.0, -1) == expect
     # the averages over the recovered cubes exceed the threshold
     for q in expect:
@@ -64,8 +64,8 @@ def test_strata_nesting(rng):
             if hi.k <= lo.k:
                 continue
             # k > t: every stratum-k cube meeting a stratum-t cube sits inside it
-            for qh in hi.cubes:
-                for ql in lo.cubes:
+            for qh in as_cubes(g, hi.d, hi.idx):
+                for ql in as_cubes(g, lo.d, lo.idx):
                     inter = set(wl.cells_of(g, qh)) & set(wl.cells_of(g, ql))
                     if inter:
                         assert wl.contains(ql, qh)
@@ -78,7 +78,7 @@ def test_gamma_filter_b2_sandwich(rng):
         gf = random_function(g, rng)
         rec = wl.build_record(gf, v)
         for s in rec.strata:
-            res = wl.gamma_filter(s.cubes, v, rec.a, s.k, v_a1=rec.v_a1)
+            res = wl.gamma_filter(s.d, s.idx, v, rec.a, s.k, v_a1=rec.v_a1)
             assert res.sandwich_ok
             assert res.flags == s.gamma
 
@@ -91,7 +91,7 @@ def test_gamma_unit_weight_band():
     gf = wl.GridFunction(g, np.concatenate([np.ones(half), np.zeros(half)]))
     rec = wl.build_record(gf, v, a=4.0)
     for s in rec.strata:
-        for q, flag in zip(s.cubes, s.gamma):
+        for flag in s.gamma:
             assert flag == (4.0 ** (s.k + 1) >= 1.0)
 
 
@@ -105,13 +105,19 @@ def test_principal_constant_u_is_g0_only(rng):
     assert len(gens) == 1  # the growth condition never fires for constant u
     # G0 = maximal cubes of Delta_N
     pairs = rec.gamma_pairs()
-    cubes = {p: rec.cube(p) for p in pairs}
+    cubes = {p: pair_cube(rec, p) for p in pairs}
     for p in pairs:
         is_max = not any(
             wl.contains(cubes[q], cubes[p]) and cubes[q].level < cubes[p].level
             for q in pairs
         )
         assert (p in gens[0]) == is_max
+
+
+def pair_cube(rec, pair):
+    """The cube of the stratum pair (k, j) of a record."""
+    s = rec.stratum(pair[0])
+    return Cube(rec.grid.L - int(s.d[pair[1]]), int(s.idx[pair[1]]))
 
 
 def power_inputs(rng):
@@ -138,8 +144,8 @@ def random_strata_record(g, rng):
     strata = []
     for k in range(6):
         mask = mask & (rng.random(g.ncells) < 0.85)
-        cubes = sw.region_maximal_cubes(g, mask)
-        strata.append(sw.Stratum(k, cubes, list(rng.random(len(cubes)) < 0.7)))
+        d, idx = sw.region_maximal_cubes(g, mask)
+        strata.append(sw.Stratum(k, d, idx, list(rng.random(len(d)) < 0.7)))
     ones = np.ones(g.ncells)
     return sw.PrincipalCubeRecord(g, 3.0, 0.1, 0.2, 1.0, 0, 5, strata, ones, ones)
 
@@ -184,7 +190,7 @@ def test_generations_disjoint_and_delta_covered(rng):
         seen |= set(gen)
     # every Delta_N cube is contained in a principal cube
     for p in rec.gamma_pairs():
-        assert any(wl.contains(rec.cube(q), rec.cube(p)) for q in rec.principal)
+        assert any(wl.contains(pair_cube(rec, q), pair_cube(rec, p)) for q in rec.principal)
 
 
 def test_chain_report_trivial_weights():
@@ -224,7 +230,7 @@ def chain_blocks_oracle(rec, u, v, n_subsets=16, seed=0, rtol=1e-9):
     rng = np.random.default_rng(seed)
     ratios = []
     for p in rec.gamma_pairs():
-        q = rec.cube(p)
+        q = pair_cube(rec, p)
         r = wl.cells_of(grid, q)
         sl = slice(r.start, r.stop)
         m = r.stop - r.start
@@ -242,14 +248,14 @@ def chain_blocks_oracle(rec, u, v, n_subsets=16, seed=0, rtol=1e-9):
     ks = range(rec.floor_k, rec.top_k + 1)
     jmap, jcubes = {}, {}
     for k in ks:
-        jcubes[k] = sw.region_maximal_cubes(grid, rec.mdg > a**k)
+        jcubes[k] = as_cubes(grid, *sw.region_maximal_cubes(grid, rec.mdg > a**k))
         jmap[k] = np.full(grid.ncells, -1)
         for i, q in enumerate(jcubes[k]):
             r = wl.cells_of(grid, q)
             jmap[k][r.start : r.stop] = i
     groups = {}
     for p in rec.principal:
-        q = rec.cube(p)
+        q = pair_cube(rec, p)
         jid = int(jmap[p[0]][wl.cells_of(grid, q).start])
         umass = u.mass_of(q)
         groups.setdefault((p[0], jid), []).append((umass, umass / q.length))
@@ -321,10 +327,11 @@ def test_gamma_filter_skips_nan_like_oracle():
     with np.errstate(over="ignore"):
         v = wl.realize(wl.Piecewise((1e308, 1.0, 1e308, 1e308, 2.0, 1e308, 0.5, 1e308)), g)
     for k in g.levels():
-        cubes = wl.dyadic_cubes(g, k)
+        cubes = [Cube(k, m) for m in range(g.ncubes(k))]
+        d, idx = np.full(len(cubes), g.L - k), np.arange(len(cubes))
         for v_a1 in (math.nan, 1e300, 1.0):
             for band in (-1, 0, 500):
-                fast = wl.gamma_filter(cubes, v, 4.0, band, v_a1=v_a1)
+                fast = wl.gamma_filter(d, idx, v, 4.0, band, v_a1=v_a1)
                 assert repr(fast) == repr(gamma_filter_oracle(cubes, v, 4.0, band, v_a1))
 
 
@@ -344,8 +351,8 @@ def test_chain_blocks_match_per_cell_oracle(rng):
         # turns some sandwiches into violations
         for s in rec.strata:
             for rtol in (1e-12, -0.5):
-                res = wl.gamma_filter(s.cubes, v, a, s.k, v_a1=rec.v_a1, rtol=rtol)
-                assert res == gamma_filter_oracle(s.cubes, v, a, s.k, rec.v_a1, rtol)
+                res = wl.gamma_filter(s.d, s.idx, v, a, s.k, v_a1=rec.v_a1, rtol=rtol)
+                assert res == gamma_filter_oracle(as_cubes(g, s.d, s.idx), v, a, s.k, rec.v_a1, rtol)
                 violated += not res.sandwich_ok
         wl.principal_cubes(rec, u)
         # a negative rtol turns some checks into violations (b9 and h at
