@@ -255,7 +255,7 @@ def verify_cz(
 
 
 # ---------------------------------------------------------------------------
-# pointwise domination M_d(fv) <= M_d(gv) + Mtilde_d(bv)
+# pointwise domination Mtilde_d(fv) <= M_d(gv) + Mtilde_d(bv)
 
 @dataclass
 class DominationReport:
@@ -299,8 +299,12 @@ def pointwise_domination_check(
     v: GridWeight,
     rtol: float = 1e-12,
 ) -> DominationReport:
-    """Cell-wise M_d(fv) <= M_d(gv) + Mtilde_d(bv), and the vanishing of
+    """Cell-wise Mtilde_d(fv) <= M_d(gv) + Mtilde_d(bv), and the vanishing of
     Mtilde_d(bv) off Omega.
+
+    Mtilde_d takes |avg_Q|, so the inequality is the triangle inequality
+    |avg_Q fv| <= avg_Q |g|v + |avg_Q bv| on every cube and holds for a
+    signed f; for f >= 0 the left side is M_d(fv), bit for bit.
 
     The float inequality is checked at relative tolerance rtol; the
     off-Omega vanishing is decided exactly from the decomposition's
@@ -311,7 +315,7 @@ def pointwise_domination_check(
     fv = GridFunction(grid, dec.source.values * vrep)
     gv = GridFunction(grid, dec.good.values * vrep)
     bv = GridFunction(grid, dec.bad_total.values * vrep)
-    lhs = dyadic_maximal(fv).values
+    lhs = dyadic_maximal(fv, signed=True).values
     tilde = dyadic_maximal(bv, signed=True).values
     rhs = dyadic_maximal(gv).values + tilde
     scale = np.maximum(np.abs(lhs), 1e-300)

@@ -180,6 +180,11 @@ def _band_floor(a: float, x: float) -> int:
     return k
 
 
+def _check_a(a: float) -> None:
+    if not 2.0**DIM < a < math.inf:
+        raise ConfigError(f"need a finite a > 2^n = {2.0**DIM}, got {a}")
+
+
 def level_cubes(
     g: GridFunction,
     v: GridWeight,
@@ -189,8 +194,7 @@ def level_cubes(
     mdv: np.ndarray | None = None,
 ) -> list[Cube]:
     """Maximal dyadic cubes of Omega_k = {M_d v > a^k} cap {M_d g > a^k}."""
-    if not a > 2.0**DIM:
-        raise ConfigError(f"need a > 2^n = {2.0**DIM}, got {a}")
+    _check_a(a)
     if mdg is None:
         mdg = dyadic_maximal(g).values
     if mdv is None:
@@ -250,8 +254,7 @@ def build_record(
 
     delta defaults to delta_frac * eps with eps = 1/(1 + 2^{n+1}[v]_{A1}).
     """
-    if not a > 2.0**DIM:
-        raise ConfigError(f"need a > 2^n = {2.0**DIM}, got {a}")
+    _check_a(a)
     if np.any(g.values < 0):
         raise ConfigError("build_record needs g >= 0")
     grid = g.grid

@@ -305,7 +305,9 @@ def test_outputs_match_recorded_digests(tmp_path):
     # walk and the per-run chain walk, the truncated-root and cell-level
     # czd ones before the stopping time moved to grid.first_cubes, and the
     # signed-f czd one before the CZ fill and checks moved to
-    # grid.level_rows; a refactor must leave these bytes unchanged.
+    # grid.level_rows; a refactor must leave these bytes unchanged.  The
+    # signed-f czd exit code and stdout were recorded again when the
+    # domination check took the signed maximal of f v (exit 1 -> 0).
     with open(GOLDEN) as fh:
         golden = json.load(fh)
     assert cli_digests(tmp_path, golden["seed"]) == golden["digests"]
@@ -385,8 +387,13 @@ def test_degenerate_inputs_exit_cleanly(capsys, tmp_path, command, rows):
         assert code == 2 and "underflows" in err  # [v]_{A_r} = 0: no bound for (iii)
 
 
-# every subcommand without a CSV input, one parameter {x} at a time, L <= 4
+# every subcommand without a CSV input, and the parameters of czd and
+# sawyer-verify on a 4-row CSV {p}, one parameter {x} at a time, L <= 4
 PARAMETER_COMMANDS = [
+    "czd --f {p} --v const:c=1 --height {x}",
+    "czd --f {p} --v const:c=1 --height 1.5 --r {x}",
+    "sawyer-verify --u const:c=1 --v const:c=1 --g {p} --a {x}",
+    "sawyer-verify --u const:c=1 --v const:c=1 --g {p} --delta-frac {x}",
     "sharpness-a1 --deltas {x}",
     "sharpness-a1 --deltas 0.5,{x} --grid --L 4",
     "sharpness-a1 --deltas 0.75 --grid --L {x}",
@@ -414,15 +421,21 @@ PARAMETER_COMMANDS = [
 PARAMETER_VALUES = ["nan", "inf", "0", "-1", "1e308", ","]  # "," is an empty list
 
 
+def four_rows(tmp_path) -> str:
+    path = tmp_path / "f4.csv"
+    path.write_text("1.0\n3.0\n2.0\n0.5\n")
+    return str(path)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("x", PARAMETER_VALUES)
 @pytest.mark.parametrize("command", PARAMETER_COMMANDS,
-                         ids=lambda c: "-".join(t.strip("-") for t in c.replace("{x}", "X").split()))
-def test_extreme_parameters_exit_cleanly(capsys, command, x):
+                         ids=lambda c: "-".join(t.strip("-") for t in c.replace("{x}", "X").split() if "{p}" not in t))
+def test_extreme_parameters_exit_cleanly(capsys, tmp_path, command, x):
     def refuse(token):
         raise ValueError(f"bare {token} in JSON output")
 
-    code, out, err = run_cli(capsys, *command.format(x=x).split())
+    code, out, err = run_cli(capsys, *command.format(x=x, p=four_rows(tmp_path)).split())
     assert code in (0, 1, 2)
     assert (code == 2) == ("error:" in err)
     if code == 2:
@@ -437,9 +450,11 @@ def test_extreme_parameters_exit_cleanly(capsys, command, x):
     "lemma-check --v step:alpha=0.5 --p-grid inf",
     "constants --weight step:alpha=0.5 --kind Mixed --p 2 --alpha nan --beta 1 --J 1 --L 3",
     "constants --weight step:alpha=0.5 --kind Ap --p inf --J 1 --L 3",
+    "czd --f {p} --v const:c=1 --height inf",
+    "sawyer-verify --u const:c=1 --v const:c=1 --g {p} --a inf",
 ])
-def test_non_finite_parameters_are_usage_errors(capsys, command):
-    code, out, err = run_cli(capsys, *command.split())
+def test_non_finite_parameters_are_usage_errors(capsys, tmp_path, command):
+    code, out, err = run_cli(capsys, *command.format(p=four_rows(tmp_path)).split())
     assert code == 2
     assert out == "" and err.startswith("error:") and "finite" in err
 

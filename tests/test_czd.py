@@ -220,6 +220,23 @@ def test_domination_random_and_off_omega_vanishing(rng):
         assert rep.off_omega_float_residual <= 1e-12
 
 
+def test_domination_holds_for_signed_f(rng):
+    # |avg_Q f v| <= avg_Q |g| v + |avg_Q b v| on every cube, so the signed
+    # maximal of f v is dominated at every height, truncated root included
+    g = wl.build_grid(1, 8)
+    for _ in range(6):
+        f = random_function(g, rng, signed=True)
+        v = wl.realize(wl.Piecewise(tuple(float(x) for x in rng.lognormal(size=g.ncells))), g)
+        root_avg = float(np.sum(np.abs(f.values) * v.cell_masses) / v.cell_masses.sum())
+        for mult in (0.5, 1.3, 3.0):
+            rep = wl.pointwise_domination_check(wl.cz_decompose(f, v, root_avg * mult), v)
+            assert rep.all_ok, rep.to_json_dict()
+    # for f >= 0 the left side is the unsigned M_d(f v), bit for bit
+    for dec, v in random_decompositions(rng):
+        fv = wl.GridFunction(dec.good.grid, dec.source.values * v.cell_values)
+        assert np.array_equal(wl.dyadic_maximal(fv, signed=True).values, wl.dyadic_maximal(fv).values)
+
+
 def test_off_omega_exact_zero_catches_faults(rng):
     dec, v = next(random_decompositions(rng, 1))
     off = np.flatnonzero(~dec.omega_mask)

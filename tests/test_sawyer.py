@@ -5,7 +5,7 @@ import pytest
 
 import weightlab as wl
 import weightlab.sawyer as sw
-from weightlab.grid import Cube, as_cubes
+from weightlab.grid import Cube, as_cubes, level_rows, rows
 from conftest import random_function
 
 
@@ -27,6 +27,23 @@ def test_region_extraction_matches_brute(rng):
             covered[r.start : r.stop] += 1
         assert np.array_equal(covered.astype(bool), mask)
         assert covered.max() <= 1
+
+
+@pytest.mark.parametrize("J,L", [(0, 0), (0, 1), (1, 0), (1, 3), (2, 5), (0, 8)])
+def test_region_arrays_match_brute_on_adversarial_masks(J, L):
+    # first_cubes on the logical-and pyramid, read as arrays, against the
+    # per-cube oracle: empty, full, end cells, alternating cells and a
+    # plateau over a range that no dyadic cube matches
+    g = wl.build_grid(J, L)
+    n = g.ncells
+    cells = np.arange(n)
+    masks = [cells < 0, cells >= 0, cells == 0, cells == n - 1, cells % 2 == 1,
+             (cells >= min(3, n - 1)) & (cells < max(n - 5, 1))]
+    for mask in masks:
+        d, idx = sw.region_maximal_cubes(g, mask)
+        assert d.dtype == idx.dtype == np.int64
+        brute = sw.region_maximal_cubes_brute(g, mask)
+        assert list(zip((g.L - d).tolist(), idx.tolist())) == [(q.level, q.index) for q in brute]
 
 
 def test_level_cubes_zero_function():
@@ -335,8 +352,27 @@ def test_gamma_filter_skips_nan_like_oracle():
                 assert repr(fast) == repr(gamma_filter_oracle(cubes, v, 4.0, band, v_a1))
 
 
+def alternating_record(g, v):
+    """A record whose Gamma pairs alternate between cubes of 64 and 32
+    cells, on four strata with the same cubes, so that the b3 buckets of the
+    two sizes fill and flush in turn.  Each 128-cell block holds a cube of
+    64 cells and, after it, one of 32; M_d g is large on the cubes and 0
+    off them, so the J cubes are the same cubes."""
+    d = np.tile([6, 5], g.ncells >> 7)
+    idx = np.arange(len(d)) // 2 * 128 + np.tile([0, 64], g.ncells >> 7) >> d
+    mdg = np.zeros(g.ncells)
+    for s, pos, i in level_rows(g, d, idx):
+        rows(mdg, s)[i] = 100.0
+    strata = [sw.Stratum(k, d, idx, [True] * len(d)) for k in range(4)]
+    mdv = wl.dyadic_maximal(wl.GridFunction(g, v.cell_values)).values
+    return sw.PrincipalCubeRecord(g, 3.0, 0.01, 0.02, wl.a1_constant(v), 0, 3, strata, mdv, mdg)
+
+
 def test_chain_blocks_match_per_cell_oracle(rng):
-    # power weights for long chains, random A1 pairs for many short runs
+    # power weights for long chains, random A1 pairs for many short runs, a
+    # random A1 pair at N = 8192 with Gamma cubes of more than 2048 cells
+    # (their 16 unions are drawn in more than one RH_CHUNK chunk) and a
+    # record whose pairs alternate between two cube sizes
     power = list(power_inputs(rng))
     g = wl.build_grid(1, 7)
     scattered = [
@@ -344,15 +380,25 @@ def test_chain_blocks_match_per_cell_oracle(rng):
          random_function(g, rng), 4.0, 0.5)
         for _ in range(4)
     ]
+    big = wl.build_grid(1, 12)
+    scattered.append((big, wl.random_a1_weight(big, rng, cap=8.0), wl.random_a1_weight(big, rng, cap=8.0),
+                      random_function(big, rng), 4.0, 0.5))
+    records = [(wl.build_record(gf, v, a=a, delta_frac=frac), u, v, gf) for g, u, v, gf, a, frac in power + scattered]
+    g = wl.build_grid(0, 13)
+    u, v = wl.random_a1_weight(g, rng, cap=8.0), wl.random_a1_weight(g, rng, cap=8.0)
+    records.append((alternating_record(g, v), u, v, random_function(g, rng)))
+    _, d, _ = records[-2][0].gamma_cubes()
+    assert (1 << int(d.max())) * 16 > wl.constants.RH_CHUNK  # its 16 unions take two chunks or more
+    _, d, _ = records[-1][0].gamma_cubes()
+    assert np.all(np.diff(d) != 0)
     chained = violated = 0
-    for i, (g, u, v, gf, a, frac) in enumerate(power + scattered):
-        rec = wl.build_record(gf, v, a=a, delta_frac=frac)
+    for i, (rec, u, v, gf) in enumerate(records):
         # the Gamma flags and the b2 sandwich of every stratum; rtol = -0.5
         # turns some sandwiches into violations
         for s in rec.strata:
             for rtol in (1e-12, -0.5):
-                res = wl.gamma_filter(s.d, s.idx, v, a, s.k, v_a1=rec.v_a1, rtol=rtol)
-                assert res == gamma_filter_oracle(as_cubes(g, s.d, s.idx), v, a, s.k, rec.v_a1, rtol)
+                res = wl.gamma_filter(s.d, s.idx, v, rec.a, s.k, v_a1=rec.v_a1, rtol=rtol)
+                assert res == gamma_filter_oracle(as_cubes(rec.grid, s.d, s.idx), v, rec.a, s.k, rec.v_a1, rtol)
                 violated += not res.sandwich_ok
         wl.principal_cubes(rec, u)
         # a negative rtol turns some checks into violations (b9 and h at
