@@ -2,11 +2,12 @@
 
 The stopping time selects the first cubes, from the root down, whose
 v-average of f exceeds t: grid.first_cubes on the per-level averages, one
-top-down pass.  Selected cubes {Q_j} carry the good/bad split
-g + sum_j b_j with exact cell-wise reconstruction and mean-zero bad parts.
-Signed f is supported by running the stopping time on |f| while the
-averages a_j (and hence g, b_j) use f itself, which keeps int b_j v = 0
-exact.
+top-down pass, kept as the cube set (d, idx) it returns.  Selected cubes
+{Q_j} carry the good/bad split g + sum_j b_j with exact cell-wise
+reconstruction and mean-zero bad parts.  Signed f is supported by running
+the stopping time on |f| while the averages a_j (and hence g, b_j) use f
+itself, which keeps int b_j v = 0 exact, and by dominating the signed
+maximal Mtilde_d(fv).
 
 Every per-cube quantity goes through grid.level_rows and grid.rows, one
 numpy call per cube size: the good/bad fill, the Omega mask and checks
@@ -39,7 +40,7 @@ import numpy as np
 
 from .constants import DIM, ap_constant, pow_or_inf
 from .errors import ConfigError
-from .grid import Cube, as_cubes, first_cubes, level_rows, pyramid, rows
+from .grid import Cube, as_cubes, cube_entries, first_cubes, level_rows, pyramid, rows
 from .maximal import dyadic_maximal
 from .weights import GridFunction, GridWeight
 
@@ -197,16 +198,14 @@ def verify_cz(
     avg = np.asarray(dec.averages, dtype=float)
     # per cube: whether it is a proper cube (not the truncated root, which
     # has no parent route), int_{Q_j} b v, int_{Q_j} |f| v and v(Q_j)
-    n = len(dec.d)
-    proper = np.empty(n, dtype=bool)
-    bv_sum, fv_sum, vmass = np.empty(n), np.empty(n), np.empty(n)
+    bv_sum, fv_sum = np.empty(len(dec.d)), np.empty(len(dec.d))
     bv = dec.bad_total.values * v.cell_masses
     fv = np.abs(dec.source.values) * v.cell_masses
     for d, pos, idx in level_rows(grid, dec.d, dec.idx):
-        proper[pos] = d < grid.J + grid.L
         bv_sum[pos] = rows(bv, d)[idx].sum(axis=1)
         fv_sum[pos] = rows(fv, d)[idx].sum(axis=1)
-        vmass[pos] = v.mass.levels[d][idx]
+    proper = dec.d < grid.J + grid.L
+    vmass = cube_entries(grid, v.mass.levels, dec.d, dec.idx)
 
     # (i) t < a_j on the stopping averages
     check_i = CheckResult(bool(np.all(sel > t)), float(np.fmin.reduce(sel / t, initial=math.inf)),
@@ -299,12 +298,9 @@ def pointwise_domination_check(
     v: GridWeight,
     rtol: float = 1e-12,
 ) -> DominationReport:
-    """Cell-wise Mtilde_d(fv) <= M_d(gv) + Mtilde_d(bv), and the vanishing of
-    Mtilde_d(bv) off Omega.
-
-    Mtilde_d takes |avg_Q|, so the inequality is the triangle inequality
-    |avg_Q fv| <= avg_Q |g|v + |avg_Q bv| on every cube and holds for a
-    signed f; for f >= 0 the left side is M_d(fv), bit for bit.
+    """Cell-wise Mtilde_d(fv) <= M_d(gv) + Mtilde_d(bv), the triangle
+    inequality on every cube (for f >= 0 the left side is M_d(fv), bit for
+    bit), and the vanishing of Mtilde_d(bv) off Omega.
 
     The float inequality is checked at relative tolerance rtol; the
     off-Omega vanishing is decided exactly from the decomposition's

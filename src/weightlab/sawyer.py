@@ -28,30 +28,26 @@ The stratum floor defaults to the stabilization level: below the minimum
 of M_d g (and of the v value bands) the strata repeat the root cube, so
 nothing is lost by cutting there.
 
-Cost.  Every stratum and every set of J cubes is region_maximal_cubes:
-grid.first_cubes on the logical-and pyramid of its cell mask, one top-down
-numpy pass with no walk over Cube objects.  gamma_filter reads a stratum
-through grid.level_rows, one numpy call per cube size: its flags are
-`any` over the cubes' rows of cells, essinf and mass are their pyramid
-entries, and the worsts use np.fmin/np.fmax, which skip NaN as a running
-Python min/max from a non-NaN start does.  verify_chain finds the J cube
-that holds a cell by np.searchsorted over the J cubes' start cells
-(grid.cube_spans), one call per stratum for all principal pairs and one
-for all run boundaries, in memory proportional to the cubes.  build_record
-refuses a non-finite M_d g or M_d v, whose strata and bands would be
-undefined.
-principal_cubes finds the Gamma pairs above each pair by walking
-its dyadic ancestors through a dict from cube to pairs: pairs x levels
-lookups, with no scan over pairs of pairs.  verify_chain walks the u-growth
-chain once per run of cells between two consecutive boundaries of the J
-cubes (maximal cubes of {M_d g > a^k}) that hold principal cubes; all cells
-of a run lie in the same J cubes, so they share one chain, and its b9 and
-b10 counts are multiplied by the run length.  The h bound of all cells is
-one numpy expression.  Block b3 draws its random unions from the seeded
-stream in chunks of at most constants.RH_CHUNK doubles and sums each union
-with constants._union_ratios, the reverse-Holder check's kernel, bitwise
-the per-union sums.  The record keeps no "smallest principal cube" per
-pair; that every Gamma cube lies in a principal cube is checked in tests.
+Cube sets.  Every stratum and every set of J cubes is region_maximal_cubes,
+grid.first_cubes on the logical-and pyramid of its cell mask, kept as the
+cube set (d, idx) it returns; gamma_cubes gives the (k, d, idx) of the
+Gamma pairs, and no Cube object is built between the pass and its readers.
+
+Cost.  gamma_filter, principal_cubes and blocks b3 and b6 gather per cube
+size (grid.level_rows, grid.cube_entries).  principal_cubes walks each
+pair's ancestors as heap nodes: (d, idx) is node (N >> d) + idx, its
+ancestors the node shifted right, pairs x levels integer dict lookups.
+verify_chain finds the J cube holding a cell by np.searchsorted over the
+start cells idx << d, and walks the u-growth chain once per run of cells
+between consecutive boundaries of the J cubes that hold principal cubes
+(the cells of a run share one chain; b9 and b10 counts are scaled by the
+run length).  b3 draws its random unions per pair, in pair order, in
+chunks of at most constants.RH_CHUNK doubles, and buckets them by cube
+size; a bucket is summed by one constants._union_ratios call once it holds
+RH_CHUNK mask cells.  Its count, violations and worst do not depend on the
+order of the unions.  b6 sums its scores with Python sum in pair order.
+build_record refuses a non-finite M_d g or M_d v and an a that is not a
+finite number above 2^n.
 """
 
 from __future__ import annotations
@@ -510,32 +506,25 @@ def verify_chain(
     tol = 1.0 + rtol
 
     # b2 re-evaluation over all strata
-    b2_ok = True
     b2_worst = 0.0
-    b2_count = 0
-    b2_viol = 0
+    b2_count = b2_viol = 0
     for s in record.strata:
         res = gamma_filter(s.d, s.idx, v, a, s.k, v_a1=v_a1)
         flagged = sum(res.flags)
-        b2_count += flagged
-        if flagged and not res.sandwich_ok:
-            b2_ok = False
-            b2_viol += 1
         if flagged:
+            b2_count += flagged
+            b2_viol += not res.sandwich_ok
             b2_worst = max(b2_worst, res.worst_upper, 1.0 / res.worst_lower if res.worst_lower > 0 else math.inf)
-    b2 = BlockResult(b2_ok, b2_count, b2_viol, b2_worst, "CZ sandwich on Gamma cubes")
+    b2 = BlockResult(b2_viol == 0, b2_count, b2_viol, b2_worst, "CZ sandwich on Gamma cubes")
 
     # b3: v(E)/v(I) <= 2 (|E|/|I|)^eps on targeted and sampled E: the sets
     # the sum estimate uses, every single cell of a cube of <= 64 cells, and
-    # n_subsets seeded random unions per pair, drawn in pair order in chunks
-    # of <= RH_CHUNK doubles.  The unions wait in one bucket per cube size,
-    # summed by one _union_ratios call once it holds RH_CHUNK cells; the
-    # count, violations and worst do not depend on the order of the unions.
+    # n_subsets seeded random unions per pair, bucketed by cube size
     rng = np.random.default_rng(seed)
     heights = np.array([a**k for k in range(record.floor_k, record.top_k + 1)])
     ratios = []
     buckets: dict[int, list[tuple[int, np.ndarray]]] = {}  # d -> (cube index, masks) chunks
-    cells: dict[int, int] = {}  # d -> mask cells in the bucket
+    filled: dict[int, int] = {}  # d -> mask cells in buckets[d]
     for k, d, i in zip(pk.tolist(), pd.tolist(), pidx.tolist()):
         m = 1 << d
         chunks = [record.mdv[i << d : (i + 1) << d] > heights[k - record.floor_k :, None]]
@@ -546,10 +535,10 @@ def verify_chain(
             chunks.append(rng.random((min(step, n_subsets - start), m)) < 0.5)
         for mask in chunks:
             buckets.setdefault(d, []).append((i, mask))
-            cells[d] = cells.get(d, 0) + mask.size
-            if cells[d] >= RH_CHUNK:
+            filled[d] = filled.get(d, 0) + mask.size
+            if filled[d] >= RH_CHUNK:
+                del filled[d]
                 ratios.append(_bucket_ratios(v, d, buckets.pop(d), eps))
-                cells[d] = 0
     ratios.extend(_bucket_ratios(v, d, buckets.pop(d), eps) for d in sorted(buckets))
     ratios = np.concatenate(ratios) if ratios else np.empty(0)
     b3_viol = int(np.count_nonzero(ratios > tol))

@@ -236,14 +236,10 @@ def test_chain_report_random_pairs(rng):
         assert rep.all_ok, rep.to_json_dict()
 
 
-def chain_blocks_oracle(rec, u, v, n_subsets=16, seed=0, rtol=1e-9):
-    """Blocks b3, b9, b10, h_bound and the chain index as (count, violations,
-    worst), from a per-mask loop for b3 and a per-cell chain walk."""
-    grid, a, delta, eps, u_a1 = rec.grid, rec.a, rec.delta, rec.eps, rec.u_a1
-    c9 = 2.0 ** (1.0 + rec.nu) * u_a1 ** (2 * rec.nu) * a ** (delta * rec.nu) / (a ** (delta * rec.nu) - 1.0)
-    tol = 1.0 + rtol
-    out = {}
-
+def b3_oracle_ratios(rec, v, n_subsets=16, seed=0):
+    """The b3 ratios v(E)/v(I) / (2 (|E|/|I|)^eps), one mask at a time, the
+    random unions drawn one row per union in pair order."""
+    grid, a, eps = rec.grid, rec.a, rec.eps
     rng = np.random.default_rng(seed)
     ratios = []
     for p in rec.gamma_pairs():
@@ -260,6 +256,18 @@ def chain_blocks_oracle(rec, u, v, n_subsets=16, seed=0, rtol=1e-9):
             sz = int(np.count_nonzero(mask))
             if sz:
                 ratios.append((float(v.cell_masses[sl][mask].sum()) / v.mass_of(q)) / (2.0 * (sz / m) ** eps))
+    return ratios
+
+
+def chain_blocks_oracle(rec, u, v, n_subsets=16, seed=0, rtol=1e-9):
+    """Blocks b3, b9, b10, h_bound and the chain index as (count, violations,
+    worst), from a per-mask loop for b3 and a per-cell chain walk."""
+    grid, a, delta, u_a1 = rec.grid, rec.a, rec.delta, rec.u_a1
+    c9 = 2.0 ** (1.0 + rec.nu) * u_a1 ** (2 * rec.nu) * a ** (delta * rec.nu) / (a ** (delta * rec.nu) - 1.0)
+    tol = 1.0 + rtol
+    out = {}
+
+    ratios = b3_oracle_ratios(rec, v, n_subsets, seed)
     out["b3"] = (len(ratios), sum(x > tol for x in ratios), max([0.0] + ratios))
 
     ks = range(rec.floor_k, rec.top_k + 1)
@@ -410,6 +418,12 @@ def test_chain_blocks_match_per_cell_oracle(rng):
             for name in ("b3", "b9", "b10", "h_bound"):
                 block = getattr(rep, name)
                 assert (block.count, block.violations, block.worst) == oracle[name], name
+        # b3 violations at thresholds inside the ratio distribution, so that
+        # a union summed against the wrong cube or drawn out of order shows
+        ratios = b3_oracle_ratios(rec, v, seed=i)
+        for q in np.quantile(ratios, (0.1, 0.5, 0.9)).tolist() if ratios else ():
+            b3 = wl.verify_chain(rec, u, v, gf, seed=i, rtol=q - 1.0).b3
+            assert b3.violations == sum(x > 1.0 + (q - 1.0) for x in ratios)
         chained += i < len(power) and rep.max_chain_index >= 1
     assert chained >= 12 and violated > 0
 
