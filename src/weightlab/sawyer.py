@@ -43,9 +43,10 @@ between consecutive boundaries of the J cubes that hold principal cubes
 (the cells of a run share one chain; b9 and b10 counts are scaled by the
 run length).  b3 draws its random unions per pair, in pair order, in
 chunks of at most constants.RH_CHUNK doubles, and buckets them by cube
-size; a bucket is summed by one constants._union_ratios call once it holds
-RH_CHUNK mask cells.  Its count, violations and worst do not depend on the
-order of the unions.  b6 sums its scores with Python sum in pair order.
+size; a bucket is summed by one constants._union_ratios call before a
+chunk would take it past RH_CHUNK mask cells.  Its count, violations and
+worst do not depend on the order of the unions.  b6 sums its scores with
+Python sum in pair order.
 build_record refuses a non-finite M_d g or M_d v and an a that is not a
 finite number above 2^n.
 """
@@ -534,11 +535,11 @@ def verify_chain(
         for start in range(0, n_subsets if m > 1 else 0, step):
             chunks.append(rng.random((min(step, n_subsets - start), m)) < 0.5)
         for mask in chunks:
-            buckets.setdefault(d, []).append((i, mask))
-            filled[d] = filled.get(d, 0) + mask.size
-            if filled[d] >= RH_CHUNK:
+            if d in buckets and filled[d] + mask.size > RH_CHUNK:
                 del filled[d]
                 ratios.append(_bucket_ratios(v, d, buckets.pop(d), eps))
+            buckets.setdefault(d, []).append((i, mask))
+            filled[d] = filled.get(d, 0) + mask.size
     ratios.extend(_bucket_ratios(v, d, buckets.pop(d), eps) for d in sorted(buckets))
     ratios = np.concatenate(ratios) if ratios else np.empty(0)
     b3_viol = int(np.count_nonzero(ratios > tol))
