@@ -126,15 +126,10 @@ def test_first_cubes_matches_brute(rng):
         assert [a.tolist() for a in first_cubes(patterns[7])] == [[0] * sizes[0], list(range(sizes[0]))]
 
 
-def random_cube_set(g, rng, count=40):
-    """count random cubes of g, overlapping, in no order, as a cube set."""
-    d = rng.integers(0, g.J + g.L + 1, size=count)
-    return d, rng.integers(0, g.ncells >> d)
-
-
 def test_level_rows_and_entries_match_cells_of(rng):
     g = wl.build_grid(1, 4)
-    d, idx = random_cube_set(g, rng)
+    d = rng.integers(0, g.J + g.L + 1, size=40)  # random cubes, overlapping, in no order
+    idx = rng.integers(0, g.ncells >> d)
     cubes = as_cubes(g, d, idx)
     assert [(q.level, q.index) for q in cubes] == list(zip((g.L - d).tolist(), idx.tolist()))
     assert [range(a, b) for a, b in zip((idx << d).tolist(), ((idx + 1) << d).tolist())] == [
