@@ -299,6 +299,36 @@ def deep_chain_digest(tmp_path, seed: int) -> dict:
     return {"sawyer_code": code, "sawyer_stdout": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
 
 
+def weight_digests(tmp_path, seed: int) -> dict:
+    """Exit codes and SHA-256 stdout digests of every subcommand that reads
+    a weight table on a grid of its own (constants of every kind in json and
+    csv, rh-check, doubling, lemma-check, bound-audit), for a power weight and
+    a seeded csv: weight of N = 128 cells (J = 1, L = 6).  The commands run
+    in tmp_path, so the spec, which reports echo, names no temporary path."""
+    rows = np.random.default_rng(seed).lognormal(0.0, 0.5, 128).tolist()
+    (tmp_path / "w.csv").write_text("".join(f"{x!r}\n" for x in rows))
+    kinds = ["A1", "Ap --p 2", "Ap --p 1.5", "AinfExp", "AinfFW",
+             "Mixed --p 2 --alpha 0.5 --beta 0.5", "Mixed --p 3 --alpha 0 --beta 1"]
+    commands = {}
+    for wname, spec in (("power", "power:delta=0.5"), ("csv", "csv:w.csv")):
+        for kind in kinds:
+            for fmt in ("json", "csv"):
+                name = f"{wname}_constants_{kind.split()[0]}{''.join(kind.split()[2:3])}_{fmt}"
+                commands[name] = f"constants --weight {spec} --kind {kind} --J 1 --L 6 --format {fmt}"
+        commands[f"{wname}_rh_check"] = f"--seed {seed} rh-check --weight {spec} --J 1 --L 6"
+        commands[f"{wname}_doubling"] = f"doubling --weight {spec} --p 2 --J 1 --L 6"
+        commands[f"{wname}_lemma_check"] = f"lemma-check --v {spec} --p-grid 1.5,2,3 --J 1 --L 6"
+        commands[f"{wname}_bound_audit"] = f"--seed {seed} bound-audit --v {spec} --p 2 --J 1 --L 6"
+    out = {}
+    for name, command in commands.items():
+        buf = io.StringIO()
+        with contextlib.chdir(tmp_path), contextlib.redirect_stdout(buf), \
+                contextlib.redirect_stderr(io.StringIO()):
+            out[name + "_code"] = main(command.split())
+        out[name + "_stdout"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return out
+
+
 def test_outputs_match_recorded_digests(tmp_path):
     # The digests were recorded before the dyadic-tree code was merged into
     # grid.pyramid, the deep-chain one before the principal-cubes ancestor
@@ -307,11 +337,14 @@ def test_outputs_match_recorded_digests(tmp_path):
     # signed-f czd one before the CZ fill and checks moved to
     # grid.level_rows; a refactor must leave these bytes unchanged.  The
     # signed-f czd exit code and stdout were recorded again when the
-    # domination check took the signed maximal of f v (exit 1 -> 0).
+    # domination check took the signed maximal of f v (exit 1 -> 0).  The
+    # weight-layer ones were recorded before the weight tables became plain
+    # pyramid lists.
     with open(GOLDEN) as fh:
         golden = json.load(fh)
     assert cli_digests(tmp_path, golden["seed"]) == golden["digests"]
     assert deep_chain_digest(tmp_path, golden["seed"]) == golden["deep_chain"]
+    assert weight_digests(tmp_path, golden["seed"]) == golden["weights"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
