@@ -53,8 +53,8 @@ def _floats(text: str) -> list[float]:
         raise ConfigError(f"bad numeric list {text!r}") from None
 
 
-def _realize_spec(text: str, grid, dual=(), power=()):
-    return realize(parse_weight_spec(text), grid, dual_exponents=dual, power_exponents=power)
+def _realize_spec(text: str, grid):
+    return realize(parse_weight_spec(text), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +73,7 @@ def _cmd_constants(args) -> int:
         kind_args["alpha"] = args.alpha
         kind_args["beta"] = args.beta
     kind = ConstantKind(args.kind, **kind_args)
-    dual = (args.p,) if args.kind in ("Ap", "Mixed") else ()
-    w = _realize_spec(args.weight, grid, dual=dual)
+    w = _realize_spec(args.weight, grid)
     report = global_constant(w, kind)
     if args.format == "json":
         _emit_json(report.to_json_dict())

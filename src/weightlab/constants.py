@@ -157,27 +157,23 @@ def mixed_local(w: GridWeight, Q: Cube, p: float, alpha: float, beta: float) -> 
 # global suprema
 
 def _level_values(w: GridWeight, kind: ConstantKind, k: int) -> np.ndarray:
-    grid = w.grid
+    d = w.grid.L - k  # the cubes of level k have 2^d cells
     scale = 2.0 ** float(k)  # 1/|Q| at level k
-    m = w.mass.at_level(grid, k) * scale
+    m = w.mass[d] * scale
     if kind.tag == "A1":
-        inf_k = w.essinf.at_level(grid, k)
+        inf_k = w.essinf[d]
         with np.errstate(divide="ignore"):
             return np.where(inf_k > 0, m / inf_k, np.inf)
     if kind.tag == "Ap":
-        d = w.duals[kind.p].at_level(grid, k) * scale
-        return m * d ** (kind.p - 1.0)
+        return m * (w.duals[kind.p][d] * scale) ** (kind.p - 1.0)
     if kind.tag == "AinfExp":
-        lg = w.logmass.at_level(grid, k) * scale
-        return m * np.exp(-lg)
+        return m * np.exp(-(w.logmass[d] * scale))
     if kind.tag == "Mixed":
         out = np.ones_like(m)
         if kind.alpha > 0:
-            d = w.duals[kind.p].at_level(grid, k) * scale
-            out = out * (m * d ** (kind.p - 1.0)) ** kind.alpha
+            out = out * _level_values(w, ConstantKind("Ap", p=kind.p), k) ** kind.alpha
         if kind.beta > 0:
-            lg = w.logmass.at_level(grid, k) * scale
-            out = out * (m * np.exp(-lg)) ** kind.beta
+            out = out * _level_values(w, ConstantKind("AinfExp"), k) ** kind.beta
         return out
     raise ConfigError(f"no vectorized path for {kind.tag}")
 
@@ -187,9 +183,8 @@ def _fw_levels(w: GridWeight) -> list[np.ndarray]:
     the top, by the same formula as ainf_fw_local: each cube of a level is
     one row of ``uncentered_dyadic``, which builds the levels bottom-up."""
     _require_piecewise(w)
-    grid = w.grid
-    integrals = [m.sum(axis=1) * grid.cell_width for m in uncentered_dyadic(w.cell_values)]
-    return [s / w.mass.at_level(grid, k) for k, s in zip(grid.levels(), reversed(integrals))]
+    integrals = (m.sum(axis=1) * w.grid.cell_width for m in uncentered_dyadic(w.cell_values))
+    return [s / mass for s, mass in zip(integrals, w.mass)][::-1]
 
 
 def global_constant(w: GridWeight, kind: ConstantKind) -> ConstantReport:
@@ -197,7 +192,7 @@ def global_constant(w: GridWeight, kind: ConstantKind) -> ConstantReport:
 
     Ties break to the smallest level, then smallest index.
     """
-    if kind.tag in ("Ap", "Mixed") and kind.p not in w.duals:
+    if kind.tag in ("Ap", "Mixed"):
         w = with_cached(w, dual=(kind.p,))
     grid = w.grid
     if kind.tag == "AinfFW":
@@ -285,7 +280,7 @@ def _levelset_ratios(w: GridWeight, eps: float, n_subsets: int, rng):
     for k in grid.levels():
         m = 1 << (grid.L - k)
         blocks = w.cell_masses.reshape(-1, m)
-        wq = w.mass.at_level(grid, k)
+        wq = w.mass[grid.L - k]
         # single cells: the extremal small-|E| cases
         yield (blocks / wq[:, None]) / (2.0 * (1.0 / m) ** eps)
         if m == 1:
@@ -343,8 +338,8 @@ def reverse_holder_check(
     worst_cube = grid.root
     for k in grid.levels():
         scale = 2.0 ** float(k)
-        lhs = (w.powers[rw].at_level(grid, k) * scale) ** (1.0 / rw)
-        rhs = 2.0 * w.mass.at_level(grid, k) * scale
+        lhs = (w.powers[rw][grid.L - k] * scale) ** (1.0 / rw)
+        rhs = 2.0 * w.mass[grid.L - k] * scale
         bad = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs)))
         if len(bad):
             raise ConfigError(f"reverse Holder check: the averages of w^{rw!r} or of w are not "
@@ -421,8 +416,8 @@ def doubling_check(v: GridWeight, p: float, rtol: float = 1e-12) -> DoublingRepo
     for k in grid.levels():
         if k == -grid.J:
             continue
-        child = v.mass.at_level(grid, k)
-        par = np.repeat(v.mass.at_level(grid, k - 1), 2)
+        child = v.mass[grid.L - k]
+        par = np.repeat(v.mass[grid.L - k + 1], 2)
         max_parent = max(max_parent, float((par / child).max()))
     # doubled cubes, cell-aligned at level k+1
     cells = v.cell_masses
@@ -443,7 +438,7 @@ def doubling_check(v: GridWeight, p: float, rtol: float = 1e-12) -> DoublingRepo
         lo = np.clip(lo, 0, n)
         hi = np.clip(hi, 0, n)
         dq = csum[hi] - csum[lo]
-        q = v.mass.at_level(grid, k)
+        q = v.mass[grid.L - k]
         max_double = max(max_double, float((dq / q).max()))
     tol = 1.0 + rtol
     return DoublingReport(

@@ -89,7 +89,7 @@ def cz_decompose(f: GridFunction, v: GridWeight, t: float) -> CZDecomposition:
     grid = f.grid
     if np.any(v.cell_masses <= 0) or not np.all(np.isfinite(v.cell_masses)):
         raise ConfigError("CZ decomposition needs strictly positive finite v-mass per cell")
-    vsums = v.mass.levels
+    vsums = v.mass
     sel = [s / m for s, m in zip(pyramid(np.abs(f.values) * v.cell_masses), vsums)]
     signed = pyramid(f.values * v.cell_masses)
     ds, idxs = first_cubes([a > t for a in sel])
@@ -205,7 +205,7 @@ def verify_cz(
         bv_sum[pos] = rows(bv, d)[idx].sum(axis=1)
         fv_sum[pos] = rows(fv, d)[idx].sum(axis=1)
     proper = dec.d < grid.J + grid.L
-    vmass = cube_entries(grid, v.mass.levels, dec.d, dec.idx)
+    vmass = cube_entries(grid, v.mass, dec.d, dec.idx)
 
     # (i) t < a_j on the stopping averages
     check_i = CheckResult(bool(np.all(sel > t)), float(np.fmin.reduce(sel / t, initial=math.inf)),

@@ -27,6 +27,7 @@ import numpy as np
 
 from .constants import (
     ConstantKind,
+    _level_values,
     a1_constant,
     ainf_exp_constant,
     ainf_fw_constant,
@@ -487,16 +488,10 @@ def dual_exponent_identity_max_rel(v: GridWeight, r: float) -> float:
     v = with_cached(v, dual=(r,))
     sig = dual_weight(v, r)
     sig = with_cached(sig, dual=(rc,))
-    grid = v.grid
     worst = 0.0
-    for k in grid.levels():
-        scale = 2.0 ** float(k)
-        ar = (v.mass.at_level(grid, k) * scale) * (
-            v.duals[r].at_level(grid, k) * scale
-        ) ** (r - 1.0)
-        arc = (sig.mass.at_level(grid, k) * scale) * (
-            sig.duals[rc].at_level(grid, k) * scale
-        ) ** (rc - 1.0)
+    for k in v.grid.levels():
+        ar = _level_values(v, ConstantKind("Ap", p=r), k)
+        arc = _level_values(sig, ConstantKind("Ap", p=rc), k)
         rel = np.abs(arc - ar ** (rc - 1.0)) / np.maximum(ar ** (rc - 1.0), 1e-300)
         worst = max(worst, float(rel.max()))
     return worst

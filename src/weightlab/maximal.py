@@ -98,7 +98,7 @@ def dyadic_maximal_brute(f: GridFunction, signed: bool = False) -> GridFunction:
 def _weighted_candidates(f: GridFunction, v: GridWeight) -> list[np.ndarray]:
     num = pyramid(np.abs(f.values) * v.cell_masses)
     cands = []
-    for ns, ds in zip(num, v.mass.levels):
+    for ns, ds in zip(num, v.mass):
         with np.errstate(invalid="ignore", divide="ignore"):
             avg = np.where(ds > 0, ns / ds, -np.inf)  # zero-mass cubes skipped
         cands.append(avg)

@@ -232,8 +232,8 @@ def gamma_filter(
     flags = np.empty(len(d), dtype=bool)
     for s, pos, i in level_rows(v.grid, d, idx):
         flags[pos] = rows(meets, s)[i].any(axis=1)
-    essinf = cube_entries(v.grid, v.essinf.levels, d, idx)
-    avg = cube_entries(v.grid, v.mass.levels, d, idx) / np.ldexp(1.0, d - v.grid.L)
+    essinf = cube_entries(v.grid, v.essinf, d, idx)
+    avg = cube_entries(v.grid, v.mass, d, idx) / np.ldexp(1.0, d - v.grid.L)
     inf_q, avg_q = essinf[flags], avg[flags]
     ok = not np.any((inf_q < lo * (1 - rtol)) | (avg_q > hi * (1 + rtol)))
     return GammaResult(flags.tolist(), ok, float(np.fmin.reduce(inf_q / lo, initial=math.inf)),
@@ -314,7 +314,7 @@ def principal_cubes(record: PrincipalCubeRecord, u: GridWeight) -> list[list[tup
     pairs = record.gamma_pairs()
     ks, d, idx = record.gamma_cubes()
     ks, size = ks.tolist(), d.tolist()
-    uavg = (cube_entries(grid, u.mass.levels, d, idx) / np.ldexp(1.0, d - grid.L)).tolist()
+    uavg = (cube_entries(grid, u.mass, d, idx) / np.ldexp(1.0, d - grid.L)).tolist()
     nodes = ((grid.ncells >> d) + idx).tolist()
     pairs_at: dict[int, list[int]] = {}
     for p, h in enumerate(nodes):
@@ -482,7 +482,7 @@ def _bucket_ratios(v: GridWeight, d: int, bucket: list[tuple[int, np.ndarray]], 
     cubes of 2^d cells."""
     cube = np.repeat([i for i, _ in bucket], [len(mask) for _, mask in bucket])
     mask = np.concatenate([mask for _, mask in bucket])
-    return _union_ratios(rows(v.cell_masses, d), v.mass.levels[d], cube, mask, eps)
+    return _union_ratios(rows(v.cell_masses, d), v.mass[d], cube, mask, eps)
 
 
 def verify_chain(
@@ -548,8 +548,8 @@ def verify_chain(
 
     # b6: Gamma sum <= C_eps * principal sum, summed in pair order
     length = np.ldexp(1.0, pd - grid.L)
-    umass = cube_entries(grid, u.mass.levels, pd, pidx)
-    score = cube_entries(grid, v.mass.levels, pd, pidx) * umass / length
+    umass = cube_entries(grid, u.mass, pd, pidx)
+    score = cube_entries(grid, v.mass, pd, pidx) * umass / length
     principal = set(record.principal)
     prin = np.array([n for n, p in enumerate(pairs) if p in principal], dtype=np.int64)
     gamma_sum = sum(score.tolist())
@@ -587,7 +587,7 @@ def verify_chain(
     jumass, jlength, cuts = {}, {}, set()
     for k, i in groups:
         d, idx = int(jcubes[k][0][i]), int(jcubes[k][1][i])
-        jumass[k, i] = float(u.mass.levels[d][idx])
+        jumass[k, i] = float(u.mass[d][idx])
         jlength[k, i] = 2.0 ** (d - grid.L)
         cuts.update((idx << d, (idx + 1) << d))
     juavg = {key: um / jlength[key] for key, um in jumass.items()}

@@ -9,11 +9,13 @@ integrals (possible for dual/power tables of power weights at the origin)
 are stored as +inf sentinels and propagate through cube queries; they are
 values, not failures.
 
-Cube aggregates are served by ``CellTable``, which takes a ufunc (np.add
-for integrals, np.minimum for the essential infimum) and reduces with
-``grid.pyramid``, pairwise, so mass(parent) == mass(child) + mass(sibling)
-holds exactly in floating point, not just in exact arithmetic.  Weight
-values, from Python or from a CSV file, pass one check: positive and finite.
+Each table of a ``GridWeight`` is the ``grid.pyramid`` of its cell values,
+a list whose entry [d] holds the cubes of 2^d cells (np.add for integrals,
+np.minimum for the essential infimum), so w.mass[d][i] is the mass of the
+i-th cube of that size and mass(parent) == mass(child) + mass(sibling)
+holds exactly in floating point, not just in exact arithmetic.  Dual and
+power tables are added by ``with_cached``.  Weight values, from Python or
+from a CSV file, pass one check: positive and finite.
 """
 
 from __future__ import annotations
@@ -165,33 +167,6 @@ def _local_essinf(a: np.ndarray, b: np.ndarray, coef: np.ndarray, q: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# reduction pyramids
-
-class CellTable:
-    """Per-cell values plus the full reduction pyramid over dyadic cubes.
-
-    levels[d] holds the reduction by the ufunc ``op`` (np.add for integrals,
-    np.minimum for essential infima) at cube level k = L - d, built by
-    ``grid.pyramid``, which makes parent = op(child, sibling) exact in floats.
-    """
-
-    __slots__ = ("levels",)
-
-    def __init__(self, values: np.ndarray, op=np.add):
-        self.levels = pyramid(np.asarray(values, dtype=float), op)
-
-    @property
-    def cells(self) -> np.ndarray:
-        return self.levels[0]
-
-    def at_level(self, grid: Grid, k: int) -> np.ndarray:
-        return self.levels[grid.L - k]
-
-    def of(self, grid: Grid, Q: Cube) -> float:
-        return float(self.levels[grid.L - Q.level][Q.index])
-
-
-# ---------------------------------------------------------------------------
 # grid weights and functions
 
 def _conjugate(p: float) -> float:
@@ -204,6 +179,8 @@ def _conjugate(p: float) -> float:
 class GridWeight:
     """A weight realized on a grid: exact cell integrals plus pyramids.
 
+    Every table is a ``grid.pyramid`` list: entry [d] per cube of 2^d cells.
+    ``duals[p]`` integrates w^(1-p') and ``powers[r]`` integrates w^r.
     ``coef``/``expo`` keep the local form so further tables (other
     exponents, dual weights, products) can be derived exactly later.
     """
@@ -211,49 +188,52 @@ class GridWeight:
     grid: Grid
     coef: np.ndarray
     expo: np.ndarray
-    mass: CellTable
-    essinf: CellTable
-    logmass: CellTable
-    duals: dict[float, CellTable] = field(default_factory=dict)
-    powers: dict[float, CellTable] = field(default_factory=dict)
+    mass: list[np.ndarray]
+    essinf: list[np.ndarray]
+    logmass: list[np.ndarray]
+    duals: dict[float, list[np.ndarray]] = field(default_factory=dict)
+    powers: dict[float, list[np.ndarray]] = field(default_factory=dict)
 
     # -- cell-level views ---------------------------------------------------
     @property
     def cell_masses(self) -> np.ndarray:
-        return self.mass.cells
+        return self.mass[0]
 
     @property
     def cell_values(self) -> np.ndarray:
         """Cell representatives mass/width (exact cell value for piecewise)."""
-        return self.mass.cells / self.grid.cell_width
+        return self.mass[0] / self.grid.cell_width
 
     @property
     def is_piecewise(self) -> bool:
         return bool(np.all(self.expo == 0.0))
 
     # -- cube queries --------------------------------------------------------
+    def _entry(self, levels: list[np.ndarray], Q: Cube) -> float:
+        return float(levels[self.grid.L - Q.level][Q.index])
+
     def mass_of(self, Q: Cube) -> float:
-        return self.mass.of(self.grid, Q)
+        return self._entry(self.mass, Q)
 
     def essinf_of(self, Q: Cube) -> float:
-        return self.essinf.of(self.grid, Q)
+        return self._entry(self.essinf, Q)
 
     def log_mass_of(self, Q: Cube) -> float:
-        return self.logmass.of(self.grid, Q)
+        return self._entry(self.logmass, Q)
 
     def dual_mass_of(self, Q: Cube, p: float) -> float:
         if p not in self.duals:
             raise UncachedExponentError(
                 f"dual mass for p={p} not cached; re-realize via with_cached(w, dual=({p},))"
             )
-        return self.duals[p].of(self.grid, Q)
+        return self._entry(self.duals[p], Q)
 
     def power_mass_of(self, Q: Cube, r: float) -> float:
         if r not in self.powers:
             raise UncachedExponentError(
                 f"power mass for r={r} not cached; re-realize via with_cached(w, power=({r},))"
             )
-        return self.powers[r].of(self.grid, Q)
+        return self._entry(self.powers[r], Q)
 
 
 @dataclass
@@ -276,53 +256,24 @@ def _cell_edges(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return edges[:-1], edges[1:]
 
 
-def _from_local_form(
-    grid: Grid,
-    coef: np.ndarray,
-    expo: np.ndarray,
-    dual: tuple[float, ...] = (),
-    power: tuple[float, ...] = (),
-) -> GridWeight:
+def _from_local_form(grid: Grid, coef: np.ndarray, expo: np.ndarray) -> GridWeight:
     a, b = _cell_edges(grid)
     mass = _power_integral(a, b, coef, expo)
     if not np.all(mass > 0):
         raise ConfigError(f"weight has no positive mass on cell {int(np.argmin(mass > 0))}")
-    w = GridWeight(
+    return GridWeight(
         grid=grid,
         coef=coef,
         expo=expo,
-        mass=CellTable(mass),
-        essinf=CellTable(_local_essinf(a, b, coef, expo), np.minimum),
-        logmass=CellTable(_log_integral(a, b, coef, expo)),
+        mass=pyramid(mass),
+        essinf=pyramid(_local_essinf(a, b, coef, expo), np.minimum),
+        logmass=pyramid(_log_integral(a, b, coef, expo)),
     )
-    return _cache_tables(w, dual, power)
 
 
-def _cache_tables(w: GridWeight, dual: tuple[float, ...], power: tuple[float, ...]) -> GridWeight:
-    """Add the dual tables w^(1-p') and the power tables w^r to w in place."""
-    a, b = _cell_edges(w.grid)
-
-    def table(s: float) -> CellTable:
-        return CellTable(_power_integral(a, b, w.coef**s, w.expo * s))
-
-    for p in dual:
-        w.duals[p] = table(1.0 - _conjugate(p))
-    for r in power:
-        if not r > 0:
-            raise ConfigError(f"power exponent needs r > 0, got {r}")
-        w.powers[r] = table(r)
-    return w
-
-
-def realize(
-    spec: WeightSpec,
-    grid: Grid,
-    dual_exponents: tuple[float, ...] = (),
-    power_exponents: tuple[float, ...] = (),
-) -> GridWeight:
-    """Realize an analytic weight spec on a grid with the requested caches."""
-    coef, expo = local_form(spec, grid)
-    return _from_local_form(grid, coef, expo, dual_exponents, power_exponents)
+def realize(spec: WeightSpec, grid: Grid) -> GridWeight:
+    """Realize an analytic weight spec on a grid: mass, essinf and log mass."""
+    return _from_local_form(grid, *local_form(spec, grid))
 
 
 def with_cached(
@@ -330,13 +281,25 @@ def with_cached(
     dual: tuple[float, ...] = (),
     power: tuple[float, ...] = (),
 ) -> GridWeight:
-    """Return w itself if all exponents are cached, else an extended copy."""
-    need_dual = tuple(p for p in dual if p not in w.duals)
-    need_power = tuple(r for r in power if r not in w.powers)
+    """Return w itself if all exponents are cached, else a copy extended by
+    the dual tables w^(1-p') and the power tables w^r it lacks."""
+    need_dual = [p for p in dual if p not in w.duals]
+    need_power = [r for r in power if r not in w.powers]
     if not need_dual and not need_power:
         return w
     out = dataclasses.replace(w, duals=dict(w.duals), powers=dict(w.powers))
-    return _cache_tables(out, need_dual, need_power)
+    a, b = _cell_edges(w.grid)
+
+    def table(s: float) -> list[np.ndarray]:
+        return pyramid(_power_integral(a, b, w.coef**s, w.expo * s))
+
+    for p in need_dual:
+        out.duals[p] = table(1.0 - _conjugate(p))
+    for r in need_power:
+        if not r > 0:
+            raise ConfigError(f"power exponent needs r > 0, got {r}")
+        out.powers[r] = table(r)
+    return out
 
 
 def dual_weight(w: GridWeight, p: float) -> GridWeight:

@@ -18,13 +18,13 @@ def brute_ap_local(w, Q, p):
     r = wl.cells_of(g, Q)
     sl = slice(r.start, r.stop)
     m = float(w.cell_masses[sl].sum()) / Q.length
-    d = float(w.duals[p].cells[sl].sum()) / Q.length
+    d = float(w.duals[p][0][sl].sum()) / Q.length
     return m * d ** (p - 1.0)
 
 
 def test_ap_local_identity_weight():
     g = wl.build_grid(0, 4)
-    w = wl.realize(wl.Constant(1.0), g, dual_exponents=(1.5, 2.0, 3.0))
+    w = wl.with_cached(wl.realize(wl.Constant(1.0), g), dual=(1.5, 2.0, 3.0))
     for p in (1.5, 2.0, 3.0):
         for q in [g.root, Cube(2, 1)]:
             assert wl.ap_local(w, q, p) == pytest.approx(1.0, rel=1e-14)
@@ -32,7 +32,7 @@ def test_ap_local_identity_weight():
 
 def test_ap_local_two_cell_example():
     g = wl.build_grid(0, 1)
-    w = wl.realize(wl.Piecewise((1.0, 4.0)), g, dual_exponents=(2.0,))
+    w = wl.with_cached(wl.realize(wl.Piecewise((1.0, 4.0)), g), dual=(2.0,))
     assert wl.ap_local(w, g.root, 2.0) == pytest.approx(25.0 / 16.0, rel=1e-15)
     assert wl.ap_local(w, g.root, 2.0) == pytest.approx(
         brute_ap_local(w, g.root, 2.0), rel=1e-15
@@ -44,11 +44,11 @@ def test_ap_local_divergent():
     g = wl.build_grid(0, 6)
     delta = 0.5
     p = 1.5  # dual exponent (delta-1)(1-p') = (-1/2)(-2) = 1 -> fine
-    w = wl.realize(wl.Power(delta), g, dual_exponents=(p,))
+    w = wl.with_cached(wl.realize(wl.Power(delta), g), dual=(p,))
     assert math.isfinite(wl.ap_local(w, g.root, p))
     # force divergence through a product weight whose dual blows up
-    wp = wl.realize(
-        wl.Product(wl.Power(0.5), wl.Power(0.5)), g, dual_exponents=(2.0,)
+    wp = wl.with_cached(
+        wl.realize(wl.Product(wl.Power(0.5), wl.Power(0.5)), g), dual=(2.0,)
     )  # w = x^-1; dual at p=2 is x -> fine; mass itself diverges
     assert math.isinf(wp.mass_of(g.root))
     assert math.isinf(wl.ap_local(wp, g.root, 2.0))
@@ -84,7 +84,7 @@ def test_ainf_exp_local_examples():
 def test_ainf_exp_is_large_p_limit(rng):
     g = wl.build_grid(0, 4)
     vals = tuple(float(v) for v in rng.lognormal(size=g.ncells))
-    w = wl.realize(wl.Piecewise(vals), g, dual_exponents=(10.0, 100.0, 1000.0))
+    w = wl.with_cached(wl.realize(wl.Piecewise(vals), g), dual=(10.0, 100.0, 1000.0))
     q = g.root
     target = wl.ainf_exp_local(w, q)
     gaps = [abs(wl.ap_local(w, q, p) - target) for p in (10.0, 100.0, 1000.0)]
@@ -236,7 +236,7 @@ def test_ainf_fw_at_least_one(rng):
 def test_mixed_local_degenerate_exponents(rng):
     g = wl.build_grid(0, 4)
     vals = tuple(float(v) for v in rng.lognormal(size=g.ncells))
-    w = wl.realize(wl.Piecewise(vals), g, dual_exponents=(2.0,))
+    w = wl.with_cached(wl.realize(wl.Piecewise(vals), g), dual=(2.0,))
     q = Cube(1, 1)
     assert wl.mixed_local(w, q, 2.0, 1.0, 0.0) == pytest.approx(
         wl.ap_local(w, q, 2.0), rel=1e-14
@@ -251,7 +251,7 @@ def test_mixed_chain_per_cube(rng):
     g = wl.build_grid(1, 5)
     vals = tuple(float(v) for v in rng.lognormal(size=g.ncells))
     for p in (1.5, 2.0, 3.0):
-        w = wl.realize(wl.Piecewise(vals), g, dual_exponents=(p,))
+        w = wl.with_cached(wl.realize(wl.Piecewise(vals), g), dual=(p,))
         pc = p / (p - 1.0)
         for q in wl.all_cubes(g):
             ap = wl.ap_local(w, q, p)
@@ -264,7 +264,7 @@ def test_jensen_lower_bounds(rng):
     g = wl.build_grid(1, 5)
     for _ in range(5):
         vals = tuple(float(v) for v in rng.lognormal(size=g.ncells))
-        w = wl.realize(wl.Piecewise(vals), g, dual_exponents=(2.0,))
+        w = wl.with_cached(wl.realize(wl.Piecewise(vals), g), dual=(2.0,))
         for q in wl.all_cubes(g):
             assert wl.ap_local(w, q, 2.0) >= 1.0 - 1e-12
             assert wl.ainf_exp_local(w, q) >= 1.0 - 1e-12
@@ -273,7 +273,7 @@ def test_jensen_lower_bounds(rng):
 
 def test_global_constant_reports(rng):
     g = wl.build_grid(1, 4)
-    one = wl.realize(wl.Constant(1.0), g, dual_exponents=(2.0,))
+    one = wl.with_cached(wl.realize(wl.Constant(1.0), g), dual=(2.0,))
     rep = wl.global_constant(one, ConstantKind("Ap", p=2.0))
     assert rep.value == pytest.approx(1.0, rel=1e-14)
     assert rep.argmax == g.root  # tie-break: lowest level, lowest index
@@ -287,7 +287,7 @@ def test_global_constant_reports(rng):
 def test_global_vs_local_sweep(rng):
     g = wl.build_grid(1, 4)
     vals = tuple(float(v) for v in rng.lognormal(size=g.ncells))
-    w = wl.realize(wl.Piecewise(vals), g, dual_exponents=(2.0,))
+    w = wl.with_cached(wl.realize(wl.Piecewise(vals), g), dual=(2.0,))
     rep = wl.global_constant(w, ConstantKind("Ap", p=2.0))
     oracle = max(wl.ap_local(w, q, 2.0) for q in wl.all_cubes(g))
     assert rep.value == oracle
@@ -309,7 +309,7 @@ def test_ap_monotone_in_p(rng):
     g = wl.build_grid(0, 6)
     vals = tuple(float(v) for v in rng.lognormal(size=g.ncells))
     ps = (1.5, 2.0, 3.0, 5.0, 10.0)
-    w = wl.realize(wl.Piecewise(vals), g, dual_exponents=ps)
+    w = wl.with_cached(wl.realize(wl.Piecewise(vals), g), dual=ps)
     seq = [wl.ap_constant(w, p) for p in ps]
     for a, b in zip(seq, seq[1:]):
         assert b <= a * (1 + 1e-12)
@@ -355,7 +355,7 @@ def reference_levelset(w, eps, n_subsets, seed):
         m = 1 << (g.L - k)
         for idx in range(g.ncubes(k)):
             block = cells[idx * m : (idx + 1) * m]
-            wq = float(w.mass.at_level(g, k)[idx])
+            wq = float(w.mass[g.L - k][idx])
             ratios = (block / wq) / (2.0 * (1.0 / m) ** eps)
             samples += m
             violations += int(np.count_nonzero(ratios > 1.0))
@@ -432,7 +432,7 @@ def test_doubling_parent_variant_random(rng):
     g = wl.build_grid(1, 6)
     for _ in range(5):
         vals = tuple(float(v) for v in rng.lognormal(size=g.ncells))
-        w = wl.realize(wl.Piecewise(vals), g, dual_exponents=(2.0,))
+        w = wl.with_cached(wl.realize(wl.Piecewise(vals), g), dual=(2.0,))
         rep = wl.doubling_check(w, 2.0)
         assert rep.parent_ok
 
@@ -448,7 +448,7 @@ def test_kind_validation():
 
 def test_json_inf_encoding():
     g = wl.build_grid(0, 4)
-    wp = wl.realize(wl.Product(wl.Power(0.25), wl.Power(0.25)), g, dual_exponents=(2.0,))
+    wp = wl.with_cached(wl.realize(wl.Product(wl.Power(0.25), wl.Power(0.25)), g), dual=(2.0,))
     rep = wl.global_constant(wp, ConstantKind("Ap", p=2.0))
     assert math.isinf(rep.value)
     assert rep.to_json_dict()["value"] == "inf"

@@ -335,7 +335,7 @@ def gamma_filter_oracle(cubes, v, a, k, v_a1, rtol=1e-12):
             continue
         lo = a**k / v_a1
         hi = v_a1 * a ** (k + 1)
-        inf_q = v.essinf.of(v.grid, q)
+        inf_q = v.essinf_of(q)
         avg_q = v.mass_of(q) / q.length
         worst_lower = min(worst_lower, inf_q / lo)
         worst_upper = max(worst_upper, avg_q / hi)

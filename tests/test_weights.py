@@ -14,12 +14,12 @@ from weightlab.weights import _read_rows, product_cell_masses
 
 def test_constant_weight_tables():
     g = wl.build_grid(0, 3)
-    w = wl.realize(wl.Constant(1.0), g, dual_exponents=(2.0,))
+    w = wl.with_cached(wl.realize(wl.Constant(1.0), g), dual=(2.0,))
     h = g.cell_width
     assert np.all(w.cell_masses == h)
-    assert np.all(w.essinf.cells == 1.0)
-    assert np.all(w.duals[2.0].cells == h)
-    assert np.all(w.logmass.cells == 0.0)
+    assert np.all(w.essinf[0] == 1.0)
+    assert np.all(w.duals[2.0][0] == h)
+    assert np.all(w.logmass[0] == 0.0)
 
 
 def test_power_cell_mass_closed_form_vs_quadrature():
@@ -52,8 +52,8 @@ def test_power_essinf_dense_sampling_oracle():
         x0, x1 = q.endpoints()
         xs = np.linspace(max(x0, 1e-9), x1, 2001)
         oracle = float(np.min(xs ** (delta - 1.0)))
-        assert w.essinf.of(g, q) == pytest.approx(oracle, rel=1e-3)
-        assert w.essinf.of(g, q) == pytest.approx(x1 ** (delta - 1.0), rel=1e-14)
+        assert w.essinf_of(q) == pytest.approx(oracle, rel=1e-3)
+        assert w.essinf_of(q) == pytest.approx(x1 ** (delta - 1.0), rel=1e-14)
 
 
 def test_step_weight():
@@ -64,7 +64,7 @@ def test_step_weight():
     assert np.all(w.cell_masses[8:] == h)
     q = Cube(0, 0)  # [0,1)
     assert w.mass_of(q) == 0.25
-    assert w.essinf.of(g, q) == 0.25
+    assert w.essinf_of(q) == 0.25
 
 
 def test_divergent_dual_mass_sentinel():
@@ -75,9 +75,9 @@ def test_divergent_dual_mass_sentinel():
     pbad = 4.0 / 3.0  # p' = 4, (delta-1)(1-p') = (-0.75)(-3) = 2.25 fine
     # want (delta-1)(1-p') <= -1: impossible since both factors negative -> product > 0.
     # divergence instead comes from power masses: (delta-1) r <= -1 at r >= 1/(1-delta)
-    w = wl.realize(wl.Power(delta), g, power_exponents=(2.0,))
-    assert math.isinf(w.powers[2.0].cells[0])
-    assert np.all(np.isfinite(w.powers[2.0].cells[1:]))
+    w = wl.with_cached(wl.realize(wl.Power(delta), g), power=(2.0,))
+    assert math.isinf(w.powers[2.0][0][0])
+    assert np.all(np.isfinite(w.powers[2.0][0][1:]))
     assert math.isinf(w.power_mass_of(g.root, 2.0))
     # products of powers can make the weight itself non-integrable
     wp = wl.realize(wl.Product(wl.Power(0.25), wl.Power(0.25)), g)
@@ -89,20 +89,21 @@ def test_divergent_dual_mass_sentinel():
 def test_additivity_exact_in_floats(rng):
     g = wl.build_grid(2, 6)
     vals = tuple(float(v) for v in rng.lognormal(size=g.ncells))
-    w = wl.realize(wl.Piecewise(vals), g, dual_exponents=(2.0,), power_exponents=(1.5,))
+    w = wl.with_cached(wl.realize(wl.Piecewise(vals), g), dual=(2.0,), power=(1.5,))
+    sums = (w.mass_of, w.log_mass_of, lambda q: w.dual_mass_of(q, 2.0), lambda q: w.power_mass_of(q, 1.5))
     for q in wl.all_cubes(g):
         if q.level == g.L:
             continue
         c0, c1 = wl.children(g, q)
-        for table in (w.mass, w.logmass, w.duals[2.0], w.powers[1.5]):
-            assert table.of(g, q) == table.of(g, c0) + table.of(g, c1)
-        assert w.essinf.of(g, q) == min(w.essinf.of(g, c0), w.essinf.of(g, c1))
+        for of in sums:
+            assert of(q) == of(c0) + of(c1)
+        assert w.essinf_of(q) == min(w.essinf_of(c0), w.essinf_of(c1))
 
 
 def test_mass_dominates_essinf(rng):
     g = wl.build_grid(1, 5)
     w = wl.realize(wl.Power(0.4), g)
-    assert np.all(w.cell_masses >= w.essinf.cells * g.cell_width)
+    assert np.all(w.cell_masses >= w.essinf[0] * g.cell_width)
 
 
 def test_jensen_chain_per_cube(rng):
@@ -111,7 +112,7 @@ def test_jensen_chain_per_cube(rng):
     vals = tuple(float(v) for v in np.exp(rng.standard_normal(g.ncells)))
     p = 2.5
     alpha = p / (p - 1.0) - 1.0
-    w = wl.realize(wl.Piecewise(vals), g, dual_exponents=(p,))
+    w = wl.with_cached(wl.realize(wl.Piecewise(vals), g), dual=(p,))
     for q in wl.all_cubes(g):
         length = q.length
         avg = w.mass_of(q) / length
@@ -129,12 +130,9 @@ def test_uncached_exponent_error():
     w2 = wl.with_cached(w, dual=(2.0,))
     assert w2.dual_mass_of(g.root, 2.0) == 1.0
     assert wl.with_cached(w2, dual=(2.0,)) is w2
-    # with_cached and realize share one table builder, so both refuse r <= 0
     for r in (0.0, -1.0):
         with pytest.raises(ConfigError, match="r > 0"):
             wl.with_cached(w, power=(r,))
-        with pytest.raises(ConfigError, match="r > 0"):
-            wl.realize(wl.Constant(1.0), g, power_exponents=(r,))
 
 
 def test_piecewise_needs_positive_finite_cells():
@@ -159,8 +157,8 @@ def test_csv_round_trip(tmp_path, rng):
     wl.save_csv(w, path)
     w2 = wl.load_csv(path, g)
     assert np.array_equal(w.cell_masses, w2.cell_masses)
-    assert np.array_equal(w.essinf.cells, w2.essinf.cells)
-    assert np.array_equal(w.logmass.cells, w2.logmass.cells)
+    assert np.array_equal(w.essinf[0], w2.essinf[0])
+    assert np.array_equal(w.logmass[0], w2.logmass[0])
 
 
 def test_csv_errors(tmp_path):
