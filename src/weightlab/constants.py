@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Cube, Grid, cells_of
 from .maximal import uncentered_dyadic, uncentered_restricted
-from .weights import GridWeight, with_cached
+from .weights import GridWeight, require_finite_masses, with_cached
 
 DIM = 1  # n in the dimensional factors
 
@@ -406,8 +406,10 @@ def doubling_check(v: GridWeight, p: float, rtol: float = 1e-12) -> DoublingRepo
 
     2Q is evaluated for cube levels k <= L-1 (so its endpoints are
     cell-aligned) and truncated to the domain where necessary; truncations
-    are counted in the report.
+    are counted in the report.  A divergent cell mass is refused: its
+    ratios would be NaN, which no maximum keeps.
     """
+    require_finite_masses(v, "the doubling check")
     grid = v.grid
     ap = ap_constant(v, p)
     bound = pow_or_inf(2.0, DIM * p) * ap

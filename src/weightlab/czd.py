@@ -42,7 +42,7 @@ from .constants import DIM, ap_constant, pow_or_inf
 from .errors import ConfigError
 from .grid import Cube, as_cubes, cube_entries, first_cubes, level_rows, pyramid, rows
 from .maximal import dyadic_maximal
-from .weights import GridFunction, GridWeight
+from .weights import GridFunction, GridWeight, require_finite_masses
 
 
 @dataclass
@@ -87,8 +87,7 @@ def cz_decompose(f: GridFunction, v: GridWeight, t: float) -> CZDecomposition:
     if f.grid != v.grid:
         raise ConfigError("f and v on different grids")
     grid = f.grid
-    if np.any(v.cell_masses <= 0) or not np.all(np.isfinite(v.cell_masses)):
-        raise ConfigError("CZ decomposition needs strictly positive finite v-mass per cell")
+    require_finite_masses(v, "the CZ decomposition")
     vsums = v.mass
     sel = [s / m for s, m in zip(pyramid(np.abs(f.values) * v.cell_masses), vsums)]
     signed = pyramid(f.values * v.cell_masses)

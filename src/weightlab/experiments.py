@@ -179,17 +179,15 @@ def _a1_analytic_row(delta: float) -> dict:
     }
 
 
-def sharpness_a1_grid(delta: float, L: int = 12, J: int | None = None) -> dict:
+def sharpness_a1_grid(delta: float, L: int = 12) -> dict:
     """Grid re-measurement of the linear-sharpness ratio at one delta.
 
-    Needs delta >= 1/2 (cell-representative honesty) and J large enough
-    that the level set (0, delta^{-2/delta}) fits the domain.
+    Needs delta >= 1/2 (cell-representative honesty); J is the least that
+    fits the level set (0, delta^{-2/delta}) in the domain.
     """
     if not 0.5 <= delta < 1:
         raise ConfigError(f"grid path needs delta >= 1/2, got {delta}")
-    T = delta ** (-2.0 / delta)
-    if J is None:
-        J = max(0, math.ceil(math.log2(T)))
+    J = max(0, math.ceil(math.log2(delta ** (-2.0 / delta))))
     grid = build_grid(J, L)
     v = realize(Power(delta), grid)
     one = realize(Constant(1.0), grid)

@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import pyramid
-from .weights import GridFunction, GridWeight
+from .weights import GridFunction, GridWeight, require_finite_masses
 
 NAIVE_CEILING = 4096
 SWEEP_CELLS = 1 << 14  # cells per block of stacked rows handed to one sweep
@@ -107,6 +107,7 @@ def _weighted_candidates(f: GridFunction, v: GridWeight) -> list[np.ndarray]:
 
 def weighted_dyadic_maximal(f: GridFunction, v: GridWeight) -> GridFunction:
     """M_v f: maximal v dx-averages over dyadic ancestors."""
+    require_finite_masses(v, "the weighted dyadic maximal")
     return GridFunction(f.grid, _ancestor_max(_weighted_candidates(f, v)))
 
 
@@ -227,26 +228,10 @@ def _tangents(P, Q, V, st, en) -> tuple[np.ndarray, np.ndarray]:
     return g, V[k]
 
 
-def _uncentered(values: np.ndarray, method: str = "auto") -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    P = _prefix(np.abs(values))
-    if method == "auto":
-        method = "naive" if values.shape[-1] <= NAIVE_CEILING else "fast"
-    if method == "naive":
-        return _uncentered_naive(P)
-    if method == "fast":
-        rows = P.reshape(-1, P.shape[-1])
-        return np.array([_uncentered_levels(row) for row in rows]).reshape(values.shape)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def uncentered_maximal(f: GridFunction, method: str = "auto") -> GridFunction:
-    """Grid-restricted uncentered Hardy-Littlewood maximal function.
-
-    method: "naive" (O(N^2) sweep), "fast" (level-batched hull pass),
-    or "auto" (naive up to NAIVE_CEILING cells).
-    """
-    return GridFunction(f.grid, _uncentered(f.values, method))
+def uncentered_maximal(f: GridFunction) -> GridFunction:
+    """Grid-restricted uncentered Hardy-Littlewood maximal function: the
+    O(N^2) sweep up to NAIVE_CEILING cells, the level-batched hull pass above."""
+    return GridFunction(f.grid, uncentered_restricted(f.values))
 
 
 def uncentered_maximal_brute(f: GridFunction) -> GridFunction:
@@ -275,7 +260,12 @@ def uncentered_restricted(values: np.ndarray) -> np.ndarray:
     at once: truncation kills any gain from leaving Q, so intervals inside Q
     suffice.
     """
-    return _uncentered(values)
+    values = np.asarray(values, dtype=float)
+    P = _prefix(np.abs(values))
+    if values.shape[-1] <= NAIVE_CEILING:
+        return _uncentered_naive(P)
+    rows = P.reshape(-1, P.shape[-1])
+    return np.array([_uncentered_levels(row) for row in rows]).reshape(values.shape)
 
 
 def uncentered_dyadic(values: np.ndarray):

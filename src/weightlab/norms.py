@@ -8,6 +8,7 @@ Level sets are cell unions throughout; no sub-cell splitting happens here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,9 +115,16 @@ def mixed_ratio(
     if not np.any(f.values):
         raise ConfigError("f is zero: the mixed ratio is undefined")
     vrep = v.cell_values
-    if np.any(vrep <= 0) or not np.all(np.isfinite(vrep)):
-        bad = int(np.argmin(vrep > 0))
-        raise ConfigError(f"v cell representative not strictly positive at cell {bad}")
+    ok = (vrep > 0) & np.isfinite(vrep)
+    if not ok.all():
+        raise ConfigError(f"v cell representative is not positive and finite at cell {int(np.argmin(ok))}")
+    uv = product_cell_masses(u, v)
+    with np.errstate(invalid="ignore"):  # f = 0 on a cell of infinite uv mass
+        denominator = l1_norm(f, uv)
+    if denominator == 0:
+        raise ConfigError("the L1(uv) norm of f underflows to 0: the mixed ratio is undefined")
+    if not denominator < math.inf:  # inf, or NaN from 0 * inf
+        raise ConfigError("the L1(uv) norm of f is not finite: the mixed ratio is undefined")
     fv = GridFunction(f.grid, f.values * vrep)
     if variant == "Md":
         op = maximal.dyadic_maximal(fv)
@@ -125,12 +133,8 @@ def mixed_ratio(
     else:
         raise ConfigError(f"unknown operator variant {variant!r} (use Md or M)")
     h = GridFunction(f.grid, op.values / vrep)
-    uv = product_cell_masses(u, v)
     numerator, t_star = weak_l1_norm(h, uv)
     level_mass = t_star and numerator / t_star
-    denominator = l1_norm(f, uv)
-    if denominator == 0:
-        raise ConfigError("the L1(uv) norm of f underflows to 0: the mixed ratio is undefined")
     return WeakTypeReport(
         variant=variant,
         numerator=numerator,

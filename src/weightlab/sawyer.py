@@ -47,8 +47,9 @@ size; a bucket is summed by one constants._union_ratios call before a
 chunk would take it past RH_CHUNK mask cells.  Its count, violations and
 worst do not depend on the order of the unions.  b6 sums its scores with
 Python sum in pair order.
-build_record refuses a non-finite M_d g or M_d v and an a that is not a
-finite number above 2^n.
+build_record refuses a non-finite M_d g or M_d v, a non-finite [v]_{A1}
+and an a that is not a finite number above 2^n; principal_cubes refuses a
+non-finite [u]_{A1}.
 """
 
 from __future__ import annotations
@@ -182,20 +183,11 @@ def _check_a(a: float) -> None:
         raise ConfigError(f"need a finite a > 2^n = {2.0**DIM}, got {a}")
 
 
-def level_cubes(
-    g: GridFunction,
-    v: GridWeight,
-    a: float,
-    k: int,
-    mdg: np.ndarray | None = None,
-    mdv: np.ndarray | None = None,
-) -> list[Cube]:
+def level_cubes(g: GridFunction, v: GridWeight, a: float, k: int) -> list[Cube]:
     """Maximal dyadic cubes of Omega_k = {M_d v > a^k} cap {M_d g > a^k}."""
     _check_a(a)
-    if mdg is None:
-        mdg = dyadic_maximal(g).values
-    if mdv is None:
-        mdv = dyadic_maximal(GridFunction(v.grid, v.cell_values)).values
+    mdg = dyadic_maximal(g).values
+    mdv = dyadic_maximal(GridFunction(v.grid, v.cell_values)).values
     return as_cubes(g.grid, *_omega_cubes(g.grid, a, k, mdg, mdv))
 
 
@@ -218,14 +210,12 @@ def gamma_filter(
     v: GridWeight,
     a: float,
     k: int,
-    v_a1: float | None = None,
+    v_a1: float,
     rtol: float = 1e-12,
 ) -> GammaResult:
     """Gamma membership (cube meets {v <= a^{k+1}}) plus the b2 sandwich
     a^k/[v] <= essinf_I v <= avg_I v <= [v] a^{k+1} for flagged cubes of
-    the cube set (d, idx)."""
-    if v_a1 is None:
-        v_a1 = a1_constant(v)
+    the cube set (d, idx), v_a1 being [v]_{A1}."""
     lo = a**k / v_a1
     hi = v_a1 * a ** (k + 1)
     meets = v.cell_values <= a ** (k + 1)
@@ -244,23 +234,24 @@ def build_record(
     g: GridFunction,
     v: GridWeight,
     a: float = 4.0,
-    delta: float | None = None,
     delta_frac: float = 0.5,
 ) -> PrincipalCubeRecord:
     """Assemble the strata and Gamma flags for a test function g >= 0.
 
-    delta defaults to delta_frac * eps with eps = 1/(1 + 2^{n+1}[v]_{A1}).
+    delta = delta_frac * eps with eps = 1/(1 + 2^{n+1}[v]_{A1}), which needs
+    a finite [v]_{A1}.
     """
     _check_a(a)
     if np.any(g.values < 0):
         raise ConfigError("build_record needs g >= 0")
     grid = g.grid
     v_a1 = a1_constant(v)
+    if not math.isfinite(v_a1):
+        raise ConfigError(f"build_record needs a finite [v]_{{A1}}, got {v_a1}")
     eps = 1.0 / (1.0 + 2.0 ** (DIM + 1) * v_a1)
-    if delta is None:
-        if not 0 < delta_frac < 1:
-            raise ConfigError("delta_frac must sit in (0, 1)")
-        delta = delta_frac * eps
+    if not 0 < delta_frac < 1:
+        raise ConfigError("delta_frac must sit in (0, 1)")
+    delta = delta_frac * eps
     if not 0 < delta < eps:
         raise ConfigError(f"need 0 < delta < eps = {eps}, got {delta}")
     mdg = dyadic_maximal(g).values
@@ -308,6 +299,8 @@ def principal_cubes(record: PrincipalCubeRecord, u: GridWeight) -> list[list[tup
     are the nodes h >> s, pairs x levels lookups in all.
     """
     u_a1 = a1_constant(u)
+    if not math.isfinite(u_a1):
+        raise ConfigError(f"principal cubes need a finite [u]_{{A1}}, got {u_a1}")
     record.u_a1 = u_a1
     record.nu = 1.0 / (1.0 + 2.0 ** (DIM + 1) * u_a1)
     grid = record.grid

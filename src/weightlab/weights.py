@@ -302,6 +302,16 @@ def with_cached(
     return out
 
 
+def require_finite_masses(w: GridWeight, what: str) -> None:
+    """Refuse a weight with a cell mass that is not positive and finite.  A
+    cell integral diverges for x^-1 at the origin, say, and a ratio of two
+    such cube masses is inf/inf = NaN, which passes every comparison."""
+    bad = _bad_weight_value(w.cell_masses)
+    if bad:
+        raise ConfigError(f"{what} needs a positive finite mass on every cell, "
+                          f"not {float(w.cell_masses[bad[0]])} on cell {bad[0]}")
+
+
 def dual_weight(w: GridWeight, p: float) -> GridWeight:
     """The dual weight sigma = w^(-1/(p-1)) = w^(1-p'), realized cell-wise."""
     s = 1.0 - _conjugate(p)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -491,3 +492,50 @@ def test_non_finite_parameters_are_usage_errors(capsys, tmp_path, command):
     assert code == 2
     assert out == "" and err.startswith("error:") and "finite" in err
 
+
+
+# x^-1, whose cell at the origin has infinite mass, in each weight slot of
+# every subcommand that reads a weight spec; {w} is the spec, {p} a 4-row CSV
+DIVERGENT = "prod:(power:delta=0.5,power:delta=0.5)"
+DIVERGENT_COMMANDS = [
+    "constants --weight {w} --kind A1 --J 0 --L 2",
+    "constants --weight {w} --kind A1 --J 0 --L 2 --format csv",
+    "constants --weight {w} --kind Ap --p 2 --J 0 --L 2",
+    "constants --weight {w} --kind AinfExp --J 0 --L 2",
+    "constants --weight {w} --kind AinfFW --J 0 --L 2",
+    "constants --weight {w} --kind Mixed --p 2 --alpha 0.5 --beta 0.5 --J 0 --L 2",
+    "rh-check --weight {w} --J 0 --L 2",
+    "doubling --weight {w} --J 0 --L 2",
+    "doubling --weight {w} --p 2 --J 0 --L 2",
+    "lemma-check --v {w} --p-grid 2 --J 0 --L 2",
+    "bound-audit --v {w} --p 2 --J 0 --L 2",
+    "maximal --f {p} --variant weighted --v {w}",
+    "czd --f {p} --v {w} --height 1.5",
+    "weaknorm --f {p} --u {w} --v const:c=1",
+    "weaknorm --f {p} --u {w} --v const:c=1 --variant M",
+    "weaknorm --f {p} --u const:c=1 --v {w}",
+    "sawyer-verify --u {w} --v const:c=1 --g {p}",
+    "sawyer-verify --u const:c=1 --v {w} --g {p}",
+]
+# the ones that printed NaN or -inf, raised, or named another fault
+DIVERGENT_REFUSED = {
+    "doubling --weight {w} --J 0 --L 2",
+    "doubling --weight {w} --p 2 --J 0 --L 2",
+    "maximal --f {p} --variant weighted --v {w}",
+    "weaknorm --f {p} --u {w} --v const:c=1",
+    "weaknorm --f {p} --u {w} --v const:c=1 --variant M",
+    "weaknorm --f {p} --u const:c=1 --v {w}",
+    "sawyer-verify --u {w} --v const:c=1 --g {p}",
+    "sawyer-verify --u const:c=1 --v {w} --g {p}",
+}
+
+
+@pytest.mark.parametrize("command", DIVERGENT_COMMANDS,
+                         ids=lambda c: "-".join(t.strip("-") for t in c.replace("{w}", "V").split() if "{" not in t))
+def test_divergent_weight_exits_cleanly(capsys, tmp_path, command):
+    code, out, err = run_cli(capsys, *command.format(w=DIVERGENT, p=four_rows(tmp_path)).split())
+    assert code in (0, 1, 2)
+    assert (code == 2) == any(line.startswith("error:") for line in err.splitlines())
+    assert not {"nan", "-inf"} & set(re.findall(r"[-\w.]+", out))
+    if command in DIVERGENT_REFUSED:
+        assert code == 2 and "finite" in err

@@ -146,8 +146,8 @@ def test_fast_path_equals_naive(rng):
             else:
                 vals = np.sort(rng.lognormal(size=g.ncells))
             f = wl.GridFunction(g, vals)
-            a = wl.uncentered_maximal(f, method="naive").values
-            b = wl.uncentered_maximal(f, method="fast").values
+            a = maximal._uncentered_naive(maximal._prefix(vals))
+            b = maximal._uncentered_levels(maximal._prefix(vals))
             assert np.array_equal(a, b), kind
 
 
@@ -263,7 +263,7 @@ def test_fast_path_against_brute_on_step_functions(vals):
 def test_fast_path_against_naive_beyond_ceiling(vals):
     f = wl.GridFunction(wl.build_grid(0, 13), vals)
     assert_fast_path_contract(
-        wl.uncentered_maximal(f).values, wl.uncentered_maximal(f, method="naive").values
+        wl.uncentered_maximal(f).values, maximal._uncentered_naive(maximal._prefix(f.values))
     )
 
 
@@ -272,7 +272,7 @@ def test_fast_path_on_three_piece_step_function():
     vals = np.repeat([1.0, 3.0, 2.0], [3979, 5888 - 3979, 8192 - 5888])
     f = wl.GridFunction(wl.build_grid(0, 13), vals)
     assert_fast_path_contract(
-        wl.uncentered_maximal(f).values, wl.uncentered_maximal(f, method="naive").values
+        wl.uncentered_maximal(f).values, maximal._uncentered_naive(maximal._prefix(f.values))
     )
 
 
