@@ -330,6 +330,44 @@ def weight_digests(tmp_path, seed: int) -> dict:
     return out
 
 
+def report_digests(tmp_path, seed: int) -> dict:
+    """Exit codes and SHA-256 stdout digests of the subcommands no other
+    digest covers: weaknorm (Md and M) and maximal (dyadic, signed,
+    uncentered, weighted) on a seeded input of N = 256 cells (J = 1, L = 7),
+    the two sharpness tables in json and csv, and bound-audit on the
+    step/walk family at p = 1 and 2.  The commands run in tmp_path, so no
+    temporary path reaches their output."""
+    g = wl.build_grid(1, 7)
+    rng = np.random.default_rng(seed)
+    u = rng.lognormal(0.0, 0.3, g.ncells)
+    v = rng.lognormal(0.0, 0.3, g.ncells)
+    f = rng.lognormal(size=g.ncells) * (rng.random(g.ncells) < 0.6)
+    signed = f * rng.choice([-1.0, 1.0], size=g.ncells)
+    for k, x in (("u", u), ("v", v), ("f", f), ("s", signed)):
+        wl.save_function_csv(wl.GridFunction(g, x), str(tmp_path / f"{k}.csv"))
+    commands = {
+        "weaknorm_Md": "weaknorm --f f.csv --u csv:u.csv --v csv:v.csv --J 1 --variant Md",
+        "weaknorm_M": "weaknorm --f f.csv --u csv:u.csv --v csv:v.csv --J 1 --variant M",
+        "maximal_dyadic": "maximal --f f.csv --variant dyadic --J 1",
+        "maximal_signed": "maximal --f s.csv --variant dyadic --signed --J 1",
+        "maximal_uncentered": "maximal --f f.csv --variant uncentered --J 1",
+        "maximal_weighted": "maximal --f f.csv --variant weighted --v csv:v.csv --J 1",
+    }
+    for fmt in ("json", "csv"):
+        commands[f"sharpness_a1_{fmt}"] = f"sharpness-a1 --deltas 0.75,0.5,0.25 --grid --L 8 --format {fmt}"
+        commands[f"sharpness_product_{fmt}"] = ("sharpness-product --alphas 0.5,0.25,0.125 "
+                                                f"--deltas 0.5,0.25,0.125 --format {fmt}")
+    for p in ("1", "2"):
+        commands[f"bound_audit_family_p{p}"] = f"--seed {seed} bound-audit --p {p} --J 1 --L 6"
+    out = {}
+    for name, command in commands.items():
+        buf = io.StringIO()
+        with contextlib.chdir(tmp_path), contextlib.redirect_stdout(buf):
+            out[name + "_code"] = main(command.split())
+        out[name + "_stdout"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return out
+
+
 def test_outputs_match_recorded_digests(tmp_path):
     # The digests were recorded before the dyadic-tree code was merged into
     # grid.pyramid, the deep-chain one before the principal-cubes ancestor
@@ -340,12 +378,14 @@ def test_outputs_match_recorded_digests(tmp_path):
     # signed-f czd exit code and stdout were recorded again when the
     # domination check took the signed maximal of f v (exit 1 -> 0).  The
     # weight-layer ones were recorded before the weight tables became plain
-    # pyramid lists.
+    # pyramid lists, the report ones before the report layouts were read
+    # from the dataclass fields.
     with open(GOLDEN) as fh:
         golden = json.load(fh)
     assert cli_digests(tmp_path, golden["seed"]) == golden["digests"]
     assert deep_chain_digest(tmp_path, golden["seed"]) == golden["deep_chain"]
     assert weight_digests(tmp_path, golden["seed"]) == golden["weights"]
+    assert report_digests(tmp_path, golden["seed"]) == golden["reports"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
