@@ -3,14 +3,14 @@ dyadic cubes of a grid, the reverse-Holder checker, and doubling checks.
 
 Conventions: n = 1 throughout (the dimensional factors 2^{n+1}, 2^{nr},
 2^{np} are evaluated with n = 1); global suprema run over the dyadic cubes
-of levels -J..L only, and every report carries that truncation note.
+of levels -J..L only, and every constant report carries that truncation note.
 Divergent cached integrals surface as +inf constants, never exceptions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -244,25 +244,13 @@ class ReverseHolderReport:
     levelset_samples: int
     levelset_violations: int
     max_levelset_ratio: float  # max of [w(E)/w(Q)] / [2 (|E|/|Q|)^eps]
-    truncation: tuple[int, int]
 
     @property
     def ok(self) -> bool:
         return self.rh_ok and self.levelset_violations == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "a1": self.a1,
-            "r_w": self.r_w,
-            "eps_w": self.eps_w,
-            "max_lhs_over_rhs": self.max_lhs_over_rhs,
-            "worst_cube": {"level": self.worst_cube.level, "index": self.worst_cube.index},
-            "rh_ok": self.rh_ok,
-            "levelset_samples": self.levelset_samples,
-            "levelset_violations": self.levelset_violations,
-            "max_levelset_ratio": self.max_levelset_ratio,
-            "pass": self.ok,
-        }
+        return asdict(self) | {"pass": self.ok}
 
 
 def reverse_holder_exponent(a1: float) -> float:
@@ -367,7 +355,6 @@ def reverse_holder_check(
         levelset_samples=samples,
         levelset_violations=violations,
         max_levelset_ratio=max_ratio,
-        truncation=(grid.J, grid.L),
     )
 
 
@@ -387,17 +374,7 @@ class DoublingReport:
     truncated_doubles: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "ap": self.ap,
-            "max_parent_ratio": self.max_parent_ratio,
-            "parent_bound": self.parent_bound,
-            "parent_ok": self.parent_ok,
-            "max_double_ratio": self.max_double_ratio,
-            "double_bound": self.double_bound,
-            "double_ok": self.double_ok,
-            "truncated_doubles": self.truncated_doubles,
-        }
+        return asdict(self)
 
 
 def doubling_check(v: GridWeight, p: float, rtol: float = 1e-12) -> DoublingReport:

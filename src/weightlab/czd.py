@@ -34,7 +34,7 @@ fact, not a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -125,7 +125,7 @@ class CheckResult:
     detail: str = ""
 
     def to_json_dict(self) -> dict:
-        return {"ok": self.ok, "worst": self.worst, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -140,35 +140,18 @@ class CZVerifyReport:
     small_off_omega: CheckResult  # (v)  |f| <= t off Omega
     mass_accounting: CheckResult  # sum_j v(Q_j) <= (1/t) int |f| v
 
+    CHECKS = ("above_height", "average_bound", "good_bound", "cancellation",
+              "small_off_omega", "mass_accounting")
+
     @property
     def all_ok(self) -> bool:
-        return all(
-            c.ok
-            for c in (
-                self.above_height,
-                self.average_bound,
-                self.good_bound,
-                self.cancellation,
-                self.small_off_omega,
-                self.mass_accounting,
-            )
-        )
+        return all(getattr(self, name).ok for name in self.CHECKS)
 
     def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "a_r_constant": self.ar,
-            "bound": self.bound,
-            "checks": {
-                "above_height": self.above_height.to_json_dict(),
-                "average_bound": self.average_bound.to_json_dict(),
-                "good_bound": self.good_bound.to_json_dict(),
-                "cancellation": self.cancellation.to_json_dict(),
-                "small_off_omega": self.small_off_omega.to_json_dict(),
-                "mass_accounting": self.mass_accounting.to_json_dict(),
-            },
-            "pass": self.all_ok,
-        }
+        d = asdict(self)
+        d["checks"] = {name: d.pop(name) for name in self.CHECKS}
+        d["a_r_constant"] = d.pop("ar")
+        return d | {"pass": self.all_ok}
 
 
 def verify_cz(
@@ -267,13 +250,7 @@ class DominationReport:
         return self.domination_ok and self.off_omega_exact_zero
 
     def to_json_dict(self) -> dict:
-        return {
-            "domination_ok": self.domination_ok,
-            "max_violation": self.max_violation,
-            "off_omega_exact_zero": self.off_omega_exact_zero,
-            "off_omega_float_residual": self.off_omega_float_residual,
-            "pass": self.all_ok,
-        }
+        return asdict(self) | {"pass": self.all_ok}
 
 
 def _off_omega_exact_zero(dec: CZDecomposition, mask: np.ndarray) -> bool:

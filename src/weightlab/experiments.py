@@ -21,7 +21,7 @@ exponent r = 1 + max{p, log(e + [v]_{A_p})}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class FitResult:
     r2: float
 
     def to_json_dict(self) -> dict:
-        return {"slope": self.slope, "intercept": self.intercept, "r2": self.r2}
+        return asdict(self)
 
 
 def scaling_fit(points: list[tuple[float, float]]) -> FitResult:
@@ -154,10 +154,7 @@ class SweepResult:
     fits: dict[str, FitResult] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "fits": {k: f.to_json_dict() for k, f in self.fits.items()},
-        }
+        return asdict(self)
 
 
 def _a1_analytic_row(delta: float) -> dict:
@@ -319,14 +316,7 @@ class BoundAuditReport:
         return all(row["r_pow_ok"] and row["ap_pow_ok"] for row in self.r_algebra)
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "rows": self.rows,
-            "envelope_ainf": self.envelope_ainf,
-            "envelope_ap": self.envelope_ap,
-            "r_algebra": self.r_algebra,
-            "pass": self.all_ok,
-        }
+        return asdict(self) | {"pass": self.all_ok}
 
 
 def bound_audit_ap(
@@ -405,7 +395,7 @@ class MixedLemmaReport:
         return all(r["chain_ok"] and r["monotone_ok"] for r in self.rows)
 
     def to_json_dict(self) -> dict:
-        return {"rows": self.rows, "pass": self.all_ok}
+        return asdict(self) | {"pass": self.all_ok}
 
 
 def mixed_lemma_check(
@@ -468,16 +458,7 @@ class BuckleyReport:
     dual_identity_ok: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "ap": self.ap,
-            "dual_ainf_fw": self.dual_ainf_fw,
-            "bound_term": self.bound_term,
-            "max_ratio": self.max_ratio,
-            "implied_c": self.implied_c,
-            "dual_identity_max_rel": self.dual_identity_max_rel,
-            "dual_identity_ok": self.dual_identity_ok,
-        }
+        return asdict(self)
 
 
 def dual_exponent_identity_max_rel(v: GridWeight, r: float) -> float:

@@ -9,7 +9,7 @@ Level sets are cell unions throughout; no sub-cell splitting happens here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -88,14 +88,7 @@ class WeakTypeReport:
     ratio: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "numerator": self.numerator,
-            "t_star": self.t_star,
-            "levelset_mass": self.levelset_mass,
-            "denominator": self.denominator,
-            "ratio": self.ratio,
-        }
+        return asdict(self)
 
 
 def mixed_ratio(

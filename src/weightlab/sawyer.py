@@ -55,7 +55,7 @@ non-finite [u]_{A1}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -401,13 +401,7 @@ class BlockResult:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "count": self.count,
-            "violations": self.violations,
-            "worst": self.worst,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -434,40 +428,16 @@ class ChainReport:
     reference_v4u2: float
     envelope: float
 
+    CHECKS = ("b2", "b3", "b6", "b9", "b10", "h_bound", "levelset")
+
     @property
     def all_ok(self) -> bool:
-        return all(
-            b.ok
-            for b in (self.b2, self.b3, self.b6, self.b9, self.b10, self.h_bound, self.levelset)
-        )
+        return all(getattr(self, name).ok for name in self.CHECKS)
 
     def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "delta": self.delta,
-            "eps": self.eps,
-            "nu": self.nu,
-            "u_a1": self.u_a1,
-            "v_a1": self.v_a1,
-            "c_eps": self.c_eps,
-            "c9": self.c9,
-            "gamma_sum": self.gamma_sum,
-            "principal_sum": self.principal_sum,
-            "checks": {
-                "b2": self.b2.to_json_dict(),
-                "b3": self.b3.to_json_dict(),
-                "b6": self.b6.to_json_dict(),
-                "b9": self.b9.to_json_dict(),
-                "b10": self.b10.to_json_dict(),
-                "h_bound": self.h_bound.to_json_dict(),
-                "levelset": self.levelset.to_json_dict(),
-            },
-            "max_chain_index": self.max_chain_index,
-            "assembled_constant": self.assembled_constant,
-            "reference_v4u2": self.reference_v4u2,
-            "envelope": self.envelope,
-            "pass": self.all_ok,
-        }
+        d = asdict(self)
+        d["checks"] = {name: d.pop(name) for name in self.CHECKS}
+        return d | {"pass": self.all_ok}
 
 
 def _bucket_ratios(v: GridWeight, d: int, bucket: list[tuple[int, np.ndarray]], eps: float) -> np.ndarray:
