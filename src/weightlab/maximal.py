@@ -96,13 +96,8 @@ def dyadic_maximal_brute(f: GridFunction, signed: bool = False) -> GridFunction:
 
 
 def _weighted_candidates(f: GridFunction, v: GridWeight) -> list[np.ndarray]:
-    num = pyramid(np.abs(f.values) * v.cell_masses)
-    cands = []
-    for ns, ds in zip(num, v.mass):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            avg = np.where(ds > 0, ns / ds, -np.inf)  # zero-mass cubes skipped
-        cands.append(avg)
-    return cands
+    """Per level, the v dx-averages of |f|; a GridWeight has no cube of zero mass."""
+    return [ns / ds for ns, ds in zip(pyramid(np.abs(f.values) * v.cell_masses), v.mass)]
 
 
 def weighted_dyadic_maximal(f: GridFunction, v: GridWeight) -> GridFunction:
