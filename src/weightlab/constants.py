@@ -156,14 +156,14 @@ def mixed_local(w: GridWeight, Q: Cube, p: float, alpha: float, beta: float) -> 
 # ---------------------------------------------------------------------------
 # global suprema
 
+@np.errstate(divide="ignore", over="ignore")  # a constant that overflows is +inf
 def _level_values(w: GridWeight, kind: ConstantKind, k: int) -> np.ndarray:
     d = w.grid.L - k  # the cubes of level k have 2^d cells
     scale = 2.0 ** float(k)  # 1/|Q| at level k
     m = w.mass[d] * scale
     if kind.tag == "A1":
         inf_k = w.essinf[d]
-        with np.errstate(divide="ignore"):
-            return np.where(inf_k > 0, m / inf_k, np.inf)
+        return np.where(inf_k > 0, m / inf_k, np.inf)
     if kind.tag == "Ap":
         return m * (w.duals[kind.p][d] * scale) ** (kind.p - 1.0)
     if kind.tag == "AinfExp":
@@ -377,6 +377,7 @@ class DoublingReport:
         return asdict(self)
 
 
+@np.errstate(over="ignore")  # a ratio that overflows is +inf
 def doubling_check(v: GridWeight, p: float, rtol: float = 1e-12) -> DoublingReport:
     """v(2Q) / v(Q) against 2^{np} [v]_{A_p}, and the parent-cube variant
     v(Q') / v(Q) <= 2^{np} [v]_{A_p} used by the CZ verifier.

@@ -405,7 +405,9 @@ def mixed_lemma_check(
     rtol: float = 1e-12,
 ) -> MixedLemmaReport:
     """Two-sided chain  mixed <= [v]_{A_p} <= mixed^p  with the exponent
-    split (1/p, 1/p'), and monotonicity of the mixed constant in the split."""
+    split (1/p, 1/p'), and monotonicity of the mixed constant in the split.
+    A weight with an infinite [v]_{A_p} is refused: every side of the chain
+    would be +inf, which passes every comparison."""
     rows = []
     for name, w in weights:
         for p in ps:
@@ -414,6 +416,8 @@ def mixed_lemma_check(
             w = with_cached(w, dual=(p,))
             pc = p / (p - 1.0)
             apv = global_constant(w, ConstantKind("Ap", p=p)).value
+            if not math.isfinite(apv):
+                raise ConfigError(f"mixed lemma check needs a finite [v]_{{A_p}} at p = {p}, got {apv}")
             mixed = global_constant(
                 w, ConstantKind("Mixed", p=p, alpha=1.0 / p, beta=1.0 / pc)
             ).value

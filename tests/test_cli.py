@@ -557,10 +557,12 @@ DIVERGENT_COMMANDS = [
     "sawyer-verify --u {w} --v const:c=1 --g {p}",
     "sawyer-verify --u const:c=1 --v {w} --g {p}",
 ]
-# the ones that printed NaN or -inf, raised, or named another fault
+# the ones that printed NaN or -inf, raised, named another fault, or
+# passed comparing +inf with +inf
 DIVERGENT_REFUSED = {
     "doubling --weight {w} --J 0 --L 2",
     "doubling --weight {w} --p 2 --J 0 --L 2",
+    "lemma-check --v {w} --p-grid 2 --J 0 --L 2",
     "maximal --f {p} --variant weighted --v {w}",
     "weaknorm --f {p} --u {w} --v const:c=1",
     "weaknorm --f {p} --u {w} --v const:c=1 --variant M",
@@ -579,3 +581,26 @@ def test_divergent_weight_exits_cleanly(capsys, tmp_path, command):
     assert not {"nan", "-inf"} & set(re.findall(r"[-\w.]+", out))
     if command in DIVERGENT_REFUSED:
         assert code == 2 and "finite" in err
+
+
+# a weight of finite cell masses whose constants overflow to +inf
+OVERFLOW_COMMANDS = [
+    "constants --weight {w} --kind A1 --J 0 --L 2",
+    "constants --weight {w} --kind Ap --p 2 --J 0 --L 2",
+    "constants --weight {w} --kind Mixed --p 2 --alpha 0.5 --beta 0.5 --J 0 --L 2",
+    "rh-check --weight {w} --J 0 --L 2",
+    "doubling --weight {w} --J 0 --L 2",
+    "lemma-check --v {w} --p-grid 2 --J 0 --L 2",
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", OVERFLOW_COMMANDS,
+                         ids=lambda c: "-".join(t.strip("-") for t in c.split() if "{" not in t))
+def test_overflowing_constants_warn_nothing(capsys, tmp_path, command):
+    path = tmp_path / "w.csv"
+    path.write_text("1e-300\n1e300\n1\n1\n")
+    code, out, err = run_cli(capsys, *command.format(w=f"csv:{path}").split())
+    assert (code == 2) == err.startswith("error:")
+    if command.startswith("constants"):
+        assert code == 0 and json.loads(out)["value"] == "inf"
