@@ -218,8 +218,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "and mixed weak-type experiments on dyadic grids",
     )
     ap.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="has no effect; accepted so that old invocations still run")
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("constants", help="global weight constant over the dyadic grid")

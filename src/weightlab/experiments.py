@@ -296,10 +296,6 @@ def r_parameters(ap_value: float, p: float) -> dict:
     }
 
 
-def r_algebra_audit(ap_values: list[float], ps: list[float]) -> list[dict]:
-    return [r_parameters(v, p) for v in ap_values for p in ps]
-
-
 # ---------------------------------------------------------------------------
 # bound audit (the A_p-case weak-type theorem and its corollary)
 
