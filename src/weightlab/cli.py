@@ -8,12 +8,14 @@ Exit codes: 0 success, 1 a verification block failed, 2 usage error.
 All JSON reports carry a top-level {"schema": 1}; every non-finite float,
 at any depth, is encoded as the string "inf", "-inf" or "nan".  All
 randomness hangs off --seed (default 0), so identical invocations are
-byte-identical.
+byte-identical.  main() may be called repeatedly in one process: it builds
+its argument parser once and reuses it, since parsing does not change it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -43,7 +45,12 @@ SCHEMA = 1
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(encode_nonfinite({"schema": SCHEMA} | payload), sort_keys=True, allow_nan=False))
+    payload = {"schema": SCHEMA} | payload
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite float: quote it
+        text = json.dumps(encode_nonfinite(payload), sort_keys=True, allow_nan=False)
+    print(text)
 
 
 def _floats(text: str) -> list[float]:
@@ -211,6 +218,7 @@ def _cmd_doubling(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="weightlab",

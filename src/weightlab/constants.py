@@ -385,12 +385,17 @@ def doubling_check(v: GridWeight, p: float, rtol: float = 1e-12) -> DoublingRepo
     2Q is evaluated for cube levels k <= L-1 (so its endpoints are
     cell-aligned) and truncated to the domain where necessary; truncations
     are counted in the report.  A divergent cell mass is refused: its
-    ratios would be NaN, which no maximum keeps.
+    ratios would be NaN, which no maximum keeps.  So is a bound that is not
+    finite (an infinite [v]_{A_p}, or 2^{np} overflowing): every ratio
+    would pass against +inf.
     """
     require_finite_masses(v, "the doubling check")
     grid = v.grid
     ap = ap_constant(v, p)
     bound = pow_or_inf(2.0, DIM * p) * ap
+    if not math.isfinite(bound):
+        raise ConfigError(f"doubling check needs a finite bound 2^(np) [v]_{{A_p}}, "
+                          f"got [v]_{{A_p}} = {ap} at p = {p}")
     # parent-cube variant over all non-root cubes
     max_parent = -math.inf
     for k in grid.levels():

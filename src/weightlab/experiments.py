@@ -95,7 +95,7 @@ def random_piecewise_weight(grid: Grid, rng: np.random.Generator, sigma: float =
     steps = rng.standard_normal(grid.ncells) * sigma
     walk = np.cumsum(steps)
     vals = np.exp(walk - walk.mean())
-    return realize(Piecewise(tuple(float(v) for v in vals)), grid)
+    return realize(Piecewise(tuple(vals.tolist())), grid)
 
 
 def random_a1_weight(

@@ -403,7 +403,7 @@ def format_rows(values: np.ndarray):
     """The CSV text of ``values``, one repr per line, as strings of at most
     ROW_CHUNK lines each."""
     for start in range(0, len(values), ROW_CHUNK):
-        yield "".join(repr(x) + "\n" for x in values[start : start + ROW_CHUNK].tolist())
+        yield "\n".join(map(repr, values[start : start + ROW_CHUNK].tolist())) + "\n"
 
 
 def _write_rows(path, values: np.ndarray) -> None:

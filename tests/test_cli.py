@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 import weightlab as wl
+from weightlab import cli
 from weightlab.cli import main
+from weightlab.constants import encode_nonfinite
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli_digests.json")
 
@@ -388,6 +391,40 @@ def test_outputs_match_recorded_digests(tmp_path):
     assert report_digests(tmp_path, golden["seed"]) == golden["reports"]
 
 
+def test_reused_parser_gives_the_same_outputs(tmp_path):
+    # main() builds its parser once per process; a usage error and a --help
+    # between two rounds of every golden subcommand must leave the second
+    # round's exit codes and stdout digests equal to the first's
+    with open(GOLDEN) as fh:
+        seed = json.load(fh)["seed"]
+
+    def every_digest():
+        return {"digests": cli_digests(tmp_path, seed), "deep_chain": deep_chain_digest(tmp_path, seed),
+                "weights": weight_digests(tmp_path, seed), "reports": report_digests(tmp_path, seed)}
+
+    first = every_digest()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["czd", "--height", "1"]) == 2
+        assert main(["czd", "--help"]) == 0
+    assert "required" in err.getvalue() and "--out-g" in out.getvalue()
+    assert every_digest() == first
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": 1.5, "b": [1, 2.0, (3.0, "x")], "c": {"d": True, "e": None}},
+    {"a": math.nan, "b": [1.0, -math.inf], "c": {"d": (math.inf, 2.0)}},
+    {"rows": [{"x": (0.5, [math.nan])}], "worst": {"at": [-math.inf, {"y": math.inf}]}},
+    {"value": np.float64("inf"), "per_level": [np.float64(1.25), np.float64("nan")]},
+], ids=["finite", "non-finite", "nested", "numpy"])
+def test_emit_json_matches_the_encoded_dump(capsys, payload):
+    # the fast path dumps the payload as it is and falls back to
+    # encode_nonfinite only on a non-finite float; the bytes are the same
+    cli._emit_json(payload)
+    expected = json.dumps(encode_nonfinite({"schema": 1} | payload), sort_keys=True, allow_nan=False)
+    assert capsys.readouterr().out == expected + "\n"
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_non_finite_json_is_quoted(capsys, tmp_path):
     # cells of 1e308 overflow the pyramid sums; the report still parses as
@@ -604,3 +641,5 @@ def test_overflowing_constants_warn_nothing(capsys, tmp_path, command):
     assert (code == 2) == err.startswith("error:")
     if command.startswith("constants"):
         assert code == 0 and json.loads(out)["value"] == "inf"
+    if command.startswith("doubling"):
+        assert code == 2 and "finite" in err

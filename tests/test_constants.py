@@ -428,6 +428,18 @@ def test_doubling_checks():
     assert rep2.max_double_ratio <= 2.0 ** (DIM * 1.0) * rep2.ap + 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_doubling_refuses_an_infinite_bound():
+    # an overflowing [v]_{A_p}, and an overflowing 2^{np}: either bound is
+    # +inf, which every ratio would pass
+    g = wl.build_grid(0, 2)
+    w = wl.realize(wl.Piecewise((1e-300, 1e300, 1.0, 1.0)), g)
+    with pytest.raises(ConfigError, match="finite"):
+        wl.doubling_check(w, 1.0)
+    with pytest.raises(ConfigError, match="finite"):
+        wl.doubling_check(wl.realize(wl.Step(0.5), wl.build_grid(1, 3)), 1e308)
+
+
 def test_doubling_parent_variant_random(rng):
     g = wl.build_grid(1, 6)
     for _ in range(5):

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from scipy.integrate import quad
 
 import weightlab as wl
+from weightlab import weights
 from weightlab.errors import ConfigError, CsvFormatError, UncachedExponentError
 from weightlab.grid import Cube
 from weightlab.weights import _read_rows, product_cell_masses
@@ -220,6 +221,16 @@ def test_read_rows_matches_per_line_reader(tmp_path, case):
             return (e.row, str(e))
 
     assert outcome(_read_rows) == outcome(read_rows_per_line) == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 5, 9])
+def test_format_rows_matches_per_row_repr(monkeypatch, n):
+    # chunks of 4 rows, so n crosses none, one and two chunk boundaries
+    monkeypatch.setattr(weights, "ROW_CHUNK", 4)
+    values = np.array([1.0, -0.0, 5e-324, 1e308, -2.5, 0.1, math.inf, 3.0, 1 / 3])[:n]
+    chunks = list(weights.format_rows(values))
+    assert len(chunks) == -(-n // 4)
+    assert "".join(chunks) == "".join(repr(x) + "\n" for x in values.tolist())
 
 
 def test_csv_identity_example(tmp_path):
