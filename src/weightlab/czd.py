@@ -40,7 +40,7 @@ import numpy as np
 
 from .constants import DIM, ap_constant, pow_or_inf
 from .errors import ConfigError
-from .grid import Cube, as_cubes, cube_entries, first_cubes, level_rows, pyramid, rows
+from .grid import Cube, as_cubes, cube_entries, first_cubes, level_rows, pyramid, rows, sum_pyramid
 from .maximal import dyadic_maximal
 from .weights import GridFunction, GridWeight, require_finite_masses
 
@@ -89,8 +89,9 @@ def cz_decompose(f: GridFunction, v: GridWeight, t: float) -> CZDecomposition:
     grid = f.grid
     require_finite_masses(v, "the CZ decomposition")
     vsums = v.mass
-    sel = [s / m for s, m in zip(pyramid(np.abs(f.values) * v.cell_masses), vsums)]
-    signed = pyramid(f.values * v.cell_masses)
+    abs_sums = sum_pyramid(np.abs(f.values) * v.cell_masses, "the CZ decomposition")
+    sel = [s / m for s, m in zip(abs_sums, vsums)]
+    signed = pyramid(f.values * v.cell_masses)  # finite where the sums of |f| v are
     ds, idxs = first_cubes([a > t for a in sel])
     sel_avgs = np.empty(len(ds))
     averages = np.empty(len(ds))
@@ -154,6 +155,7 @@ class CZVerifyReport:
         return d | {"pass": self.all_ok}
 
 
+@np.errstate(over="ignore")  # a ratio that overflows is +inf
 def verify_cz(
     dec: CZDecomposition,
     v: GridWeight,

@@ -15,7 +15,9 @@ cubes) is kept in this form from the pass that finds it to every reader;
 
 ``pyramid`` is the one reduction over the tree: every cube aggregate of the
 package (weight tables, maximal-function averages, the CZ stopping time,
-region cubes) is one of its levels.  ``first_cubes`` is the one top-down
+region cubes) is one of its levels.  ``sum_pyramid`` is the form the
+operators use on a function: it refuses cells whose sums overflow, where a
+weight table keeps its +inf.  ``first_cubes`` is the one top-down
 selection: the CZ cubes (first cubes whose average exceeds the height) and
 the maximal cubes of a cell set (first cubes it covers) are both its output
 on a boolean pyramid.  ``level_rows`` and ``rows`` are the one rule for the
@@ -94,6 +96,23 @@ def pyramid(values: np.ndarray, op=np.add) -> list[np.ndarray]:
         cur = levels[-1]
         levels.append(op(cur[0::2], cur[1::2]))
     return levels
+
+
+def sum_pyramid(values: np.ndarray, what: str) -> list[np.ndarray]:
+    """``pyramid`` of sums, refused as in ``require_finite_sums`` where a sum
+    of finite cells overflows: an inf or NaN subtotal stays non-finite up to
+    the root, so the root alone tells."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = pyramid(values)
+    require_finite_sums(levels[-1], values, what)
+    return levels
+
+
+def require_finite_sums(totals: np.ndarray, values: np.ndarray, what: str) -> None:
+    """Refuse ``what`` with a ConfigError where ``totals``, sums of cells of
+    ``values``, are not finite although every cell is: a sum overflowed."""
+    if not np.isfinite(totals).all() and np.isfinite(values).all():
+        raise ConfigError(f"{what} needs finite sums of cells: a sum of finite cell values overflows")
 
 
 def first_cubes(hit: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

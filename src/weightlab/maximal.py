@@ -26,32 +26,41 @@ The uncentered internals also take a 2-D array whose rows are independent
 blocks (``uncentered_restricted`` on all cubes of one dyadic level, or on
 a corpus of functions): each row gives bitwise what it gives alone.  The
 sweep runs over every row at once, so a caller that stacks many rows
-passes blocks of at most SWEEP_CELLS cells; the hull pass, above
-NAIVE_CEILING cells per row, runs one row at a time.
+passes blocks of at most SWEEP_CELLS = 2^15 cells: 8 rows at NAIVE_CEILING,
+enough that numpy's per-row dispatch is small against each step, with
+about 1 MB of sweep arrays per block; the hull pass, above NAIVE_CEILING
+cells per row, runs one row at a time.
 ``uncentered_dyadic`` gives the restricted maximal on every dyadic level
 and builds each level up to NAIVE_CEILING cells from the one below: only
 the intervals that leave a cube's left half are swept again, 3/4 of the
 pairs in half the steps, with the same candidates and so the same bits.
+
+Every operator refuses, with a ConfigError, finite cells whose cube or
+interval sums overflow, where it would give inf or NaN; the sums are
+formed with overflow warnings off and checked at the root or last sum.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import pyramid
+from .grid import require_finite_sums, sum_pyramid
 from .weights import GridFunction, GridWeight, require_finite_masses
 
 NAIVE_CEILING = 4096
-SWEEP_CELLS = 1 << 14  # cells per block of stacked rows handed to one sweep
+SWEEP_CELLS = 1 << 15  # cells per block of stacked rows handed to one sweep
 
 
 # ---------------------------------------------------------------------------
 # shared average builders
 
 def _prefix(values: np.ndarray) -> np.ndarray:
-    """Prefix sums along the last axis, with a leading zero per row."""
+    """Prefix sums along the last axis, with a leading zero per row, of
+    values >= 0 (so the last is the largest); refused where they overflow."""
     P = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
-    np.cumsum(values, axis=-1, out=P[..., 1:])
+    with np.errstate(over="ignore"):
+        np.cumsum(values, axis=-1, out=P[..., 1:])
+    require_finite_sums(P[..., -1], values, "the uncentered maximal")
     return P
 
 
@@ -79,7 +88,7 @@ def _dyadic_candidates(values: np.ndarray, signed: bool) -> list[np.ndarray]:
     """Per level d (cube size 2^d cells), the |average| candidates."""
     base = values if signed else np.abs(values)
     cands = []
-    for d, sums in enumerate(pyramid(base)):
+    for d, sums in enumerate(sum_pyramid(base, "the dyadic maximal")):
         avg = sums / (1 << d)
         cands.append(np.abs(avg) if signed else avg)
     return cands
@@ -97,7 +106,8 @@ def dyadic_maximal_brute(f: GridFunction, signed: bool = False) -> GridFunction:
 
 def _weighted_candidates(f: GridFunction, v: GridWeight) -> list[np.ndarray]:
     """Per level, the v dx-averages of |f|; a GridWeight has no cube of zero mass."""
-    return [ns / ds for ns, ds in zip(pyramid(np.abs(f.values) * v.cell_masses), v.mass)]
+    sums = sum_pyramid(np.abs(f.values) * v.cell_masses, "the weighted dyadic maximal")
+    return [ns / ds for ns, ds in zip(sums, v.mass)]
 
 
 def weighted_dyadic_maximal(f: GridFunction, v: GridWeight) -> GridFunction:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -197,12 +198,12 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
     assert out == "" and "underflows to 0" in err
     # a weight whose cell masses underflow to 0, and cells whose cube sums overflow
-    for rows, message in (("5e-324", "no positive mass on cell 0"), ("1e308", "M_d g is not finite")):
+    for rows, message in (("5e-324", "no positive mass on cell 0"),
+                          ("1e308", "the dyadic maximal needs finite sums of cells")):
         f.write_text(f"{rows}\n" * 4)
-        with np.errstate(over="ignore"):
-            code, out, err = run_cli(
-                capsys, "sawyer-verify", "--u", f"csv:{f}", "--v", f"csv:{f}", "--g", str(f)
-            )
+        code, out, err = run_cli(
+            capsys, "sawyer-verify", "--u", f"csv:{f}", "--v", f"csv:{f}", "--g", str(f)
+        )
         assert code == 2
         assert out == "" and message in err
     f.write_text("5e-324\n" * 4)
@@ -425,21 +426,28 @@ def test_emit_json_matches_the_encoded_dump(capsys, payload):
     assert capsys.readouterr().out == expected + "\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_non_finite_json_is_quoted(capsys, tmp_path):
-    # cells of 1e308 overflow the pyramid sums; the report still parses as
-    # strict JSON, with the non-finite values as strings
+    # cells of 1e308 whose pyramid sums overflow are refused, with no
+    # warning on the way; a constant that overflows is the defined value
+    # +inf, and its report still parses as strict JSON, with it as a string
     f = tmp_path / "big.csv"
     f.write_text("1e308\n" * 4)
+    code, out, err = run_cli(capsys, "czd", "--f", str(f), "--v", "const:c=1", "--height", "0.5")
+    assert code == 2
+    assert out == "" and "finite" in err
+    code, out, _ = run_cli(capsys, "maximal", "--f", str(f), "--variant", "weighted", "--v", "const:c=1")
+    assert code == 0 and out == "1e+308\n" * 4  # the sums of f v stay finite
 
     def refuse(token):
         raise ValueError(f"bare {token} in JSON output")
 
-    code, out, _ = run_cli(capsys, "czd", "--f", str(f), "--v", "const:c=1", "--height", "0.5")
+    f.write_text("1e-300\n1e300\n1\n1\n")
+    code, out, _ = run_cli(capsys, "constants", "--weight", f"csv:{f}", "--kind", "Ap", "--p", "2",
+                           "--J", "0", "--L", "2")
     payload = json.loads(out, parse_constant=refuse)
-    assert code in (0, 1)
-    assert payload["domination"]["max_violation"] == "nan"
-    assert payload["verify"]["checks"]["above_height"]["worst"] == "inf"
+    assert code == 0
+    assert payload["value"] == "inf" and "inf" in [row["value"] for row in payload["per_level"]]
 
 
 def three_piece_step() -> list[float]:
@@ -468,6 +476,7 @@ DEGENERATE_COMMANDS = [
     "czd --f {p} --v {s} --height 1.5",
     "czd --f {p} --v const:c=1e308 --height 1.5 --r 1.5",
     "weaknorm --f {p} --u const:c=1 --v const:c=1",
+    "weaknorm --f {p} --u const:c=1 --v const:c=1 --variant M",
     "weaknorm --f {p} --u {s} --v {s} --variant M",
     "sawyer-verify --u {s} --v {s} --g {p}",
     "constants --weight {s} --kind A1 --J 0 --L {L}",
@@ -477,6 +486,19 @@ DEGENERATE_COMMANDS = [
     "constants --weight {s} --kind Mixed --p 2 --alpha 0.5 --beta 0.5 --J 0 --L {L}",
     "rh-check --weight {s} --J 0 --L {L}",
     "doubling --weight {s} --p 2 --J 0 --L {L}",
+]
+
+# the commands whose operator sums the "huge" cells themselves: the sums
+# overflow although every cell is finite, which is refused
+HUGE_SUMS_REFUSED = [
+    "maximal --f {p} --variant dyadic",
+    "maximal --f {p} --variant dyadic --signed",
+    "maximal --f {p} --variant uncentered",
+    "czd --f {p} --v const:c=1 --height 1.5",
+    "weaknorm --f {p} --u const:c=1 --v const:c=1",
+    "weaknorm --f {p} --u const:c=1 --v const:c=1 --variant M",
+    "sawyer-verify --u {s} --v {s} --g {p}",
+    "constants --weight {s} --kind AinfFW --J 0 --L {L}",
 ]
 
 
@@ -489,11 +511,16 @@ def test_degenerate_inputs_exit_cleanly(capsys, tmp_path, command, rows):
     path = tmp_path / f"{rows}.csv"
     path.write_text("".join(f"{x!r}\n" for x in values))
     argv = command.format(p=path, s=f"csv:{path}", L=len(values).bit_length() - 1).split()
-    code, _, err = run_cli(capsys, *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
     assert code in (0, 1, 2)
     assert (code == 2) == err.startswith("error:")
     if rows == "huge" and command.startswith("rh-check"):
         assert code == 2  # the w^{r_w} averages overflow
+    if rows == "huge" and command in HUGE_SUMS_REFUSED:
+        assert code == 2 and out == "" and "finite" in err
+        assert not [str(w.message) for w in caught]
     if "c=1e308" in command:
         assert code == 2 and "underflows" in err  # [v]_{A_r} = 0: no bound for (iii)
 

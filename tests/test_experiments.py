@@ -6,7 +6,7 @@ import pytest
 import weightlab as wl
 import weightlab.experiments as exp
 from weightlab.errors import ConfigError
-from weightlab.maximal import NAIVE_CEILING
+from weightlab.maximal import NAIVE_CEILING, uncentered_restricted
 
 
 def test_scaling_fit_trivial():
@@ -181,6 +181,30 @@ def test_buckley_batch_equals_per_function_loop(monkeypatch, J, L, sweep_cells):
     rep = wl.buckley_empirical(v, 2.0, corpus=corpus)
     assert rep.max_ratio == buckley_max_ratio_per_function(v, 2.0, corpus) > 1.0
     assert wl.buckley_empirical(v, 2.0, corpus=[zero, zero]).max_ratio == 0.0
+
+
+def test_buckley_sweeps_each_distinct_function_once(monkeypatch):
+    g = wl.build_grid(1, 5)
+    v = exp.random_a1_weight(g, np.random.default_rng(5), cap=16.0)
+    corpus = exp.test_function_corpus(g, seed=3, n_random=2)
+    names = dict(corpus)
+    # the indicators of single cells are the spikes at the same cells
+    for cell in (0, g.ncells // 2):
+        assert np.array_equal(names[f"indicator_k5_m{cell}"].values, names[f"spike_{cell}"].values)
+    f = corpus[-1][1]
+    thrice = [("a", f), ("b", wl.GridFunction(g, f.values.copy())), ("c", f)]
+    rows = []
+
+    def counting(values):
+        rows.append(len(values))
+        return uncentered_restricted(values)
+
+    monkeypatch.setattr(exp, "uncentered_restricted", counting)
+    for fns, distinct in ((corpus, len(corpus) - 2), (thrice, 1)):
+        rows.clear()
+        rep = wl.buckley_empirical(v, 2.0, corpus=fns)
+        assert sum(rows) == distinct
+        assert rep.max_ratio == buckley_max_ratio_per_function(v, 2.0, fns) > 1.0
 
 
 def test_buckley_envelope_refinement_stability():

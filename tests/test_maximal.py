@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import weightlab as wl
 from weightlab import maximal
+from weightlab.errors import ConfigError
 from weightlab.maximal import uncentered_restricted
 from conftest import random_function
 
@@ -96,7 +97,6 @@ def uncentered_maximal_cubic(f):
     return out
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_uncentered_brute_matches_cubic_oracle(rng):
     for L in range(9):
         g = wl.build_grid(0, L)
@@ -108,12 +108,18 @@ def test_uncentered_brute_matches_cubic_oracle(rng):
             np.full(n, 1.7),
             np.zeros(n),
             np.where(np.arange(n) % 7 < 3, 0.0, rng.lognormal(size=n)),
-            np.full(n, 1e308),
         ]
         for vals in cases:
             f = wl.GridFunction(g, vals)
-            assert np.array_equal(wl.uncentered_maximal_brute(f).values, uncentered_maximal_cubic(f),
-                                  equal_nan=True)
+            assert np.array_equal(wl.uncentered_maximal_brute(f).values, uncentered_maximal_cubic(f))
+        # cells whose sums overflow: both oracles refuse, as the operator does
+        f = wl.GridFunction(g, np.full(n, 1e308))
+        if n == 1:  # one cell sums to itself
+            assert wl.uncentered_maximal_brute(f).values[0] == uncentered_maximal_cubic(f)[0] == 1e308
+            continue
+        for op in (wl.uncentered_maximal_brute, uncentered_maximal_cubic, wl.uncentered_maximal):
+            with pytest.raises(ConfigError, match="finite sums"):
+                op(f)
 
 
 def test_oracle_agreement_special_shapes():
@@ -287,6 +293,28 @@ def test_naive_rows_equal_one_block_calls(rng):
         for row, out in zip(rows, batched):
             assert np.array_equal(out, maximal._uncentered_naive(maximal._prefix(row)))
         assert np.array_equal(batched, uncentered_restricted(rows))
+
+
+def test_naive_rows_equal_one_block_calls_at_sweep_size(rng):
+    # a full block of SWEEP_CELLS cells, in rows of NAIVE_CEILING cells:
+    # lognormal, a 1/0.75 plateau, a spike and a zero run, in turn
+    n = maximal.NAIVE_CEILING
+    rows = np.zeros((maximal.SWEEP_CELLS // n, n))
+    for i, row in enumerate(rows):
+        kind = i % 4
+        if kind == 0:
+            row[:] = rng.lognormal(size=n)
+        elif kind == 1:
+            row[: n >> (i // 4)] = 1.0 / 0.75
+        elif kind == 2:
+            row[(0, n - 1, n // 2, 1)[i // 4 % 4]] = 1.0
+        else:
+            row[:] = rng.lognormal(size=n)
+            row[n // 4 : n // 2 + i] = 0.0
+    assert len(rows) >= 8
+    batched = uncentered_restricted(rows)
+    for row, out in zip(rows, batched):
+        assert np.array_equal(out, uncentered_restricted(row))
 
 
 def test_fast_path_rows_equal_one_block_calls(rng):
