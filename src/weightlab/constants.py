@@ -314,20 +314,23 @@ def reverse_holder_check(
     those of that loop; empty unions are skipped, as there.  A level whose
     averages of w^{r_w} or of w are not finite (their sums overflow) is
     refused with a ConfigError naming its first such cube: the ratio there
-    would be NaN, which passes every comparison."""
+    would be NaN, which passes every comparison.  Those sums and averages
+    are formed with overflow warnings off."""
     a1 = a1_constant(w)
     if not math.isfinite(a1):
         raise ConfigError("reverse Holder check needs a finite A1 constant")
     rw = reverse_holder_exponent(a1)
     eps = 1.0 / (1.0 + 2.0 ** (DIM + 1) * a1)
-    w = with_cached(w, power=(rw,))
+    with np.errstate(over="ignore"):
+        w = with_cached(w, power=(rw,))
     grid = w.grid
     worst = -math.inf
     worst_cube = grid.root
     for k in grid.levels():
         scale = 2.0 ** float(k)
-        lhs = (w.powers[rw][grid.L - k] * scale) ** (1.0 / rw)
-        rhs = 2.0 * w.mass[grid.L - k] * scale
+        with np.errstate(over="ignore"):
+            lhs = (w.powers[rw][grid.L - k] * scale) ** (1.0 / rw)
+            rhs = 2.0 * w.mass[grid.L - k] * scale
         bad = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs)))
         if len(bad):
             raise ConfigError(f"reverse Holder check: the averages of w^{rw!r} or of w are not "

@@ -40,7 +40,8 @@ import numpy as np
 
 from .constants import DIM, ap_constant, pow_or_inf
 from .errors import ConfigError
-from .grid import Cube, as_cubes, cube_entries, first_cubes, level_rows, pyramid, rows, sum_pyramid
+from .grid import (Cube, as_cubes, cube_entries, finite_product, first_cubes, level_rows, pyramid,
+                   rows, sum_pyramid)
 from .maximal import dyadic_maximal
 from .weights import GridFunction, GridWeight, require_finite_masses
 
@@ -89,9 +90,10 @@ def cz_decompose(f: GridFunction, v: GridWeight, t: float) -> CZDecomposition:
     grid = f.grid
     require_finite_masses(v, "the CZ decomposition")
     vsums = v.mass
-    abs_sums = sum_pyramid(np.abs(f.values) * v.cell_masses, "the CZ decomposition")
+    fv = finite_product(f.values, v.cell_masses, "the CZ decomposition")
+    abs_sums = sum_pyramid(np.abs(fv), "the CZ decomposition")
     sel = [s / m for s, m in zip(abs_sums, vsums)]
-    signed = pyramid(f.values * v.cell_masses)  # finite where the sums of |f| v are
+    signed = pyramid(fv)  # finite where the sums of |f| v are
     ds, idxs = first_cubes([a > t for a in sel])
     sel_avgs = np.empty(len(ds))
     averages = np.empty(len(ds))
@@ -286,15 +288,16 @@ def pointwise_domination_check(
     """
     grid = dec.good.grid
     vrep = v.cell_values
-    fv = GridFunction(grid, dec.source.values * vrep)
-    gv = GridFunction(grid, dec.good.values * vrep)
-    bv = GridFunction(grid, dec.bad_total.values * vrep)
+    fv, gv, bv = (GridFunction(grid, finite_product(h.values, vrep, "the domination check"))
+                  for h in (dec.source, dec.good, dec.bad_total))
     lhs = dyadic_maximal(fv, signed=True).values
     tilde = dyadic_maximal(bv, signed=True).values
     rhs = dyadic_maximal(gv).values + tilde
     scale = np.maximum(np.abs(lhs), 1e-300)
-    viol = float(((lhs - rhs) / scale).max())
-    dominated = bool(np.all(lhs <= rhs * (1.0 + rtol) + 1e-300))
+    with np.errstate(invalid="ignore"):  # inf - inf, where a cell of v is infinite
+        viol = float(((lhs - rhs) / scale).max())
+    # a NaN violation fails: inf <= inf would pass the cell-wise test
+    dominated = bool(np.all(lhs <= rhs * (1.0 + rtol) + 1e-300)) and not math.isnan(viol)
 
     mask = dec.omega_mask
     off = ~mask

@@ -115,6 +115,20 @@ def require_finite_sums(totals: np.ndarray, values: np.ndarray, what: str) -> No
         raise ConfigError(f"{what} needs finite sums of cells: a sum of finite cell values overflows")
 
 
+def finite_product(values: np.ndarray, weights: np.ndarray, what: str) -> np.ndarray:
+    """``values * weights`` cell-wise, with ``what`` refused by a ConfigError
+    where two finite factors give a product that is not finite (it
+    overflowed): an inf there turns later ratios into NaN."""
+    with np.errstate(over="ignore"):
+        out = values * weights
+    if not np.isfinite(out).all():
+        bad = np.flatnonzero(~np.isfinite(out) & np.isfinite(values) & np.isfinite(weights))
+        if len(bad):
+            raise ConfigError(f"{what} needs a finite product f v on every cell: "
+                              f"the product overflows on cell {int(bad[0])}")
+    return out
+
+
 def first_cubes(hit: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The cube set (d, idx) of every cube with hit[d][idx] true and no
     strict ancestor hit, left to right.  hit[d] runs over the cubes of 2^d

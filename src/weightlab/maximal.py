@@ -16,11 +16,21 @@ Three operators:
 All interval averages are formed from one shared prefix-sum (dyadic ops:
 one ``grid.pyramid`` of sums) by the same formula as in the oracles.  Both
 dyadic operators share one top-down ancestor-max pass and one per-cell
-ancestor oracle over their per-level candidates.  The dyadic paths and the
-naive uncentered sweep (used up to NAIVE_CEILING cells) agree
-with their oracles bitwise.  The level-batched hull pass used above it is
-never above its oracle and at most FAST_PATH_ULPS (tests/test_maximal.py)
-below it on plateaus; on lognormal, indicator and sorted data it is bitwise.
+ancestor oracle over their per-level candidates, and agree with it bitwise.
+The uncentered maximal takes one of three paths per row of n cells:
+
+* the sparse path, for n <= NAIVE_CEILING finite cells of which at most
+  n^2 / SPARSE_CUTOFF move the prefix sum (n/8 of them at 4096 cells, none
+  but in a zero row below 182), in O(n) per such cell.  A cell that leaves
+  the prefix sum unchanged is never the best end of an interval (the
+  zero-end lemma at ``_uncentered_sparse``), so it gives bitwise the
+  sweep's maxima; tests/test_maximal.py gates it with np.array_equal
+  against ``_uncentered_naive``;
+* the naive O(n^2) sweep for the other rows up to NAIVE_CEILING cells,
+  bitwise its oracle ``uncentered_maximal_brute``;
+* the level-batched hull pass above NAIVE_CEILING cells, never above its
+  oracle and at most FAST_PATH_ULPS (tests/test_maximal.py) below it on
+  plateaus; on lognormal, indicator and sorted data it is bitwise.
 
 The uncentered internals also take a 2-D array whose rows are independent
 blocks (``uncentered_restricted`` on all cubes of one dyadic level, or on
@@ -38,17 +48,25 @@ pairs in half the steps, with the same candidates and so the same bits.
 Every operator refuses, with a ConfigError, finite cells whose cube or
 interval sums overflow, where it would give inf or NaN; the sums are
 formed with overflow warnings off and checked at the root or last sum.
+The weighted one refuses as well finite cells whose products f v overflow
+(``grid.finite_product``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import require_finite_sums, sum_pyramid
+from .grid import finite_product, require_finite_sums, sum_pyramid
 from .weights import GridFunction, GridWeight, require_finite_masses
 
 NAIVE_CEILING = 4096
 SWEEP_CELLS = 1 << 15  # cells per block of stacked rows handed to one sweep
+# A finite row of n cells whose prefix sum moves at most n^2 / SPARSE_CUTOFF
+# times is swept by the sparse path.  Measured against a sweep block of
+# SWEEP_CELLS cells, the two break even near n^2 / 2^13 (n = 128..1024) and
+# n^2 / 2^14 (n = 4096); at this cutoff the sparse path is 1.5x (n = 4096)
+# to 3-5x (n = 256..2048) faster.
+SPARSE_CUTOFF = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +124,8 @@ def dyadic_maximal_brute(f: GridFunction, signed: bool = False) -> GridFunction:
 
 def _weighted_candidates(f: GridFunction, v: GridWeight) -> list[np.ndarray]:
     """Per level, the v dx-averages of |f|; a GridWeight has no cube of zero mass."""
-    sums = sum_pyramid(np.abs(f.values) * v.cell_masses, "the weighted dyadic maximal")
+    what = "the weighted dyadic maximal"
+    sums = sum_pyramid(finite_product(np.abs(f.values), v.cell_masses, what), what)
     return [ns / ds for ns, ds in zip(sums, v.mass)]
 
 
@@ -122,7 +141,7 @@ def weighted_dyadic_maximal_brute(f: GridFunction, v: GridWeight) -> GridFunctio
 
 
 # ---------------------------------------------------------------------------
-# uncentered maximal: naive sweep, level-batched hull pass, exhaustive oracle
+# uncentered maximal: naive sweep, sparse path, level-batched hull pass, oracle
 
 def _uncentered_naive(P: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
     """Max interval average per cell by an O(N^2) sweep over right ends b,
@@ -151,6 +170,53 @@ def _uncentered_naive(P: np.ndarray, left: np.ndarray | None = None) -> np.ndarr
         np.maximum.accumulate(acc[..., :h], axis=-1, out=out)
         np.maximum(out, left, out=out)
     return res
+
+
+def _step_ends(P: np.ndarray, out: np.ndarray) -> None:
+    """Raise ``out`` (one row) by every interval [a, b) whose left end a is a
+    step of the prefix row P, a cell with P[a + 1] != P[a], in O(N) per step.
+
+    The steps a_1 < a_2 < ... cut the row into runs [a_j, a_(j+1)); a cell c
+    of run j lies in [a_i, b) for i <= j and every b > c.  ``run[b]`` keeps
+    the best average to b from the steps so far, so c takes the suffix max
+    of run from b = c + 1 on: within the run, then beyond its end.
+    """
+    n = len(P) - 1
+    a = np.flatnonzero(P[1:] != P[:-1])
+    if not len(a):
+        return
+    dist = np.arange(1.0, n - a[0] + 1)  # dist[:n - a] = b - a for b = a+1..n
+    run, t = np.full(n + 1, -np.inf), np.empty(n)
+    for lo, hi in zip(a.tolist(), [*a[1:].tolist(), n]):
+        row = t[: n - lo]
+        np.subtract(P[lo + 1 :], P[lo], out=row)
+        np.divide(row, dist[: n - lo], out=row)
+        r = run[lo + 1 :]
+        np.maximum(r, row, out=r)
+        best = np.maximum.accumulate(r[hi - lo - 1 :: -1], out=t[: hi - lo])
+        if hi < n:
+            np.maximum(best, r[hi - lo :].max(), out=best)
+        np.maximum(out[lo:hi], best[::-1], out=out[lo:hi])
+
+
+def _uncentered_sparse(P: np.ndarray) -> np.ndarray:
+    """Max interval average per cell of one finite prefix row P, in
+    O(N * steps); bitwise ``_uncentered_naive``.
+
+    A cell a < c that does not move the prefix (P[a + 1] = P[a], a zero
+    cell) is never the best left end for c: [a + 1, b) has the same rounded
+    numerator over a smaller divisor and still holds c, and likewise a
+    right end b with P[b - 1] = P[b] and b - 1 > c.  So the steps and c
+    itself are the only ends needed.  Two passes of ``_step_ends`` cover
+    them: the steps as left ends, and on the point reflection
+    P -> -P[::-1] (the same rounded differences) the steps as right ends.
+    What is left, a zero cell c as both ends, is the singleton [c, c + 1)
+    of average 0, the value ``out`` starts from.
+    """
+    out = np.zeros(len(P) - 1)
+    _step_ends(P, out)
+    _step_ends(-P[::-1], out[::-1])
+    return out
 
 
 def _uncentered_levels(P: np.ndarray) -> np.ndarray:
@@ -234,8 +300,9 @@ def _tangents(P, Q, V, st, en) -> tuple[np.ndarray, np.ndarray]:
 
 
 def uncentered_maximal(f: GridFunction) -> GridFunction:
-    """Grid-restricted uncentered Hardy-Littlewood maximal function: the
-    O(N^2) sweep up to NAIVE_CEILING cells, the level-batched hull pass above."""
+    """Grid-restricted uncentered Hardy-Littlewood maximal function: up to
+    NAIVE_CEILING cells the sparse path if few cells move the prefix sum,
+    else the O(N^2) sweep; the level-batched hull pass above."""
     return GridFunction(f.grid, uncentered_restricted(f.values))
 
 
@@ -263,14 +330,30 @@ def uncentered_restricted(values: np.ndarray) -> np.ndarray:
 
     Used for M(chi_Q w) restricted to a cube Q, or to all cubes of one level
     at once: truncation kills any gain from leaving Q, so intervals inside Q
-    suffice.
+    suffice.  Each row of at most NAIVE_CEILING cells picks its own path: a
+    finite row of n cells whose prefix sum moves at no more than
+    n^2 / SPARSE_CUTOFF cells takes the sparse path (bitwise the sweep by
+    the zero-end lemma, gated against ``_uncentered_naive``), the rest are
+    swept together.  Longer rows take the hull pass one at a time.
     """
     values = np.asarray(values, dtype=float)
     P = _prefix(np.abs(values))
-    if values.shape[-1] <= NAIVE_CEILING:
-        return _uncentered_naive(P)
     rows = P.reshape(-1, P.shape[-1])
-    return np.array([_uncentered_levels(row) for row in rows]).reshape(values.shape)
+    n = rows.shape[1] - 1
+    if n > NAIVE_CEILING:
+        return np.array([_uncentered_levels(row) for row in rows]).reshape(values.shape)
+    steps = np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
+    sparse = (steps * SPARSE_CUTOFF <= n * n) & np.isfinite(rows[:, -1])
+    if not sparse.any():
+        return _uncentered_naive(P)
+    # the sweep's arrays are freed before ``out`` is made: a lower peak
+    dense = None if sparse.all() else _uncentered_naive(rows[~sparse])
+    out = np.empty((len(rows), n))
+    if dense is not None:
+        out[~sparse] = dense
+    for i in np.flatnonzero(sparse):
+        out[i] = _uncentered_sparse(rows[i])
+    return out.reshape(values.shape)
 
 
 def uncentered_dyadic(values: np.ndarray):

@@ -111,8 +111,10 @@ def mixed_ratio(
     ok = (vrep > 0) & np.isfinite(vrep)
     if not ok.all():
         raise ConfigError(f"v cell representative is not positive and finite at cell {int(np.argmin(ok))}")
-    uv = product_cell_masses(u, v)
-    with np.errstate(invalid="ignore"):  # f = 0 on a cell of infinite uv mass
+    # an overflowing uv mass, or f = 0 on a cell of infinite uv mass, makes
+    # the norm inf or NaN, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        uv = product_cell_masses(u, v)
         denominator = l1_norm(f, uv)
     if denominator == 0:
         raise ConfigError("the L1(uv) norm of f underflows to 0: the mixed ratio is undefined")

@@ -488,9 +488,10 @@ DEGENERATE_COMMANDS = [
     "doubling --weight {s} --p 2 --J 0 --L {L}",
 ]
 
-# the commands whose operator sums the "huge" cells themselves: the sums
-# overflow although every cell is finite, which is refused
-HUGE_SUMS_REFUSED = [
+# the commands whose operator sums the "huge" cells, or their products f v
+# with a weight: a sum or a product overflows although every cell is
+# finite, which is refused
+HUGE_REFUSED = [
     "maximal --f {p} --variant dyadic",
     "maximal --f {p} --variant dyadic --signed",
     "maximal --f {p} --variant uncentered",
@@ -499,6 +500,11 @@ HUGE_SUMS_REFUSED = [
     "weaknorm --f {p} --u const:c=1 --v const:c=1 --variant M",
     "sawyer-verify --u {s} --v {s} --g {p}",
     "constants --weight {s} --kind AinfFW --J 0 --L {L}",
+    "maximal --f {p} --variant weighted --v {s}",
+    "czd --f {p} --v {s} --height 1.5",
+    "czd --f {p} --v const:c=1e308 --height 1.5 --r 1.5",
+    "weaknorm --f {p} --u {s} --v {s} --variant M",
+    "rh-check --weight {s} --J 0 --L {L}",
 ]
 
 
@@ -518,11 +524,29 @@ def test_degenerate_inputs_exit_cleanly(capsys, tmp_path, command, rows):
     assert (code == 2) == err.startswith("error:")
     if rows == "huge" and command.startswith("rh-check"):
         assert code == 2  # the w^{r_w} averages overflow
-    if rows == "huge" and command in HUGE_SUMS_REFUSED:
+    if rows == "huge" and command in HUGE_REFUSED:
         assert code == 2 and out == "" and "finite" in err
         assert not [str(w.message) for w in caught]
-    if "c=1e308" in command:
+    elif "c=1e308" in command:
         assert code == 2 and "underflows" in err  # [v]_{A_r} = 0: no bound for (iii)
+
+
+# four rows of 1e308 as f and as every csv: weight; warnings are errors, so
+# an overflow met before the refusal fails the test
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, message", [
+    ("czd --f {p} --v {s} --height 1.5", "the CZ decomposition needs a finite product f v"),
+    ("maximal --f {p} --variant weighted --v {s}", "the weighted dyadic maximal needs a finite product f v"),
+    ("rh-check --weight {s} --J 0 --L 2", "the averages of w^1.25 or of w are not finite"),
+    ("weaknorm --f {p} --u {s} --v {s}", "the L1(uv) norm of f is not finite"),
+    ("weaknorm --f {p} --u const:c=1 --v {s}", "the L1(uv) norm of f is not finite"),
+    ("weaknorm --f {p} --u {s} --v const:c=1", "the L1(uv) norm of f is not finite"),
+])
+def test_huge_rows_refused_without_warnings(capsys, tmp_path, command, message):
+    path = tmp_path / "big.csv"
+    path.write_text("1e308\n" * 4)
+    code, out, err = run_cli(capsys, *command.format(p=path, s=f"csv:{path}").split())
+    assert (code, out) == (2, "") and message in err
 
 
 # every subcommand without a CSV input, and the parameters of czd and

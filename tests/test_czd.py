@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import weightlab as wl
+from weightlab import czd
 from weightlab.constants import DIM, ap_constant, encode_nonfinite
 from weightlab.czd import CheckResult, CZVerifyReport
 from weightlab.errors import ConfigError
@@ -211,6 +212,24 @@ def random_decompositions(rng, count=5):
         yield wl.cz_decompose(f, v, root_avg * 1.4), v
 
 
+@pytest.mark.filterwarnings("error")
+def test_domination_fails_on_a_nan_violation(monkeypatch, rng):
+    # an infinite maximal on both sides makes lhs - rhs = inf - inf = NaN
+    # on that cell, while lhs <= rhs holds there: the check must fail
+    dec, v = next(random_decompositions(rng, 1))
+    real = czd.dyadic_maximal
+
+    def infinite_at_0(h, signed=False):
+        out = real(h, signed=signed).values.copy()
+        out[0] = np.inf
+        return wl.GridFunction(h.grid, out)
+
+    monkeypatch.setattr(czd, "dyadic_maximal", infinite_at_0)
+    rep = wl.pointwise_domination_check(dec, v)
+    assert math.isnan(rep.max_violation)
+    assert not rep.domination_ok and not rep.all_ok
+
+
 def test_domination_random_and_off_omega_vanishing(rng):
     for dec, v in random_decompositions(rng):
         rep = wl.pointwise_domination_check(dec, v)
@@ -367,10 +386,11 @@ def oracle_cases(rng):
     child = wl.children(dec.good.grid, q)[0]
     yield dataclasses.replace(dec, averages=[*dec.averages, 0.0], **with_cube(dec, child),
                               selection_averages=[*dec.selection_averages, 0.0]), v
-    # cell products f v and the v sums of cubes of 4 cells overflow: inf and
-    # NaN (inf - inf) averages, NaN good values, no truncated root
+    # infinite cells of f (finite ones whose products f v overflow are
+    # refused) and v sums of cubes of 4 cells that overflow: inf and NaN
+    # (inf - inf) averages, NaN good values, no truncated root
     g = wl.build_grid(2, 1)
-    big = wl.GridFunction(g, np.array([1e308, -1e308, 3.0, 1.0, 1e308, 1e308, 2.0, 0.5]))
+    big = wl.GridFunction(g, np.array([np.inf, -np.inf, 3.0, 1.0, np.inf, np.inf, 2.0, 0.5]))
     with np.errstate(over="ignore", invalid="ignore"):
         for c in (1e308, 1e307):
             v = wl.realize(wl.Constant(c), g)

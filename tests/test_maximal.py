@@ -324,3 +324,100 @@ def test_fast_path_rows_equal_one_block_calls(rng):
         batched = uncentered_restricted(rows)
         for row, out in zip(rows, batched):
             assert np.array_equal(out, uncentered_restricted(row))
+
+
+# ---------------------------------------------------------------------------
+# the sparse path: only the cells that move the prefix sum serve as ends
+
+@st.composite
+def sparse_rows(draw):
+    """Rows of 1..NAIVE_CEILING cells, zero but for a few runs of equal
+    cells (1/0.75 plateaus, tiny and huge cells among them) and optional
+    spikes at either end; all-zero rows too."""
+    n = draw(st.integers(1, maximal.NAIVE_CEILING))
+    vals = np.zeros(n)
+    height = st.sampled_from([1.0 / 0.75, 1.0, 0.1, 3.7, 5e-324, 1e-300, 1e300])
+    for _ in range(draw(st.integers(0, 6))):
+        lo = draw(st.integers(0, n - 1))
+        vals[lo : lo + draw(st.integers(1, 64))] = draw(height)
+    for end in draw(st.sets(st.sampled_from([0, n - 1]))):
+        vals[end] = draw(st.floats(5.0, 1e6))
+    return vals
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(sparse_rows())
+def test_sparse_path_equals_naive(vals):
+    P = maximal._prefix(vals)
+    naive = maximal._uncentered_naive(P)
+    assert np.array_equal(maximal._uncentered_sparse(P), naive)
+    assert np.array_equal(uncentered_restricted(vals), naive)
+
+
+def test_sparse_and_dense_rows_in_one_block_equal_their_own_calls(rng, monkeypatch):
+    n = 512
+    rows = np.zeros((7, n))
+    rows[0] = rng.lognormal(size=n)  # dense
+    rows[1, n // 2] = 1.0  # a spike
+    rows[3, 100:108] = 1.0 / 0.75  # an 8-cell plateau
+    rows[4, [0, n - 1]] = [1e300, 5e-324]  # end spikes, one too small to move the sum
+    rows[5] = rng.lognormal(size=n) * (rng.random(n) < 0.5)  # half zero: dense
+    rows[6, 7] = np.nan  # not finite: the sweep
+    sparse_calls = []
+    real = maximal._uncentered_sparse
+
+    def counted(P):
+        sparse_calls.append(P[-1])
+        return real(P)
+
+    monkeypatch.setattr(maximal, "_uncentered_sparse", counted)
+    batched = uncentered_restricted(rows)
+    assert len(sparse_calls) == 4  # rows 1-4, the zero row 2 among them
+    for row, out in zip(rows, batched):
+        assert np.array_equal(out, uncentered_restricted(row), equal_nan=True)
+        assert np.array_equal(out, maximal._uncentered_naive(maximal._prefix(row)), equal_nan=True)
+
+
+def test_spike_at_the_ceiling_never_sweeps(monkeypatch):
+    n = maximal.NAIVE_CEILING
+    g = wl.build_grid(0, n.bit_length() - 1)
+    for cell in (0, n // 2, n - 1):
+        vals = np.zeros(n)
+        vals[cell] = 1.0
+        want = maximal._uncentered_naive(maximal._prefix(vals))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(maximal, "_uncentered_naive", None)  # calling it raises
+            assert np.array_equal(uncentered_restricted(vals), want)
+            assert np.array_equal(wl.uncentered_maximal(wl.GridFunction(g, vals)).values, want)
+
+
+def test_sparse_rows_of_1e308_refused_as_the_sweep_refuses():
+    n = 256
+    sparse = np.zeros(n)
+    sparse[[3, 200]] = 1e308  # their sum overflows
+    refusals = []
+    for vals in (sparse, np.full(n, 1e308), np.vstack([np.zeros(n), sparse])):
+        with pytest.raises(ConfigError) as err:
+            uncentered_restricted(vals)
+        refusals.append(str(err.value))
+    assert refusals[0] == refusals[1] == refusals[2] and "finite sums" in refusals[0]
+    one = np.zeros(n)
+    one[200] = 1e308  # sums to itself: a defined value
+    assert np.array_equal(uncentered_restricted(one), maximal._uncentered_naive(maximal._prefix(one)))
+
+
+@pytest.mark.parametrize("cutoff", [maximal.SPARSE_CUTOFF, 1])
+@pytest.mark.parametrize("L", range(1, 6))
+def test_buckley_equals_per_function_brute_loop(monkeypatch, L, cutoff):
+    # at these sizes the default cutoff sends only zero rows to the sparse
+    # path; a cutoff of 1 sends every row
+    monkeypatch.setattr(maximal, "SPARSE_CUTOFF", cutoff)
+    g = wl.build_grid(1, L)
+    v = wl.random_a1_weight(g, np.random.default_rng(L), cap=16.0)
+    corpus = wl.test_function_corpus(g, seed=L)
+    best = 0.0
+    for _, f in corpus:
+        denom = wl.lp_norm(f, v, 2.0)
+        if denom != 0.0:
+            best = max(best, wl.lp_norm(wl.uncentered_maximal_brute(f), v, 2.0) / denom)
+    assert wl.buckley_empirical(v, 2.0, corpus=corpus).max_ratio == best > 1.0
