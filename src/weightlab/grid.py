@@ -16,8 +16,9 @@ cubes) is kept in this form from the pass that finds it to every reader;
 ``pyramid`` is the one reduction over the tree: every cube aggregate of the
 package (weight tables, maximal-function averages, the CZ stopping time,
 region cubes) is one of its levels.  ``sum_pyramid`` is the form the
-operators use on a function: it refuses cells whose sums overflow, where a
-weight table keeps its +inf.  ``first_cubes`` is the one top-down
+operators use on a function, and ``realize`` on a weight's mass table: it
+refuses finite cells whose sums overflow, where a dual or power table
+keeps its +inf.  ``first_cubes`` is the one top-down
 selection: the CZ cubes (first cubes whose average exceeds the height) and
 the maximal cubes of a cell set (first cubes it covers) are both its output
 on a boolean pyramid.  ``level_rows`` and ``rows`` are the one rule for the

@@ -17,7 +17,7 @@ All interval averages are formed from one shared prefix-sum (dyadic ops:
 one ``grid.pyramid`` of sums) by the same formula as in the oracles.  Both
 dyadic operators share one top-down ancestor-max pass and one per-cell
 ancestor oracle over their per-level candidates, and agree with it bitwise.
-The uncentered maximal takes one of three paths per row of n cells:
+The uncentered maximal takes one of four paths per row of n cells:
 
 * the sparse path, for n <= NAIVE_CEILING finite cells of which at most
   n^2 / SPARSE_CUTOFF move the prefix sum (n/8 of them at 4096 cells, none
@@ -28,9 +28,18 @@ The uncentered maximal takes one of three paths per row of n cells:
   against ``_uncentered_naive``;
 * the naive O(n^2) sweep for the other rows up to NAIVE_CEILING cells,
   bitwise its oracle ``uncentered_maximal_brute``;
-* the level-batched hull pass above NAIVE_CEILING cells, never above its
-  oracle and at most FAST_PATH_ULPS (tests/test_maximal.py) below it on
-  plateaus; on lognormal, indicator and sorted data it is bitwise.
+* the flank split, for a finite row above NAIVE_CEILING cells that is zero
+  left of its first or right of its last nonzero cell: by the same lemma
+  the support between them takes its own path by its own length, and each
+  zero flank cell the best average over the support's ends, found by a
+  divide-and-conquer on the monotone best end (``_trailing_flank``).  The
+  flanks, and the whole row when the support has at most NAIVE_CEILING
+  cells, are bitwise the sweep; tests/test_maximal.py gates them with
+  np.array_equal against ``_uncentered_naive``;
+* the level-batched hull pass for the other rows above NAIVE_CEILING
+  cells, never above its oracle and at most FAST_PATH_ULPS
+  (tests/test_maximal.py) below it on plateaus; on lognormal, indicator
+  and sorted data it is bitwise.
 
 The uncentered internals also take a 2-D array whose rows are independent
 blocks (``uncentered_restricted`` on all cubes of one dyadic level, or on
@@ -38,8 +47,8 @@ a corpus of functions): each row gives bitwise what it gives alone.  The
 sweep runs over every row at once, so a caller that stacks many rows
 passes blocks of at most SWEEP_CELLS = 2^15 cells: 8 rows at NAIVE_CEILING,
 enough that numpy's per-row dispatch is small against each step, with
-about 1 MB of sweep arrays per block; the hull pass, above NAIVE_CEILING
-cells per row, runs one row at a time.
+about 1 MB of sweep arrays per block; rows above NAIVE_CEILING cells run
+one at a time.
 ``uncentered_dyadic`` gives the restricted maximal on every dyadic level
 and builds each level up to NAIVE_CEILING cells from the one below: only
 the intervals that leave a cube's left half are swept again, 3/4 of the
@@ -67,6 +76,7 @@ SWEEP_CELLS = 1 << 15  # cells per block of stacked rows handed to one sweep
 # n^2 / 2^14 (n = 4096); at this cutoff the sparse path is 1.5x (n = 4096)
 # to 3-5x (n = 256..2048) faster.
 SPARSE_CUTOFF = 1 << 15
+FLANK_CHUNK = 4096  # zero flank cells per divide-and-conquer pass of _trailing_flank
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +309,85 @@ def _tangents(P, Q, V, st, en) -> tuple[np.ndarray, np.ndarray]:
     return g, V[k]
 
 
+def _uncentered_long(values: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Max interval average per cell of one row of more than NAIVE_CEILING
+    cells, ``values`` with prefix row P.  A finite row that is zero left of
+    its first nonzero cell lo or right of its last one hi - 1 is split: the
+    support [lo, hi) is its own block, on its own path, and each zero flank
+    is filled by ``_trailing_flank``.  Other rows take the hull pass.
+
+    The support's maxima are the row's there: np.cumsum is sequential and
+    the leading zeros sum to 0, so its prefix row is bitwise P[lo..hi], and
+    an interval reaching into a flank has the numerator of its trimmed copy
+    over a larger divisor (the zero-end lemma at ``_uncentered_sparse``).
+    """
+    n = len(values)
+    nonzero = np.flatnonzero(values)
+    if not np.isfinite(P[-1]) or (len(nonzero) and nonzero[0] == 0 and nonzero[-1] == n - 1):
+        return _uncentered_levels(P)
+    out = np.zeros(n)
+    if len(nonzero):
+        lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
+        out[lo:hi] = uncentered_restricted(values[lo:hi])
+        _trailing_flank(P, lo, hi, out)
+        _trailing_flank(-P[::-1], n - hi, n - lo, out[::-1])
+    return out
+
+
+def _trailing_flank(P: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+    """Fill out[hi:] with the sweep's maxima of a finite prefix row P whose
+    cells are zero left of lo and from hi on.
+
+    A flank cell c takes max over lo <= k < hi of fl(fl(P[n] - P[k]) /
+    (c + 1 - k)): every right end b > c has P[b] = P[n], so b = c + 1 is
+    best, and a left end in the flank or left of lo adds nothing.  Each
+    numerator is one fixed float, and for the exact quotients the best k
+    does not increase as c grows (the quotient of two of them is monotone in
+    c).  Rounding is monotone, so the exact best k attains the rounded max,
+    and a divide-and-conquer over the queries gives the sweep's bits: each
+    middle query is evaluated over its candidate range, and the queries
+    before it search from the least k that attains its rounded max, those
+    after it up to the largest.  Queries run in chunks of FLANK_CHUNK, each
+    searching up to the largest best k of the chunk before.  The leading
+    flank is the same pass on the point reflection -P[::-1].
+    """
+    n = len(P) - 1
+    num = P[n] - P[lo:hi]  # candidate j is the left end k = lo + j
+    top = hi - lo - 1
+    for c0 in range(hi, n, FLANK_CHUNK):
+        x = np.arange(c0 + 1 - lo, min(c0 + FLANK_CHUNK, n) + 1 - lo, dtype=float)  # c + 1 - lo
+        res = out[c0 : c0 + len(x)]
+        # open query segments [qa, qb), candidates j in [ja, jb]
+        qa, qb = np.array([0]), np.array([len(x)])
+        ja, jb = np.array([0]), np.array([top])
+        while len(qa):
+            mid = (qa + qb) >> 1
+            cnt = jb - ja + 1
+            start = np.cumsum(cnt) - cnt
+            j = np.arange(int(cnt.sum())) + np.repeat(ja - start, cnt)
+            t = num[j] / (np.repeat(x[mid], cnt) - j)
+            best = np.maximum.reduceat(t, start)
+            res[mid] = best
+            hit = t == np.repeat(best, cnt)
+            first = np.minimum.reduceat(np.where(hit, j, top), start)
+            last = np.maximum.reduceat(np.where(hit, j, 0), start)
+            if mid[-1] == len(x) - 1:
+                bound = last[-1]
+            qa, qb = np.concatenate((qa, mid + 1)), np.concatenate((mid, qb))
+            ja, jb = np.concatenate((first, ja)), np.concatenate((jb, last))
+            keep = qa < qb
+            qa, qb, ja, jb = qa[keep], qb[keep], ja[keep], jb[keep]
+        top = int(bound)
+
+
 def uncentered_maximal(f: GridFunction) -> GridFunction:
     """Grid-restricted uncentered Hardy-Littlewood maximal function: up to
     NAIVE_CEILING cells the sparse path if few cells move the prefix sum,
-    else the O(N^2) sweep; the level-batched hull pass above."""
+    else the O(N^2) sweep.  Above, a finite f with zero flanks has its
+    support computed on its own and the flanks filled by the monotone
+    divide-and-conquer, bitwise ``_uncentered_naive`` there (and on the
+    support up to NAIVE_CEILING cells); other f take the level-batched hull
+    pass."""
     return GridFunction(f.grid, uncentered_restricted(f.values))
 
 
@@ -334,14 +419,18 @@ def uncentered_restricted(values: np.ndarray) -> np.ndarray:
     finite row of n cells whose prefix sum moves at no more than
     n^2 / SPARSE_CUTOFF cells takes the sparse path (bitwise the sweep by
     the zero-end lemma, gated against ``_uncentered_naive``), the rest are
-    swept together.  Longer rows take the hull pass one at a time.
+    swept together.  Longer rows run one at a time: a finite row with a
+    zero flank hands its support back to this function and fills the
+    flanks by ``_trailing_flank`` (bitwise the sweep there, gated against
+    ``_uncentered_naive``), the others take the hull pass.
     """
     values = np.asarray(values, dtype=float)
     P = _prefix(np.abs(values))
     rows = P.reshape(-1, P.shape[-1])
     n = rows.shape[1] - 1
     if n > NAIVE_CEILING:
-        return np.array([_uncentered_levels(row) for row in rows]).reshape(values.shape)
+        cells = values.reshape(len(rows), n)
+        return np.array([_uncentered_long(v, row) for v, row in zip(cells, rows)]).reshape(values.shape)
     steps = np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
     sparse = (steps * SPARSE_CUTOFF <= n * n) & np.isfinite(rows[:, -1])
     if not sparse.any():

@@ -7,7 +7,9 @@ local form, so piecewise-constant weights (q = 0 everywhere) are handled
 exactly and power weights x^(delta-1) are exact per cell.  Divergent cell
 integrals (possible for dual/power tables of power weights at the origin)
 are stored as +inf sentinels and propagate through cube queries; they are
-values, not failures.
+values, not failures.  Finite cell masses whose cube sums overflow are
+refused instead (``grid.sum_pyramid``): a constant over such a cube would
+read inf where the weight's true average is finite.
 
 Each table of a ``GridWeight`` is the ``grid.pyramid`` of its cell values,
 a list whose entry [d] holds the cubes of 2^d cells (np.add for integrals,
@@ -28,7 +30,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError, CsvFormatError, UncachedExponentError
-from .grid import Cube, Grid, build_grid, pyramid
+from .grid import Cube, Grid, build_grid, pyramid, sum_pyramid
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +267,7 @@ def _from_local_form(grid: Grid, coef: np.ndarray, expo: np.ndarray) -> GridWeig
         grid=grid,
         coef=coef,
         expo=expo,
-        mass=pyramid(mass),
+        mass=sum_pyramid(mass, "the mass table of a weight"),
         essinf=pyramid(_local_essinf(a, b, coef, expo), np.minimum),
         logmass=pyramid(_log_integral(a, b, coef, expo)),
     )

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import weightlab as wl
+from weightlab import weights
+from weightlab.grid import pyramid
 
 
 @pytest.fixture
@@ -14,3 +16,13 @@ def random_function(grid, rng, sparsity=0.6, signed=False):
     if signed:
         vals = vals * rng.choice([-1.0, 1.0], size=grid.ncells)
     return wl.GridFunction(grid, vals)
+
+
+def overflowing_weight(spec, grid):
+    """``wl.realize(spec, grid)`` with its cube masses summed by the plain
+    ``pyramid``, so a sum that overflows is kept as +inf where realize
+    refuses it: an input for the oracle tests of the readers' inf and NaN
+    handling."""
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        mp.setattr(weights, "sum_pyramid", lambda values, what: pyramid(values))
+        return wl.realize(spec, grid)

@@ -372,6 +372,37 @@ def report_digests(tmp_path, seed: int) -> dict:
     return out
 
 
+def ceiling_digests(tmp_path, seed: int) -> dict:
+    """Exit codes and SHA-256 stdout digests of the uncentered maximal above
+    NAIVE_CEILING cells: the sharpness grid row at delta = 1/2 and L = 10
+    (N = 2^14, f v zero right of its first 2^10 cells), and maximal
+    --variant uncentered and weaknorm --variant M on one seeded row of
+    N = 8192 cells (J = 1, L = 12) that is zero on a leading and a trailing
+    run.  The commands run in tmp_path, so no temporary path reaches their
+    output."""
+    g = wl.build_grid(1, 12)
+    rng = np.random.default_rng(seed)
+    u = rng.lognormal(0.0, 0.3, g.ncells)
+    v = rng.lognormal(0.0, 0.3, g.ncells)
+    f = rng.lognormal(size=g.ncells) * (rng.random(g.ncells) < 0.6)
+    f[:700] = 0.0
+    f[3900:] = 0.0
+    for k, x in (("u", u), ("v", v), ("f", f)):
+        wl.save_function_csv(wl.GridFunction(g, x), str(tmp_path / f"ceiling_{k}.csv"))
+    commands = {
+        "sharpness_a1_L10": "sharpness-a1 --deltas 0.5 --grid --L 10",
+        "maximal_uncentered": "maximal --f ceiling_f.csv --variant uncentered --J 1",
+        "weaknorm_M": "weaknorm --f ceiling_f.csv --u csv:ceiling_u.csv --v csv:ceiling_v.csv --J 1 --variant M",
+    }
+    out = {}
+    for name, command in commands.items():
+        buf = io.StringIO()
+        with contextlib.chdir(tmp_path), contextlib.redirect_stdout(buf):
+            out[name + "_code"] = main(command.split())
+        out[name + "_stdout"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return out
+
+
 def test_outputs_match_recorded_digests(tmp_path):
     # The digests were recorded before the dyadic-tree code was merged into
     # grid.pyramid, the deep-chain one before the principal-cubes ancestor
@@ -383,13 +414,15 @@ def test_outputs_match_recorded_digests(tmp_path):
     # domination check took the signed maximal of f v (exit 1 -> 0).  The
     # weight-layer ones were recorded before the weight tables became plain
     # pyramid lists, the report ones before the report layouts were read
-    # from the dataclass fields.
+    # from the dataclass fields, the ceiling ones before rows above
+    # NAIVE_CEILING cells with zero flanks left the hull pass.
     with open(GOLDEN) as fh:
         golden = json.load(fh)
     assert cli_digests(tmp_path, golden["seed"]) == golden["digests"]
     assert deep_chain_digest(tmp_path, golden["seed"]) == golden["deep_chain"]
     assert weight_digests(tmp_path, golden["seed"]) == golden["weights"]
     assert report_digests(tmp_path, golden["seed"]) == golden["reports"]
+    assert ceiling_digests(tmp_path, golden["seed"]) == golden["ceiling"]
 
 
 def test_reused_parser_gives_the_same_outputs(tmp_path):
@@ -466,7 +499,7 @@ DEGENERATE_ROWS = {
 }
 
 # every subcommand that reads --f, --g or --weight; {p} is the CSV, {s} the
-# csv: spec of it and {L} the level of its cells (J = 0)
+# csv: spec of it, {L} the level of its cells at J = 0 and {K} at J = 1
 DEGENERATE_COMMANDS = [
     "maximal --f {p} --variant dyadic",
     "maximal --f {p} --variant dyadic --signed",
@@ -480,6 +513,7 @@ DEGENERATE_COMMANDS = [
     "weaknorm --f {p} --u {s} --v {s} --variant M",
     "sawyer-verify --u {s} --v {s} --g {p}",
     "constants --weight {s} --kind A1 --J 0 --L {L}",
+    "constants --weight {s} --kind A1 --J 1 --L {K}",
     "constants --weight {s} --kind Ap --p 2 --J 0 --L {L}",
     "constants --weight {s} --kind AinfExp --J 0 --L {L}",
     "constants --weight {s} --kind AinfFW --J 0 --L {L}",
@@ -505,6 +539,7 @@ HUGE_REFUSED = [
     "czd --f {p} --v const:c=1e308 --height 1.5 --r 1.5",
     "weaknorm --f {p} --u {s} --v {s} --variant M",
     "rh-check --weight {s} --J 0 --L {L}",
+    "constants --weight {s} --kind A1 --J 1 --L {K}",
 ]
 
 
@@ -516,7 +551,8 @@ def test_degenerate_inputs_exit_cleanly(capsys, tmp_path, command, rows):
     values = DEGENERATE_ROWS[rows]
     path = tmp_path / f"{rows}.csv"
     path.write_text("".join(f"{x!r}\n" for x in values))
-    argv = command.format(p=path, s=f"csv:{path}", L=len(values).bit_length() - 1).split()
+    L = len(values).bit_length() - 1
+    argv = command.format(p=path, s=f"csv:{path}", L=L, K=L - 1).split()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, *argv)
@@ -538,6 +574,7 @@ def test_degenerate_inputs_exit_cleanly(capsys, tmp_path, command, rows):
     ("czd --f {p} --v {s} --height 1.5", "the CZ decomposition needs a finite product f v"),
     ("maximal --f {p} --variant weighted --v {s}", "the weighted dyadic maximal needs a finite product f v"),
     ("rh-check --weight {s} --J 0 --L 2", "the averages of w^1.25 or of w are not finite"),
+    ("constants --weight {s} --kind A1 --J 1 --L 1", "the mass table of a weight needs finite sums"),
     ("weaknorm --f {p} --u {s} --v {s}", "the L1(uv) norm of f is not finite"),
     ("weaknorm --f {p} --u const:c=1 --v {s}", "the L1(uv) norm of f is not finite"),
     ("weaknorm --f {p} --u {s} --v const:c=1", "the L1(uv) norm of f is not finite"),

@@ -12,7 +12,7 @@ from weightlab.constants import DIM, ap_constant, encode_nonfinite
 from weightlab.czd import CheckResult, CZVerifyReport
 from weightlab.errors import ConfigError
 from weightlab.grid import Cube
-from conftest import random_function
+from conftest import overflowing_weight, random_function
 
 
 def brute_stopping_cubes(f, v, t):
@@ -387,13 +387,14 @@ def oracle_cases(rng):
     yield dataclasses.replace(dec, averages=[*dec.averages, 0.0], **with_cube(dec, child),
                               selection_averages=[*dec.selection_averages, 0.0]), v
     # infinite cells of f (finite ones whose products f v overflow are
-    # refused) and v sums of cubes of 4 cells that overflow: inf and NaN
-    # (inf - inf) averages, NaN good values, no truncated root
+    # refused) and v sums of cubes of 4 cells that overflow (which realize
+    # refuses): inf and NaN (inf - inf) averages, NaN good values, no
+    # truncated root
     g = wl.build_grid(2, 1)
     big = wl.GridFunction(g, np.array([np.inf, -np.inf, 3.0, 1.0, np.inf, np.inf, 2.0, 0.5]))
     with np.errstate(over="ignore", invalid="ignore"):
         for c in (1e308, 1e307):
-            v = wl.realize(wl.Constant(c), g)
+            v = overflowing_weight(wl.Constant(c), g)
             for t in (0.5, 1.5, 1e300):
                 yield wl.cz_decompose(big, v, t), v
 

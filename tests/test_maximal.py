@@ -258,10 +258,14 @@ def brute_block(vals):
 @given(step_functions(st.integers(1, 256)))
 def test_fast_path_against_brute_on_step_functions(vals):
     # a zero ceiling sends every length, powers of two or not, to the fast path
+    # (a row with a zero flank then leaves the hull pass for the flank
+    # split, so the hull pass is also called directly)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(maximal, "NAIVE_CEILING", 0)
         fast = uncentered_restricted(vals)
-    assert_fast_path_contract(fast, brute_block(vals))
+    brute = brute_block(vals)
+    assert_fast_path_contract(fast, brute)
+    assert_fast_path_contract(maximal._uncentered_levels(maximal._prefix(vals)), brute)
 
 
 @settings(derandomize=True, max_examples=10, deadline=None)
@@ -424,3 +428,112 @@ def test_buckley_equals_per_function_brute_loop(monkeypatch, L, cutoff):
         if denom != 0.0:
             best = max(best, wl.lp_norm(wl.uncentered_maximal_brute(f), v, 2.0) / denom)
     assert wl.buckley_empirical(v, 2.0, corpus=corpus).max_ratio == best > 1.0
+
+
+# ---------------------------------------------------------------------------
+# rows above NAIVE_CEILING with zero flanks: the support on its own path,
+# each flank by the monotone divide-and-conquer of _trailing_flank
+
+def naive(vals):
+    return maximal._uncentered_naive(maximal._prefix(vals))
+
+
+@st.composite
+def flanked_rows(draw):
+    """Rows of NAIVE_CEILING + 1..9000 cells, zero outside a support of at
+    most NAIVE_CEILING cells: a step function (zero runs and end spikes
+    allowed), seeded lognormal cells, sparse lognormal cells or a 1/0.75
+    plateau."""
+    n = draw(st.integers(maximal.NAIVE_CEILING + 1, 9000))
+    size = draw(st.integers(1, maximal.NAIVE_CEILING))
+    lo = draw(st.integers(0, n - size))
+    kind = draw(st.sampled_from(["steps", "lognormal", "sparse", "plateau"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "steps":
+        support = draw(step_functions(st.just(size)))
+    elif kind == "lognormal":
+        support = rng.lognormal(size=size)
+    elif kind == "sparse":
+        support = rng.lognormal(size=size) * (rng.random(size) < 0.05)
+    else:
+        support = np.full(size, 1.0 / 0.75)
+    vals = np.zeros(n)
+    vals[lo : lo + size] = support
+    return vals
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(flanked_rows())
+def test_flanked_rows_equal_naive(vals):
+    assert np.array_equal(uncentered_restricted(vals), naive(vals))
+
+
+def test_flanked_rows_with_adversarial_supports(rng):
+    n, ceiling = 8192, maximal.NAIVE_CEILING
+    rows = {}
+    for cell in (0, n // 2, n - 1):
+        rows[f"one cell at {cell}"] = np.eye(n)[cell]
+    rows["1/0.75 plateau"] = np.zeros(n)
+    rows["1/0.75 plateau"][1000:3000] = 1.0 / 0.75
+    rows["leading flank only"] = np.zeros(n)
+    rows["leading flank only"][n - 3000 :] = rng.lognormal(size=3000)
+    rows["trailing flank only"] = np.zeros(n)
+    rows["trailing flank only"][:3000] = rng.lognormal(size=3000)
+    rows["spikes at both support ends"] = np.zeros(n)
+    rows["spikes at both support ends"][[17, 4000]] = [1e6, 5e-324]
+    for name, vals in rows.items():
+        assert np.array_equal(uncentered_restricted(vals), naive(vals)), name
+    # a support above the ceiling takes the hull pass: bitwise on the flanks,
+    # within FAST_PATH_ULPS on the support
+    lo, hi = 500, 500 + ceiling + 1000
+    vals = np.zeros(n)
+    vals[lo:hi] = np.repeat([1.0, 3.0, 2.0], [1000, 2500, ceiling - 2500])
+    fast, want = uncentered_restricted(vals), naive(vals)
+    assert np.array_equal(fast[:lo], want[:lo]) and np.array_equal(fast[hi:], want[hi:])
+    assert_fast_path_contract(fast[lo:hi], want[lo:hi])
+
+
+def test_flanked_rows_never_run_the_hull_pass():
+    def no_hull(*args):
+        raise AssertionError("a flanked row entered the hull pass")
+
+    delta, L = 0.5, 10
+    g = wl.build_grid(4, L)
+    sharp = np.zeros(g.ncells)  # f v of the sharpness row: zero right of 2^L cells
+    sharp[: 1 << L] = wl.realize(wl.Power(delta), g).cell_values[: 1 << L] / delta
+    spikes = np.zeros((3, 8192))
+    spikes[[0, 1, 2], [0, 4096, 8191]] = 1.0
+    cases = [sharp, *spikes, np.zeros(5000)]
+    wants = [naive(vals) for vals in cases]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maximal, "_uncentered_levels", no_hull)
+        for vals, want in zip(cases, wants):
+            assert np.array_equal(uncentered_restricted(vals), want)
+        assert np.array_equal(uncentered_restricted(spikes), np.array(wants[1:4]))
+        f = wl.GridFunction(g, sharp)
+        assert np.array_equal(wl.uncentered_maximal(f).values, wants[0])
+
+
+def test_flanked_rows_of_1e308_refused_as_the_sweep_refuses(monkeypatch):
+    n = 8192
+    refusals = []
+    for size in (256, n):
+        vals = np.zeros(size)
+        vals[[3, 200]] = 1e308  # their sum overflows
+        with pytest.raises(ConfigError) as err:
+            uncentered_restricted(vals)
+        refusals.append(str(err.value))
+    assert refusals[0] == refusals[1] and "finite sums" in refusals[0]
+    one = np.zeros(n)
+    one[200] = 1e308  # sums to itself: a defined value
+    assert np.array_equal(uncentered_restricted(one), naive(one))
+    # a row with an inf cell is not finite: it keeps the hull pass
+    calls = []
+    real = maximal._uncentered_levels
+    monkeypatch.setattr(maximal, "_uncentered_levels", lambda P: calls.append(P) or real(P))
+    inf = np.zeros(n)
+    inf[[100, 300]] = [np.inf, 1.0]
+    with np.errstate(invalid="ignore"):  # inf - inf in the hull pass, as before
+        out = uncentered_restricted(inf)
+        assert len(calls) == 1
+        assert np.array_equal(out, real(maximal._prefix(inf)), equal_nan=True)

@@ -20,6 +20,7 @@ def load(name):
     ("run_bound_audit", ["--L", "4"]),
     ("run_sharpness", ["--grid", "--levels", "6,7,8"]),
     ("run_chain_campaign", ["--pairs", "3"]),
+    ("run_sharpness", ["--grid", "--levels", "8,9,10"]),  # N = 2^12..2^14: across NAIVE_CEILING
 ])
 def test_campaign_exits_0(capsys, name, argv):
     assert load(name).main(argv) == 0

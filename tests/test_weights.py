@@ -150,6 +150,16 @@ def test_piecewise_needs_positive_finite_cells():
         assert f"cell {cell}" in str(exc.value) and need in str(exc.value)
 
 
+@pytest.mark.filterwarnings("error")
+def test_cube_masses_that_overflow_are_refused():
+    # four cells of mass 5e307 sum to 2e308: refused, with no warning first;
+    # at half the cell width the root sums to 1e308 and stays
+    with pytest.raises(ConfigError, match="finite sums"):
+        wl.realize(wl.Piecewise((1e308,) * 4), wl.build_grid(1, 1))
+    w = wl.realize(wl.Piecewise((1e308,) * 4), wl.build_grid(0, 2))
+    assert w.mass[-1][0] == 1e308
+
+
 def test_csv_round_trip(tmp_path, rng):
     g = wl.build_grid(1, 4)
     vals = tuple(float(v) for v in rng.lognormal(size=g.ncells))
