@@ -1,16 +1,7 @@
 """weightlab: a 1-D laboratory for Muckenhoupt weights, maximal operators,
 Calderon-Zygmund decompositions, and mixed weak-type inequalities."""
 
-from .grid import (
-    Cube,
-    Grid,
-    all_cubes,
-    build_grid,
-    cells_of,
-    children,
-    contains,
-    parent,
-)
+from .grid import Cube, Grid, build_grid, cells_of
 from .weights import (
     Constant,
     GridFunction,

@@ -29,7 +29,7 @@ from .constants import (
     global_constant,
     reverse_holder_check,
 )
-from .errors import ConfigError, CsvFormatError, NoParentError, UncachedExponentError
+from .errors import ConfigError, CsvFormatError
 from .grid import build_grid
 from .maximal import dyadic_maximal, uncentered_maximal, weighted_dyadic_maximal
 from .norms import mixed_ratio
@@ -326,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, CsvFormatError, UncachedExponentError, NoParentError, OSError) as e:
+    except (ConfigError, CsvFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

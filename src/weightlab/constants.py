@@ -92,18 +92,19 @@ def pow_or_inf(x: float, y: float) -> float:
 
 def ap_local(w: GridWeight, Q: Cube, p: float) -> float:
     """(avg_Q w) (avg_Q w^{1-p'})^{p-1}; +inf when the dual mass diverges."""
-    length = Q.length
-    m = w.mass_of(Q) / length
-    d = w.dual_mass_of(Q, p) / length
-    if math.isinf(d):
+    d, length = w.grid.L - Q.level, Q.length
+    m = float(w.mass[d][Q.index]) / length
+    dual = float(w.duals[p][d][Q.index]) / length
+    if math.isinf(dual):
         return math.inf
-    return m * d ** (p - 1.0)
+    return m * dual ** (p - 1.0)
 
 
 def a1_local(w: GridWeight, Q: Cube) -> float:
     """(avg_Q w) / (ess inf_Q w); +inf at zero infimum."""
-    inf_q = w.essinf_of(Q)
-    avg = w.mass_of(Q) / Q.length
+    d = w.grid.L - Q.level
+    inf_q = float(w.essinf[d][Q.index])
+    avg = float(w.mass[d][Q.index]) / Q.length
     if inf_q <= 0:
         return math.inf
     return avg / inf_q
@@ -111,9 +112,9 @@ def a1_local(w: GridWeight, Q: Cube) -> float:
 
 def ainf_exp_local(w: GridWeight, Q: Cube) -> float:
     """(avg_Q w) exp(avg_Q log w^{-1}) (the exponential A_inf functional)."""
-    length = Q.length
-    avg = w.mass_of(Q) / length
-    logavg = w.log_mass_of(Q) / length
+    d, length = w.grid.L - Q.level, Q.length
+    avg = float(w.mass[d][Q.index]) / length
+    logavg = float(w.logmass[d][Q.index]) / length
     return avg * math.exp(-logavg)
 
 
@@ -129,7 +130,7 @@ def ainf_fw_local(w: GridWeight, Q: Cube) -> float:
     vals = w.cell_values[cells.start : cells.stop]
     mvals = uncentered_restricted(vals)
     integral = float(mvals.sum()) * w.grid.cell_width
-    return integral / w.mass_of(Q)
+    return integral / float(w.mass[w.grid.L - Q.level][Q.index])
 
 
 def _require_piecewise(w: GridWeight) -> None:

@@ -11,13 +11,3 @@ class CsvFormatError(ValueError):
     def __init__(self, row: int, message: str):
         self.row = row
         super().__init__(f"row {row}: {message}")
-
-
-class UncachedExponentError(LookupError):
-    """A dual/power integral table was requested that was not cached at
-    realization time.  Re-realize the weight with the exponent included
-    (see ``weights.with_cached``)."""
-
-
-class NoParentError(ValueError):
-    """parent() called on the root cube."""

@@ -36,7 +36,7 @@ from .constants import (
     pow_or_inf,
 )
 from .errors import ConfigError
-from .grid import Cube, Grid, build_grid, cells_of
+from .grid import Grid, build_grid
 from .maximal import SWEEP_CELLS, uncentered_restricted
 from .norms import lp_norm, mixed_ratio
 from .weights import (
@@ -132,8 +132,7 @@ def test_function_corpus(
     for k in range(-grid.J, grid.L + 1, max(1, (grid.J + grid.L) // 4)):
         for m in {0, grid.ncubes(k) // 2}:
             vals = np.zeros(n)
-            r = cells_of(grid, Cube(k, m))
-            vals[r.start : r.stop] = 1.0
+            vals[m << (grid.L - k) : (m + 1) << (grid.L - k)] = 1.0
             out.append((f"indicator_k{k}_m{m}", GridFunction(grid, vals)))
     for cell in {0, n // 2, n - 1}:
         vals = np.zeros(n)

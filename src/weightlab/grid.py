@@ -4,14 +4,15 @@ A grid covers the interval [0, 2^J) with N = 2^(J+L) equal cells of width
 h = 2^-L.  Dyadic cubes live on levels k = -J .. L; the cube (k, m) is the
 half-open interval [m 2^-k, (m+1) 2^-k), always a union of whole cells.
 Addressing is pure integer arithmetic, so ancestry and cell-range queries
-carry no floating-point drift; interval endpoints, when needed as floats,
-are exact dyadic rationals well inside the double range.
+carry no floating-point drift.
 
 A cube set is two int64 arrays (d, idx): cube j has 2^d[j] cells, starts
-at cell idx[j] << d[j] and is row idx[j] of ``rows(values, d[j])``; its
-level is L - d[j].  Every set the package computes (CZ cubes, strata, J
-cubes) is kept in this form from the pass that finds it to every reader;
-``as_cubes`` gives the Cube objects for display and oracles.
+at cell idx[j] << d[j], is row idx[j] of ``rows(values, d[j])`` and entry
+levels[d[j]][idx[j]] of a pyramid; its level is L - d[j], and its
+ancestor s levels up is idx[j] >> s.  Every set the package computes is
+kept in this form from the pass that finds it to every reader; ``Cube`` is
+only the (level, index) record of a report field, of ``as_cubes`` or of an
+oracle.
 
 ``pyramid`` is the one reduction over the tree: every cube aggregate of the
 package (weight tables, maximal-function averages, the CZ stopping time,
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NoParentError
+from .errors import ConfigError
 
 MAX_J = 20
 MAX_L = 20
@@ -82,10 +83,6 @@ class Cube:
     @property
     def length(self) -> float:
         return 2.0 ** (-self.level)
-
-    def endpoints(self) -> tuple[float, float]:
-        w = 2.0 ** (-self.level)
-        return (self.index * w, (self.index + 1) * w)
 
 
 def pyramid(values: np.ndarray, op=np.add) -> list[np.ndarray]:
@@ -200,37 +197,8 @@ def _check_cube(grid: Grid, Q: Cube) -> None:
         raise ConfigError(f"cube index {Q.index} outside level {Q.level}")
 
 
-def parent(grid: Grid, Q: Cube) -> Cube:
-    """The dyadic ancestor of twice the length; errors at the root."""
-    _check_cube(grid, Q)
-    if Q.level <= -grid.J:
-        raise NoParentError(f"cube at level {Q.level} is the root of grid J={grid.J}")
-    return Cube(Q.level - 1, Q.index >> 1)
-
-
-def children(grid: Grid, Q: Cube) -> tuple[Cube, Cube]:
-    _check_cube(grid, Q)
-    if Q.level >= grid.L:
-        raise ConfigError("cell-level cube has no children in this grid")
-    return (Cube(Q.level + 1, 2 * Q.index), Cube(Q.level + 1, 2 * Q.index + 1))
-
-
-def all_cubes(grid: Grid):
-    """Every dyadic cube of the grid, coarsest level first."""
-    for k in grid.levels():
-        for m in range(grid.ncubes(k)):
-            yield Cube(k, m)
-
-
 def cells_of(grid: Grid, Q: Cube) -> range:
     """Half-open cell-index range covered by Q."""
     _check_cube(grid, Q)
     shift = grid.L - Q.level
     return range(Q.index << shift, (Q.index + 1) << shift)
-
-
-def contains(outer: Cube, inner: Cube) -> bool:
-    """Dyadic containment test (same grid assumed)."""
-    if outer.level > inner.level:
-        return False
-    return (inner.index >> (inner.level - outer.level)) == outer.index

@@ -17,9 +17,11 @@ All interval averages are formed from one shared prefix-sum (dyadic ops:
 one ``grid.pyramid`` of sums) by the same formula as in the oracles.  Both
 dyadic operators share one top-down ancestor-max pass and one per-cell
 ancestor oracle over their per-level candidates, and agree with it bitwise.
-The uncentered maximal takes one of four paths per row of n cells:
+The uncentered maximal of a row with an inf (NaN) cell is inf (NaN) on
+every cell, before any path is chosen; every other row takes one of four
+paths by its length n:
 
-* the sparse path, for n <= NAIVE_CEILING finite cells of which at most
+* the sparse path, for n <= NAIVE_CEILING cells of which at most
   n^2 / SPARSE_CUTOFF move the prefix sum (n/8 of them at 4096 cells, none
   but in a zero row below 182), in O(n) per such cell.  A cell that leaves
   the prefix sum unchanged is never the best end of an interval (the
@@ -28,7 +30,7 @@ The uncentered maximal takes one of four paths per row of n cells:
   against ``_uncentered_naive``;
 * the naive O(n^2) sweep for the other rows up to NAIVE_CEILING cells,
   bitwise its oracle ``uncentered_maximal_brute``;
-* the flank split, for a finite row above NAIVE_CEILING cells that is zero
+* the flank split, for a row above NAIVE_CEILING cells that is zero
   left of its first or right of its last nonzero cell: by the same lemma
   the support between them takes its own path by its own length, and each
   zero flank cell the best average over the support's ends, found by a
@@ -310,11 +312,12 @@ def _tangents(P, Q, V, st, en) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _uncentered_long(values: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Max interval average per cell of one row of more than NAIVE_CEILING
-    cells, ``values`` with prefix row P.  A finite row that is zero left of
-    its first nonzero cell lo or right of its last one hi - 1 is split: the
-    support [lo, hi) is its own block, on its own path, and each zero flank
-    is filled by ``_trailing_flank``.  Other rows take the hull pass.
+    """Max interval average per cell of one finite row of more than
+    NAIVE_CEILING cells, ``values`` with prefix row P.  A row that is zero
+    left of its first nonzero cell lo or right of its last one hi - 1 is
+    split: the support [lo, hi) is its own block, on its own path, and each
+    zero flank is filled by ``_trailing_flank``.  Other rows take the hull
+    pass.
 
     The support's maxima are the row's there: np.cumsum is sequential and
     the leading zeros sum to 0, so its prefix row is bitwise P[lo..hi], and
@@ -323,7 +326,7 @@ def _uncentered_long(values: np.ndarray, P: np.ndarray) -> np.ndarray:
     """
     n = len(values)
     nonzero = np.flatnonzero(values)
-    if not np.isfinite(P[-1]) or (len(nonzero) and nonzero[0] == 0 and nonzero[-1] == n - 1):
+    if len(nonzero) and nonzero[0] == 0 and nonzero[-1] == n - 1:
         return _uncentered_levels(P)
     out = np.zeros(n)
     if len(nonzero):
@@ -381,13 +384,9 @@ def _trailing_flank(P: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
 
 
 def uncentered_maximal(f: GridFunction) -> GridFunction:
-    """Grid-restricted uncentered Hardy-Littlewood maximal function: up to
-    NAIVE_CEILING cells the sparse path if few cells move the prefix sum,
-    else the O(N^2) sweep.  Above, a finite f with zero flanks has its
-    support computed on its own and the flanks filled by the monotone
-    divide-and-conquer, bitwise ``_uncentered_naive`` there (and on the
-    support up to NAIVE_CEILING cells); other f take the level-batched hull
-    pass."""
+    """Grid-restricted uncentered Hardy-Littlewood maximal function:
+    ``uncentered_restricted`` of f's cells, on the paths of the module
+    docstring."""
     return GridFunction(f.grid, uncentered_restricted(f.values))
 
 
@@ -397,14 +396,19 @@ def uncentered_maximal_brute(f: GridFunction) -> GridFunction:
     For each left end a, the averages (P[b] - P[a]) / (b - a) of all right
     ends b > a form one row; its suffix max from b = c + 1 on is the best
     interval [a, b) holding cell c, folded into every cell c >= a.  O(N^2)
-    time and O(N) memory; a NaN candidate propagates, as in a max."""
+    time and O(N) memory; a NaN candidate propagates, as in a max.  The sums
+    leave out the inf cells, and an interval that holds one (C counts them)
+    averages inf, so no candidate is inf - inf."""
     vals = np.abs(f.values)
-    P = _prefix(vals)
+    inf = np.isposinf(vals)
+    P = _prefix(np.where(inf, 0.0, vals))
+    C = np.concatenate(([0], np.cumsum(inf)))
     n = len(vals)
     idx = np.arange(n + 1, dtype=np.int64)
     out = np.full(n, -np.inf)
     for a in range(n):
         row = (P[a + 1 :] - P[a]) / (idx[a + 1 :] - a)
+        row[C[a + 1 :] > C[a]] += np.inf  # a NaN stays NaN
         np.maximum(out[a:], np.maximum.accumulate(row[::-1])[::-1], out=out[a:])
     return GridFunction(f.grid, out)
 
@@ -415,24 +419,21 @@ def uncentered_restricted(values: np.ndarray) -> np.ndarray:
 
     Used for M(chi_Q w) restricted to a cube Q, or to all cubes of one level
     at once: truncation kills any gain from leaving Q, so intervals inside Q
-    suffice.  Each row of at most NAIVE_CEILING cells picks its own path: a
-    finite row of n cells whose prefix sum moves at no more than
-    n^2 / SPARSE_CUTOFF cells takes the sparse path (bitwise the sweep by
-    the zero-end lemma, gated against ``_uncentered_naive``), the rest are
-    swept together.  Longer rows run one at a time: a finite row with a
-    zero flank hands its support back to this function and fills the
-    flanks by ``_trailing_flank`` (bitwise the sweep there, gated against
-    ``_uncentered_naive``), the others take the hull pass.
+    suffice.  Rows with an inf or NaN cell are answered first
+    (``_finite_rows``); every other row takes its path of the module
+    docstring by its length, and the rows of the sweep are swept together.
     """
     values = np.asarray(values, dtype=float)
     P = _prefix(np.abs(values))
     rows = P.reshape(-1, P.shape[-1])
     n = rows.shape[1] - 1
+    cells = values.reshape(len(rows), n)
+    if not np.isfinite(rows[:, -1]).all():
+        return _finite_rows(rows, lambda r: uncentered_restricted(cells[r])).reshape(values.shape)
     if n > NAIVE_CEILING:
-        cells = values.reshape(len(rows), n)
         return np.array([_uncentered_long(v, row) for v, row in zip(cells, rows)]).reshape(values.shape)
     steps = np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
-    sparse = (steps * SPARSE_CUTOFF <= n * n) & np.isfinite(rows[:, -1])
+    sparse = steps * SPARSE_CUTOFF <= n * n
     if not sparse.any():
         return _uncentered_naive(P)
     # the sweep's arrays are freed before ``out`` is made: a lower peak
@@ -445,6 +446,21 @@ def uncentered_restricted(values: np.ndarray) -> np.ndarray:
     return out.reshape(values.shape)
 
 
+def _finite_rows(rows: np.ndarray, fn) -> np.ndarray:
+    """The maxima of the prefix rows ``rows``: fn(r) on the rows r whose
+    last sum is finite, that sum on every cell of the others.  It is inf
+    for a row with an inf cell and NaN for one with a NaN cell, and every
+    cell shares an interval with that cell, whose average is that value."""
+    total = rows[:, -1]
+    finite = np.isfinite(total)
+    if finite.all():
+        return fn(slice(None))
+    out = np.repeat(total[:, None], rows.shape[1] - 1, axis=1)
+    if finite.any():
+        out[finite] = fn(finite)
+    return out
+
+
 def uncentered_dyadic(values: np.ndarray):
     """For d = 0, 1, ..., m on an array of N = 2^m cells, the uncentered
     maximal restricted to every dyadic block of 2^d cells, as the rows of
@@ -455,7 +471,9 @@ def uncentered_dyadic(values: np.ndarray):
     sweep serves them (2^d <= NAIVE_CEILING): np.cumsum is sequential, so
     the prefix row of a block's left half is bitwise its left child's, and
     the child's maxima stand for every interval inside the left half.  Each
-    such level sweeps only the right ends b > 2^(d-1).
+    such level sweeps only the right ends b > 2^(d-1) of its finite blocks;
+    a block with an inf or NaN cell is that value, as in
+    ``uncentered_restricted``.
     """
     below = None
     for d in range(len(values).bit_length()):
@@ -463,5 +481,6 @@ def uncentered_dyadic(values: np.ndarray):
         if below is None or rows.shape[1] > NAIVE_CEILING:
             below = uncentered_restricted(rows)
         else:
-            below = _uncentered_naive(_prefix(np.abs(rows)), below[::2])
+            P, left = _prefix(np.abs(rows)), below[::2]
+            below = _finite_rows(P, lambda r: _uncentered_naive(P[r], left[r]))
         yield below

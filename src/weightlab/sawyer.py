@@ -61,7 +61,7 @@ import numpy as np
 
 from .constants import DIM, RH_CHUNK, _union_ratios, a1_constant
 from .errors import ConfigError
-from .grid import Cube, Grid, as_cubes, cells_of, contains, cube_entries, first_cubes, level_rows, pyramid, rows
+from .grid import Cube, Grid, as_cubes, cells_of, cube_entries, first_cubes, level_rows, pyramid, rows
 from .maximal import dyadic_maximal
 from .weights import GridFunction, GridWeight, product_cell_masses
 
@@ -283,10 +283,6 @@ def build_record(
 # ---------------------------------------------------------------------------
 # principal selection
 
-def _strictly_inside(inner: Cube, outer: Cube) -> bool:
-    return outer.level < inner.level and contains(outer, inner)
-
-
 def principal_cubes(record: PrincipalCubeRecord, u: GridWeight) -> list[list[tuple[int, int]]]:
     """Run the generation induction; fills generations and P.
 
@@ -350,17 +346,25 @@ def principal_cubes(record: PrincipalCubeRecord, u: GridWeight) -> list[list[tup
 def principal_cubes_brute(
     record: PrincipalCubeRecord, u: GridWeight
 ) -> list[list[tuple[int, int]]]:
-    """Oracle: the generation induction transcribed directly, no indexing."""
+    """Oracle: the generation induction transcribed directly, no indexing.
+    A pair's cube is its (d, idx); the cube (d, i) lies inside (d', i')
+    iff d <= d' and i >> (d' - d) == i'."""
     pairs = record.gamma_pairs()
-    cubes = {s.k: as_cubes(record.grid, s.d, s.idx) for s in record.strata}
+    cubes = {s.k: list(zip(s.d.tolist(), s.idx.tolist())) for s in record.strata}
     cube_of = {p: cubes[p[0]][p[1]] for p in pairs}
-    uavg = {p: u.mass_of(cube_of[p]) / cube_of[p].length for p in pairs}
+    L = record.grid.L
+    uavg = {p: float(u.mass[d][i]) / 2.0 ** (d - L) for p, (d, i) in cube_of.items()}
     a, delta = record.a, record.delta
 
+    def inside(inner, outer):
+        (d, i), (d_out, i_out) = cube_of[inner], cube_of[outer]
+        return d <= d_out and i >> (d_out - d) == i_out
+
+    def strictly_inside(inner, outer):
+        return cube_of[inner][0] < cube_of[outer][0] and inside(inner, outer)
+
     def maximal(p):
-        return not any(
-            _strictly_inside(cube_of[p], cube_of[q]) for q in pairs if q != p
-        )
+        return not any(strictly_inside(p, q) for q in pairs if q != p)
 
     generations = [sorted(p for p in pairs if maximal(p))]
     chosen = set(generations[0])
@@ -370,15 +374,14 @@ def principal_cubes_brute(
             if cand in chosen:
                 continue
             for anc in generations[-1]:
-                if not _strictly_inside(cube_of[cand], cube_of[anc]):
+                if not strictly_inside(cand, anc):
                     continue
                 if not uavg[cand] > a ** ((cand[0] - anc[0]) * delta) * uavg[anc]:
                     continue
                 if all(
                     uavg[mid] <= a ** ((mid[0] - anc[0]) * delta) * uavg[anc]
                     for mid in pairs
-                    if _strictly_inside(cube_of[cand], cube_of[mid])
-                    and contains(cube_of[anc], cube_of[mid])
+                    if strictly_inside(cand, mid) and inside(mid, anc)
                 ):
                     nxt.append(cand)
                     break

@@ -6,18 +6,19 @@ mass w^{1-p'}, power mass w^r, log mass) are closed-form integrals of that
 local form, so piecewise-constant weights (q = 0 everywhere) are handled
 exactly and power weights x^(delta-1) are exact per cell.  Divergent cell
 integrals (possible for dual/power tables of power weights at the origin)
-are stored as +inf sentinels and propagate through cube queries; they are
-values, not failures.  Finite cell masses whose cube sums overflow are
+are stored as +inf sentinels and propagate to the cubes above them; they
+are values, not failures.  Finite cell masses whose cube sums overflow are
 refused instead (``grid.sum_pyramid``): a constant over such a cube would
 read inf where the weight's true average is finite.
 
 Each table of a ``GridWeight`` is the ``grid.pyramid`` of its cell values,
 a list whose entry [d] holds the cubes of 2^d cells (np.add for integrals,
 np.minimum for the essential infimum), so w.mass[d][i] is the mass of the
-i-th cube of that size and mass(parent) == mass(child) + mass(sibling)
-holds exactly in floating point, not just in exact arithmetic.  Dual and
-power tables are added by ``with_cached``.  Weight values, from Python or
-from a CSV file, pass one check: positive and finite.
+i-th cube of that size, the cube (L - d, i), for every reader, oracles
+included, and mass[d + 1] == mass[d][0::2] + mass[d][1::2] holds exactly
+in floating point.  Dual and power tables are added by ``with_cached``.
+Weight values, from Python or from a CSV file, pass one check: positive
+and finite.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, CsvFormatError, UncachedExponentError
-from .grid import Cube, Grid, build_grid, pyramid, sum_pyramid
+from .errors import ConfigError, CsvFormatError
+from .grid import Grid, build_grid, pyramid, sum_pyramid
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +197,6 @@ class GridWeight:
     duals: dict[float, list[np.ndarray]] = field(default_factory=dict)
     powers: dict[float, list[np.ndarray]] = field(default_factory=dict)
 
-    # -- cell-level views ---------------------------------------------------
     @property
     def cell_masses(self) -> np.ndarray:
         return self.mass[0]
@@ -209,33 +209,6 @@ class GridWeight:
     @property
     def is_piecewise(self) -> bool:
         return bool(np.all(self.expo == 0.0))
-
-    # -- cube queries --------------------------------------------------------
-    def _entry(self, levels: list[np.ndarray], Q: Cube) -> float:
-        return float(levels[self.grid.L - Q.level][Q.index])
-
-    def mass_of(self, Q: Cube) -> float:
-        return self._entry(self.mass, Q)
-
-    def essinf_of(self, Q: Cube) -> float:
-        return self._entry(self.essinf, Q)
-
-    def log_mass_of(self, Q: Cube) -> float:
-        return self._entry(self.logmass, Q)
-
-    def dual_mass_of(self, Q: Cube, p: float) -> float:
-        if p not in self.duals:
-            raise UncachedExponentError(
-                f"dual mass for p={p} not cached; re-realize via with_cached(w, dual=({p},))"
-            )
-        return self._entry(self.duals[p], Q)
-
-    def power_mass_of(self, Q: Cube, r: float) -> float:
-        if r not in self.powers:
-            raise UncachedExponentError(
-                f"power mass for r={r} not cached; re-realize via with_cached(w, power=({r},))"
-            )
-        return self._entry(self.powers[r], Q)
 
 
 @dataclass

@@ -28,18 +28,11 @@ def brute_stopping_cubes(f, v, t):
         )
 
     out = []
-    for q in wl.all_cubes(g):
-        if avg(q) <= t:
-            continue
-        anc_ok = True
-        cur = q
-        while cur.level > -g.J:
-            cur = wl.parent(g, cur)
-            if avg(cur) > t:
-                anc_ok = False
-                break
-        if anc_ok:
-            out.append(q)
+    for k in g.levels():
+        for m in range(g.ncubes(k)):
+            # the ancestor s levels up is (k - s, m >> s), up to the root
+            if avg(Cube(k, m)) > t and not any(avg(Cube(k - s, m >> s)) > t for s in range(1, k + g.J + 1)):
+                out.append(Cube(k, m))
     return sorted(out, key=lambda q: wl.cells_of(g, q).start)
 
 
@@ -139,8 +132,7 @@ def test_invariants_random(rng):
     assert covered.max() <= 1
     # maximality: parent averages <= t
     for q in dec.cubes:
-        p = wl.parent(g, q)
-        r = wl.cells_of(g, p)
+        r = wl.cells_of(g, Cube(q.level - 1, q.index >> 1))
         sl = slice(r.start, r.stop)
         avg = float(np.sum(np.abs(f.values[sl]) * v.cell_masses[sl]) / v.cell_masses[sl].sum())
         assert avg <= t * (1 + 1e-12)
@@ -268,7 +260,7 @@ def test_off_omega_exact_zero_catches_faults(rng):
     assert not wl.pointwise_domination_check(bad, v).off_omega_exact_zero
     # two overlapping cubes: a selected cube and its left child
     q = next(q for q in dec.cubes if q.level < dec.good.grid.L)
-    child = wl.children(dec.good.grid, q)[0]
+    child = Cube(q.level + 1, 2 * q.index)
     overlap = dataclasses.replace(dec, averages=[*dec.averages, 0.0], **with_cube(dec, child))
     assert not wl.pointwise_domination_check(overlap, v).off_omega_exact_zero
 
@@ -287,7 +279,7 @@ def test_mass_accounting(rng):
     root_avg = float(np.sum(np.abs(f.values) * v.cell_masses) / v.cell_masses.sum())
     dec = wl.cz_decompose(f, v, root_avg * 2.0)
     total = float(np.sum(np.abs(f.values) * v.cell_masses))
-    vsum = sum(v.mass_of(q) for q in dec.cubes)
+    vsum = sum(float(v.mass[g.L - q.level][q.index]) for q in dec.cubes)
     assert vsum <= total / dec.height * (1 + 1e-12)
 
 
@@ -360,7 +352,7 @@ def verify_cz_oracle(dec, v, r, rtol=1e-12):
     worst_v = float(off.max() / t) if off.size else 0.0
     check_v = CheckResult(bool(np.all(off <= t)), worst_v, "max |f|/t off Omega")
 
-    vsum = sum(v.mass_of(q) for q in dec.cubes)
+    vsum = sum(float(v.mass[grid.L - q.level][q.index]) for q in dec.cubes)
     total = float(np.sum(np.abs(dec.source.values) * v.cell_masses))
     ok_m = vsum * t <= total * tol
     check_m = CheckResult(ok_m, (vsum * t / total) if total > 0 else 0.0,
@@ -383,7 +375,7 @@ def oracle_cases(rng):
     dec, v = next(random_decompositions(rng, 1))
     yield dataclasses.replace(dec, averages=[dec.averages[0] * 1e3, *dec.averages[1:]]), v
     q = next(q for q in dec.cubes if q.level < dec.good.grid.L)
-    child = wl.children(dec.good.grid, q)[0]
+    child = Cube(q.level + 1, 2 * q.index)
     yield dataclasses.replace(dec, averages=[*dec.averages, 0.0], **with_cube(dec, child),
                               selection_averages=[*dec.selection_averages, 0.0]), v
     # infinite cells of f (finite ones whose products f v overflow are

@@ -366,7 +366,7 @@ def test_sparse_and_dense_rows_in_one_block_equal_their_own_calls(rng, monkeypat
     rows[3, 100:108] = 1.0 / 0.75  # an 8-cell plateau
     rows[4, [0, n - 1]] = [1e300, 5e-324]  # end spikes, one too small to move the sum
     rows[5] = rng.lognormal(size=n) * (rng.random(n) < 0.5)  # half zero: dense
-    rows[6, 7] = np.nan  # not finite: the sweep
+    rows[6, 7] = np.nan  # NaN on every cell, on no path
     sparse_calls = []
     real = maximal._uncentered_sparse
 
@@ -527,13 +527,40 @@ def test_flanked_rows_of_1e308_refused_as_the_sweep_refuses(monkeypatch):
     one = np.zeros(n)
     one[200] = 1e308  # sums to itself: a defined value
     assert np.array_equal(uncentered_restricted(one), naive(one))
-    # a row with an inf cell is not finite: it keeps the hull pass
-    calls = []
-    real = maximal._uncentered_levels
-    monkeypatch.setattr(maximal, "_uncentered_levels", lambda P: calls.append(P) or real(P))
+    # a row with an inf cell is inf on every cell, with no hull call
+    def no_hull(P):
+        raise AssertionError("a row with an inf cell entered the hull pass")
+
+    monkeypatch.setattr(maximal, "_uncentered_levels", no_hull)
     inf = np.zeros(n)
     inf[[100, 300]] = [np.inf, 1.0]
-    with np.errstate(invalid="ignore"):  # inf - inf in the hull pass, as before
-        out = uncentered_restricted(inf)
-        assert len(calls) == 1
-        assert np.array_equal(out, real(maximal._prefix(inf)), equal_nan=True)
+    with np.errstate(all="raise"):  # and no inf - inf
+        assert np.array_equal(uncentered_restricted(inf), np.full(n, np.inf))
+
+
+@pytest.mark.parametrize("n, cells", [
+    (1, [0]), (2, [1]), (256, [100]), (256, [0, 255]),
+    (4096, [100]),  # the spike row takes the sparse path
+    (8192, [100]),  # the spike row has zero flanks on both sides
+    (8192, [0, 8191]),  # no zero flank: the hull pass
+])
+def test_an_inf_cell_is_inf_on_every_cell(rng, n, cells):
+    # every cell shares an interval with the inf cell, and every interval
+    # holding it averages inf; a NaN cell makes every cell NaN instead
+    g = wl.build_grid(0, n.bit_length() - 1)
+    spike, dense = np.zeros(n), rng.lognormal(size=n)
+    spike[n // 3] = 1.0
+    for vals in (spike, dense):
+        vals[cells] = np.inf
+        f = wl.GridFunction(g, vals)
+        with np.errstate(all="raise"):  # no inf - inf on any path
+            assert np.isposinf(uncentered_restricted(vals)).all()
+            assert np.isposinf(wl.uncentered_maximal(f).values).all()
+            assert np.isposinf(list(maximal.uncentered_dyadic(vals))[-1]).all()
+            if n <= 256:
+                assert np.isposinf(wl.uncentered_maximal_brute(f).values).all()
+        vals[n // 2] = np.nan
+        assert np.isnan(uncentered_restricted(vals)).all()
+        assert np.isnan(list(maximal.uncentered_dyadic(vals))[-1]).all()
+        if n <= 256:
+            assert np.isnan(wl.uncentered_maximal_brute(f).values).all()

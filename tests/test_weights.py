@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 import weightlab as wl
 from weightlab import weights
-from weightlab.errors import ConfigError, CsvFormatError, UncachedExponentError
+from weightlab.errors import ConfigError, CsvFormatError
 from weightlab.grid import Cube
 from weightlab.weights import _read_rows, product_cell_masses
 
@@ -39,10 +39,9 @@ def test_power_left_anchored_mass_paper_value():
     delta = 0.5
     g = wl.build_grid(4, 8)  # domain [0,16), T = 16
     w = wl.realize(wl.Power(delta), g)
-    assert w.mass_of(g.root) == pytest.approx(delta**-3, rel=1e-12)
-    # generic left-anchored cube
-    q = Cube(2, 0)  # [0, 1/4)
-    assert w.mass_of(q) == pytest.approx(0.25**delta / delta, rel=1e-12)
+    assert w.mass[-1][0] == pytest.approx(delta**-3, rel=1e-12)
+    # generic left-anchored cube: [0, 1/4) of level 2
+    assert w.mass[g.L - 2][0] == pytest.approx(0.25**delta / delta, rel=1e-12)
 
 
 def test_power_essinf_dense_sampling_oracle():
@@ -50,11 +49,12 @@ def test_power_essinf_dense_sampling_oracle():
     g = wl.build_grid(1, 4)
     w = wl.realize(wl.Power(delta), g)
     for q in [Cube(0, 1), Cube(2, 3), g.root]:
-        x0, x1 = q.endpoints()
+        x0, x1 = q.index * q.length, (q.index + 1) * q.length
         xs = np.linspace(max(x0, 1e-9), x1, 2001)
         oracle = float(np.min(xs ** (delta - 1.0)))
-        assert w.essinf_of(q) == pytest.approx(oracle, rel=1e-3)
-        assert w.essinf_of(q) == pytest.approx(x1 ** (delta - 1.0), rel=1e-14)
+        essinf = w.essinf[g.L - q.level][q.index]
+        assert essinf == pytest.approx(oracle, rel=1e-3)
+        assert essinf == pytest.approx(x1 ** (delta - 1.0), rel=1e-14)
 
 
 def test_step_weight():
@@ -63,9 +63,9 @@ def test_step_weight():
     h = g.cell_width
     assert np.all(w.cell_masses[:8] == 0.25 * h)
     assert np.all(w.cell_masses[8:] == h)
-    q = Cube(0, 0)  # [0,1)
-    assert w.mass_of(q) == 0.25
-    assert w.essinf_of(q) == 0.25
+    # [0, 1), the cube of level 0 and index 0
+    assert w.mass[g.L][0] == 0.25
+    assert w.essinf[g.L][0] == 0.25
 
 
 def test_divergent_dual_mass_sentinel():
@@ -79,11 +79,11 @@ def test_divergent_dual_mass_sentinel():
     w = wl.with_cached(wl.realize(wl.Power(delta), g), power=(2.0,))
     assert math.isinf(w.powers[2.0][0][0])
     assert np.all(np.isfinite(w.powers[2.0][0][1:]))
-    assert math.isinf(w.power_mass_of(g.root, 2.0))
+    assert math.isinf(w.powers[2.0][-1][0])
     # products of powers can make the weight itself non-integrable
     wp = wl.realize(wl.Product(wl.Power(0.25), wl.Power(0.25)), g)
     assert math.isinf(wp.cell_masses[0])
-    assert math.isinf(wp.mass_of(g.root))
+    assert math.isinf(wp.mass[-1][0])
     _ = p, pbad
 
 
@@ -91,14 +91,13 @@ def test_additivity_exact_in_floats(rng):
     g = wl.build_grid(2, 6)
     vals = tuple(float(v) for v in rng.lognormal(size=g.ncells))
     w = wl.with_cached(wl.realize(wl.Piecewise(vals), g), dual=(2.0,), power=(1.5,))
-    sums = (w.mass_of, w.log_mass_of, lambda q: w.dual_mass_of(q, 2.0), lambda q: w.power_mass_of(q, 1.5))
-    for q in wl.all_cubes(g):
-        if q.level == g.L:
-            continue
-        c0, c1 = wl.children(g, q)
-        for of in sums:
-            assert of(q) == of(c0) + of(c1)
-        assert w.essinf_of(q) == min(w.essinf_of(c0), w.essinf_of(c1))
+    # level d + 1 holds the parents of the pairs of level d: every cube at once
+    for levels in (w.mass, w.logmass, w.duals[2.0], w.powers[1.5]):
+        assert len(levels) == g.J + g.L + 1
+        for d in range(len(levels) - 1):
+            assert np.array_equal(levels[d + 1], levels[d][0::2] + levels[d][1::2]), d
+    for d in range(len(w.essinf) - 1):
+        assert np.array_equal(w.essinf[d + 1], np.minimum(w.essinf[d][0::2], w.essinf[d][1::2])), d
 
 
 def test_mass_dominates_essinf(rng):
@@ -114,22 +113,21 @@ def test_jensen_chain_per_cube(rng):
     p = 2.5
     alpha = p / (p - 1.0) - 1.0
     w = wl.with_cached(wl.realize(wl.Piecewise(vals), g), dual=(p,))
-    for q in wl.all_cubes(g):
-        length = q.length
-        avg = w.mass_of(q) / length
-        logavg = w.log_mass_of(q) / length
-        assert math.exp(logavg) <= avg * (1 + 1e-12)
-        davg = w.dual_mass_of(q, p) / length
-        assert math.exp(-logavg) <= davg ** (1.0 / alpha) * (1 + 1e-12)
+    for d in range(g.J + g.L + 1):  # every cube of 2^d cells at once
+        length = 2.0 ** (d - g.L)
+        avg = w.mass[d] / length
+        logavg = w.logmass[d] / length
+        assert np.all(np.exp(logavg) <= avg * (1 + 1e-12)), d
+        davg = w.duals[p][d] / length
+        assert np.all(np.exp(-logavg) <= davg ** (1.0 / alpha) * (1 + 1e-12)), d
 
 
-def test_uncached_exponent_error():
+def test_with_cached_adds_each_table_once():
     g = wl.build_grid(0, 2)
     w = wl.realize(wl.Constant(1.0), g)
-    with pytest.raises(UncachedExponentError):
-        w.dual_mass_of(g.root, 2.0)
+    assert w.duals == {} and w.powers == {}
     w2 = wl.with_cached(w, dual=(2.0,))
-    assert w2.dual_mass_of(g.root, 2.0) == 1.0
+    assert list(w2.duals) == [2.0] and w2.duals[2.0][-1][0] == 1.0
     assert wl.with_cached(w2, dual=(2.0,)) is w2
     for r in (0.0, -1.0):
         with pytest.raises(ConfigError, match="r > 0"):
