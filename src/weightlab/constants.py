@@ -91,7 +91,9 @@ def pow_or_inf(x: float, y: float) -> float:
 # local constants
 
 def ap_local(w: GridWeight, Q: Cube, p: float) -> float:
-    """(avg_Q w) (avg_Q w^{1-p'})^{p-1}; +inf when the dual mass diverges."""
+    """(avg_Q w) (avg_Q w^{1-p'})^{p-1}; +inf when the dual mass diverges.
+    A weight without the dual table of p gets it, as in ``global_constant``."""
+    w = with_cached(w, dual=(p,))
     d, length = w.grid.L - Q.level, Q.length
     m = float(w.mass[d][Q.index]) / length
     dual = float(w.duals[p][d][Q.index]) / length

@@ -37,7 +37,7 @@ from .constants import (
 )
 from .errors import ConfigError
 from .grid import Grid, build_grid
-from .maximal import SWEEP_CELLS, uncentered_restricted
+from .maximal import ENVELOPE_W, SWEEP_CELLS, swept_rows, uncentered_envelope, uncentered_restricted
 from .norms import lp_norm, mixed_ratio
 from .weights import (
     Constant,
@@ -480,6 +480,16 @@ def dual_exponent_identity_max_rel(v: GridWeight, r: float) -> float:
     return worst
 
 
+def _distinct(corpus: list[tuple[str, GridFunction]]) -> list[GridFunction]:
+    """The first function of each distinct row of values, in corpus order:
+    M f and both norms depend only on the values (keyed by their exact
+    bytes, which are dropped on return)."""
+    first: dict[bytes, GridFunction] = {}
+    for _, f in corpus:
+        first.setdefault(f.values.tobytes(), f)
+    return list(first.values())
+
+
 def buckley_empirical(
     v: GridWeight,
     p: float,
@@ -496,21 +506,37 @@ def buckley_empirical(
     sigma = dual_weight(v, p)
     dual_fw = ainf_fw_constant(sigma)
     bound = pc * apv ** (1.0 / p) * dual_fw ** (1.0 / p)
-    # M f and both norms depend only on the values, so a function listed
-    # again (keyed by the exact bytes of its values) adds nothing
-    first: dict[bytes, GridFunction] = {}
-    for _, f in corpus:
-        first.setdefault(f.values.tobytes(), f)
-    live = [(f, d) for f in first.values() if (d := lp_norm(f, v, p)) != 0.0]
+    live = [(f, d) for f in _distinct(corpus) if (d := lp_norm(f, v, p)) != 0.0]
+    n = grid.ncells
+
+    def ratio(i, row):
+        return lp_norm(GridFunction(grid, row), v, p) / live[i][1]
+
+    def blocks(idx, op):  # (i, *op's rows), op taking SWEEP_CELLS cells of rows per call
+        step = max(1, SWEEP_CELLS // n)
+        for j in range(0, len(idx), step):
+            chunk = idx[j : j + step]
+            yield from zip(chunk, *op(np.array([live[i][0].values for i in chunk])))
+
+    def sweep(values):
+        return (uncentered_restricted(values),)
+
+    # A row the sweep would take gets an O(n W) envelope first, and is swept
+    # only if its upper ratio reaches the best lower ratio of all rows.
+    bounded = [i for i, (f, _) in enumerate(live) if n > 2 * ENVELOPE_W and swept_rows(f.values)]
+    rest = [i for i in range(len(live)) if i not in bounded]
+    exact = {i: ratio(i, row) for i, row in blocks(rest, sweep)}
+    floor, upper = max(exact.values(), default=0.0), {}
+    for i, lo, hi in blocks(bounded, uncentered_envelope):
+        floor = max(floor, ratio(i, lo))
+        upper[i] = ratio(i, hi)
+    # lp_norm is monotone in each cell up to the last ulps of its power,
+    # which the slack of 2^-40 covers; a NaN bound keeps its row
+    survivors = [i for i in bounded if not upper[i] < floor * (1 - 2.0**-40)]
+    exact.update((i, ratio(i, row)) for i, row in blocks(survivors, sweep))
     best = 0.0
-    # M f of the functions with a non-zero norm, SWEEP_CELLS cells of rows per call
-    step = max(1, SWEEP_CELLS // grid.ncells)
-    for j in range(0, len(live), step):
-        block = live[j : j + step]
-        mf = uncentered_restricted(np.array([f.values for f, _ in block]))
-        for (_, denom), row in zip(block, mf):
-            num = lp_norm(GridFunction(grid, row), v, p)
-            best = max(best, num / denom)
+    for i in sorted(exact):  # corpus order
+        best = max(best, exact[i])
     ident = dual_exponent_identity_max_rel(v, max(p, 1.5))
     return BuckleyReport(
         p=p,

@@ -55,6 +55,15 @@ one at a time.
 and builds each level up to NAIVE_CEILING cells from the one below: only
 the intervals that leave a cube's left half are swept again, 3/4 of the
 pairs in half the steps, with the same candidates and so the same bits.
+``uncentered_envelope`` bounds the sweep's maxima of each row of more than
+2 ENVELOPE_W cells from both sides in O(n ENVELOPE_W), for a caller that
+only needs to know which rows can matter (the Buckley check of
+``experiments``): lower is the sweep over windows of 2W cells, each value
+one of the sweep's candidates, and upper adds A_W, the largest rounded
+average over W..2W - 1 cells, with a margin for the roundings (the proof
+is at the function); tests/test_maximal.py gates lower <=
+``uncentered_restricted`` <= upper.  ``swept_rows`` names the rows the
+sweep would take, by the sparse rule that ``uncentered_restricted`` uses.
 
 Every operator refuses, with a ConfigError, finite cells whose cube or
 interval sums overflow, where it would give inf or NaN; the sums are
@@ -67,6 +76,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .grid import finite_product, require_finite_sums, sum_pyramid
 from .weights import GridFunction, GridWeight, require_finite_masses
 
@@ -78,6 +88,8 @@ SWEEP_CELLS = 1 << 15  # cells per block of stacked rows handed to one sweep
 # n^2 / 2^14 (n = 4096); at this cutoff the sparse path is 1.5x (n = 4096)
 # to 3-5x (n = 256..2048) faster.
 SPARSE_CUTOFF = 1 << 15
+# Width W of the windows and the shortest long interval of uncentered_envelope
+ENVELOPE_W = 32
 FLANK_CHUNK = 4096  # zero flank cells per divide-and-conquer pass of _trailing_flank
 
 
@@ -168,7 +180,7 @@ def _uncentered_naive(P: np.ndarray, left: np.ndarray | None = None) -> np.ndarr
     """
     n = P.shape[-1] - 1
     h = 0 if left is None else n // 2
-    res = np.empty(P.shape[:-1] + (n,))
+    res = np.empty_like(P[..., 1:])  # in P's layout: a step is one block
     acc = np.full_like(res, -np.inf)
     dist = np.arange(n, 0, -1.0)  # dist[n - b:] = b - a for a = 0..b-1
     for b in range(n, h, -1):
@@ -396,19 +408,19 @@ def uncentered_maximal_brute(f: GridFunction) -> GridFunction:
     For each left end a, the averages (P[b] - P[a]) / (b - a) of all right
     ends b > a form one row; its suffix max from b = c + 1 on is the best
     interval [a, b) holding cell c, folded into every cell c >= a.  O(N^2)
-    time and O(N) memory; a NaN candidate propagates, as in a max.  The sums
-    leave out the inf cells, and an interval that holds one (C counts them)
-    averages inf, so no candidate is inf - inf."""
+    time and O(N) memory; a NaN candidate propagates, as in a max.  A row
+    with an inf cell is inf on every cell (NaN with a NaN cell as well),
+    before any sum is formed: every cell shares an interval with that cell,
+    and every interval holding it averages inf."""
     vals = np.abs(f.values)
-    inf = np.isposinf(vals)
-    P = _prefix(np.where(inf, 0.0, vals))
-    C = np.concatenate(([0], np.cumsum(inf)))
     n = len(vals)
+    if np.isposinf(vals).any():
+        return GridFunction(f.grid, np.full(n, np.nan if np.isnan(vals).any() else np.inf))
+    P = _prefix(vals)
     idx = np.arange(n + 1, dtype=np.int64)
     out = np.full(n, -np.inf)
     for a in range(n):
         row = (P[a + 1 :] - P[a]) / (idx[a + 1 :] - a)
-        row[C[a + 1 :] > C[a]] += np.inf  # a NaN stays NaN
         np.maximum(out[a:], np.maximum.accumulate(row[::-1])[::-1], out=out[a:])
     return GridFunction(f.grid, out)
 
@@ -432,8 +444,7 @@ def uncentered_restricted(values: np.ndarray) -> np.ndarray:
         return _finite_rows(rows, lambda r: uncentered_restricted(cells[r])).reshape(values.shape)
     if n > NAIVE_CEILING:
         return np.array([_uncentered_long(v, row) for v, row in zip(cells, rows)]).reshape(values.shape)
-    steps = np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
-    sparse = steps * SPARSE_CUTOFF <= n * n
+    sparse = _sparse(rows)
     if not sparse.any():
         return _uncentered_naive(P)
     # the sweep's arrays are freed before ``out`` is made: a lower peak
@@ -444,6 +455,93 @@ def uncentered_restricted(values: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(sparse):
         out[i] = _uncentered_sparse(rows[i])
     return out.reshape(values.shape)
+
+
+def _sparse(rows: np.ndarray) -> np.ndarray:
+    """Which finite prefix rows of at most NAIVE_CEILING cells take the
+    sparse path: those whose prefix moves at most n^2 / SPARSE_CUTOFF times."""
+    n = rows.shape[1] - 1
+    return np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1) * SPARSE_CUTOFF <= n * n
+
+
+def swept_rows(values: np.ndarray) -> np.ndarray:
+    """Which rows of a block (one flag per row, of shape values.shape[:-1])
+    ``uncentered_restricted`` answers by the O(n^2) sweep: finite, dense,
+    of at most NAIVE_CEILING cells."""
+    values = np.asarray(values, dtype=float)
+    rows = _prefix(np.abs(values)).reshape(-1, values.shape[-1] + 1)
+    swept = np.isfinite(rows[:, -1]) & ~_sparse(rows) & (values.shape[-1] <= NAIVE_CEILING)
+    return swept.reshape(values.shape[:-1])
+
+
+def uncentered_envelope(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cellwise (lower, upper) around the sweep's maxima of every row of a
+    block of n > 2 ENVELOPE_W cells, in O(n ENVELOPE_W) per row; for rows
+    of at most NAIVE_CEILING cells the sweep is ``uncentered_restricted``.
+
+    With W = ENVELOPE_W, lower is the sweep over the windows [kW, kW + 2W)
+    of each row's own prefix row (and [n - 2W, n) for the tail), so each of
+    its values is one of the sweep's rounded candidates; every interval of
+    at most W cells lies in a window.  An interval of L >= W cells splits
+    into pieces of W..2W - 1 cells, and its exact average is a mediant of
+    theirs, so upper is max(lower, A_W (1 + 2^-50) + 2^-1074), A_W the
+    largest rounded average over W..2W - 1 cells.  Both roundings of each
+    side cost a factor 1 + u (u = 2^-53) where the quotient is normal, so
+    the long candidate is at most (1 + u)^2 / (1 - u)^2 < 1 + 5u times A_W;
+    where it is subnormal, it and its best piece's quotient differ by a
+    factor below 1 + 3u, less than the spacing 2^-1074, so it rounds at
+    most 2^-1074 above that piece's.
+    A row with an inf (NaN) cell has both bounds inf (NaN) on every cell.
+    """
+    values = np.asarray(values, dtype=float)
+    # the prefix rows are freed before upper is made: a lower peak
+    lower, cap = _envelope_rows(_prefix(np.abs(values)).reshape(-1, values.shape[-1] + 1))
+    upper = np.maximum(lower, cap[:, None])
+    return lower.reshape(values.shape), upper.reshape(values.shape)
+
+
+def _envelope_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per prefix row, the lower bound of ``uncentered_envelope`` and the
+    cap A_W (1 + 2^-50) + 2^-1074, which is 0 where the row is not finite."""
+    n, w = rows.shape[1] - 1, ENVELOPE_W
+    if n <= 2 * w:
+        raise ConfigError(f"the uncentered envelope needs more than {2 * w} cells, got {n}")
+    lower = _finite_rows(rows, lambda r: _window_maxima(rows[r], w))
+    top, t = np.zeros(len(rows)), np.empty((len(rows), n + 1 - w))
+    with np.errstate(invalid="ignore"):  # inf - inf in a row with an inf cell
+        for length in range(w, 2 * w):
+            s = t[:, : n + 1 - length]
+            np.subtract(rows[:, length:], rows[:, :-length], out=s)
+            np.divide(s, length, out=s)
+            np.maximum(top, s.max(axis=1), out=top)
+    return lower, np.where(np.isfinite(rows[:, -1]), top * (1 + 2.0**-50) + 2.0**-1074, 0.0)
+
+
+def _window_maxima(rows: np.ndarray, w: int) -> np.ndarray:
+    """Per cell of each finite prefix row, the sweep's maximum over the
+    windows [kW, kW + 2W) and [n - 2W, n) that hold it.  The windows are
+    swept in blocks of SWEEP_CELLS / 4 cells, one window per column, so that
+    each step of the sweep is one block of memory; as the windows hold each
+    cell twice, a quarter block keeps the peak below the sweep's."""
+    n = rows.shape[1] - 1
+    k = (n - w) // w  # windows [jW, jW + 2W), j < k, per row
+    per = max(1, SWEEP_CELLS // (8 * w))  # windows per block
+    wins = np.lib.stride_tricks.sliding_window_view(rows, 2 * w + 1, axis=1)[:, ::w]
+    out = np.full((len(rows), n), -np.inf)
+    nr, nw = max(1, per // k), min(k, per)  # rows and windows per block
+    for r in range(0, len(rows), nr):
+        for j in range(0, k, nw):
+            block = wins[r : r + nr, j : j + nw]
+            res = _uncentered_naive(np.moveaxis(np.ascontiguousarray(np.moveaxis(block, -1, 0)), 0, -1))
+            # window j covers the W-cell pieces j and j + 1 of its row
+            o = out[r : r + nr, j * w : (j + block.shape[1] + 1) * w].reshape(len(res), -1, w)
+            np.maximum(o[:, :-1], res[..., :w], out=o[:, :-1])
+            np.maximum(o[:, 1:], res[..., w:], out=o[:, 1:])
+    if n % w:  # the tail window [n - 2W, n)
+        for r in range(0, len(rows), per):
+            tail = out[r : r + per, n - 2 * w :]
+            np.maximum(tail, _uncentered_naive(rows[r : r + per, n - 2 * w :]), out=tail)
+    return out
 
 
 def _finite_rows(rows: np.ndarray, fn) -> np.ndarray:

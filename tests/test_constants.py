@@ -39,6 +39,20 @@ def test_ap_local_two_cell_example():
     )
 
 
+def test_ap_local_adds_a_missing_dual_table():
+    # a weight realized without the dual table of p: the local oracles add
+    # it, as global_constant does, where they raised a bare KeyError
+    g = wl.build_grid(0, 2)
+    w = wl.realize(wl.Piecewise((1.0, 4.0, 2.0, 0.5)), g)
+    assert 2.0 not in w.duals
+    cached = wl.with_cached(w, dual=(2.0,))
+    for q in (g.root, Cube(1, 1)):
+        assert wl.ap_local(w, q, 2.0) == wl.ap_local(cached, q, 2.0) > 1.0
+        assert wl.mixed_local(w, q, 2.0, 0.5, 0.5) == wl.mixed_local(cached, q, 2.0, 0.5, 0.5)
+    assert wl.ap_local(wl.realize(wl.Constant(1.0), g), g.root, 2.0) == pytest.approx(1.0, rel=1e-15)
+    assert 2.0 not in w.duals  # the weight itself is left as it was
+
+
 def test_ap_local_divergent():
     # power weight with (delta-1) r <= -1 via the dual of a small p'
     g = wl.build_grid(0, 6)

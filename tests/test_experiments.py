@@ -6,7 +6,7 @@ import pytest
 import weightlab as wl
 import weightlab.experiments as exp
 from weightlab.errors import ConfigError
-from weightlab.maximal import NAIVE_CEILING, uncentered_restricted
+from weightlab.maximal import ENVELOPE_W, NAIVE_CEILING, uncentered_envelope, uncentered_restricted
 
 
 def test_scaling_fit_trivial():
@@ -205,6 +205,55 @@ def test_buckley_sweeps_each_distinct_function_once(monkeypatch):
         rep = wl.buckley_empirical(v, 2.0, corpus=fns)
         assert sum(rows) == distinct
         assert rep.max_ratio == buckley_max_ratio_per_function(v, 2.0, fns) > 1.0
+
+
+def _buckley_weight(kind, g):
+    if kind == "step":  # a dense one-sided plateau row wins
+        return wl.realize(wl.Step(0.25), g)
+    return exp.random_a1_weight(g, np.random.default_rng(g.L), cap=16.0)
+
+
+@pytest.mark.parametrize("kind", ["step", "walk"])
+@pytest.mark.parametrize("L", [8, 9, 10, 11])
+def test_buckley_pruning_equals_per_function_loop(monkeypatch, L, kind):
+    # J = 1, L = 8..11: 512..4096 cells, above 2W and up to NAIVE_CEILING,
+    # where the swept rows are bounded first and only the survivors swept
+    g = wl.build_grid(1, L)
+    assert 2 * ENVELOPE_W < g.ncells <= NAIVE_CEILING
+    v = _buckley_weight(kind, g)
+    corpus = exp.test_function_corpus(g, seed=L)
+    swept, bounds = [], {}
+
+    def recording(values):
+        swept.extend(row.tobytes() for row in values)
+        return uncentered_restricted(values)
+
+    def bounding(values):
+        lower, upper = uncentered_envelope(values)
+        for row, lo, hi in zip(values, lower, upper):
+            bounds[row.tobytes()] = (lo, hi)
+        return lower, upper
+
+    monkeypatch.setattr(exp, "uncentered_restricted", recording)
+    monkeypatch.setattr(exp, "uncentered_envelope", bounding)
+    rep = wl.buckley_empirical(v, 2.0, corpus=corpus)
+    assert rep.max_ratio == buckley_max_ratio_per_function(v, 2.0, corpus) > 1.0
+    # each distinct row is swept at most once, and a row whose upper ratio
+    # is below the best lower ratio never
+    assert len(swept) == len(set(swept))
+    fns = {f.values.tobytes(): f for _, f in corpus}
+
+    def ratio(key, row):
+        return wl.lp_norm(wl.GridFunction(g, row), v, 2.0) / wl.lp_norm(fns[key], v, 2.0)
+
+    # the best lower ratio: of the bounded rows, and of the exact rows that
+    # were never bounded (sparse ones)
+    exact = [ratio(k, uncentered_restricted(fns[k].values)) for k in swept if k not in bounds]
+    floor = max([ratio(k, lo) for k, (lo, _) in bounds.items()] + exact)
+    pruned = {k for k, (_, hi) in bounds.items() if ratio(k, hi) < floor * (1 - 2.0**-40)}
+    assert pruned and not pruned & set(swept)
+    assert all(k in swept or k in pruned for k in bounds)
+    assert max(ratio(k, uncentered_restricted(fns[k].values)) for k in pruned) < rep.max_ratio
 
 
 def test_buckley_envelope_refinement_stability():

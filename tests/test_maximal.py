@@ -540,6 +540,7 @@ def test_flanked_rows_of_1e308_refused_as_the_sweep_refuses(monkeypatch):
 
 @pytest.mark.parametrize("n, cells", [
     (1, [0]), (2, [1]), (256, [100]), (256, [0, 255]),
+    (8, [1]),  # the huge row is [0, inf, 0, 1e308, 0, 1e308, 0, 0]
     (4096, [100]),  # the spike row takes the sparse path
     (8192, [100]),  # the spike row has zero flanks on both sides
     (8192, [0, 8191]),  # no zero flank: the hull pass
@@ -548,9 +549,10 @@ def test_an_inf_cell_is_inf_on_every_cell(rng, n, cells):
     # every cell shares an interval with the inf cell, and every interval
     # holding it averages inf; a NaN cell makes every cell NaN instead
     g = wl.build_grid(0, n.bit_length() - 1)
-    spike, dense = np.zeros(n), rng.lognormal(size=n)
+    spike, dense, huge = np.zeros(n), rng.lognormal(size=n), np.zeros(n)
     spike[n // 3] = 1.0
-    for vals in (spike, dense):
+    huge[[c for c in (3, 5) if c < n]] = 1e308  # finite cells whose sum overflows
+    for vals in (spike, dense, huge):
         vals[cells] = np.inf
         f = wl.GridFunction(g, vals)
         with np.errstate(all="raise"):  # no inf - inf on any path
@@ -564,3 +566,131 @@ def test_an_inf_cell_is_inf_on_every_cell(rng, n, cells):
         assert np.isnan(list(maximal.uncentered_dyadic(vals))[-1]).all()
         if n <= 256:
             assert np.isnan(wl.uncentered_maximal_brute(f).values).all()
+
+
+# ---------------------------------------------------------------------------
+# the envelope: O(n W) bounds on the sweep, for pruning whole rows
+
+@st.composite
+def envelope_rows(draw):
+    """Rows of 2W+1..NAIVE_CEILING cells, or of the corpus's powers of two:
+    lognormal or zero, with zero runs, 1/0.75 and 0.75 plateaus, pairs of
+    spikes W - 1..2W cells apart (an interval of 2W - 1 cells splits into no
+    pieces of W..2W - 1 cells but itself), end spikes, and 5e-324, 1e-300
+    and 1e300 cells."""
+    w, top = maximal.ENVELOPE_W, maximal.NAIVE_CEILING
+    powers = [1 << k for k in range(7, 13) if 2 * w < 1 << k <= top]
+    n = draw(st.integers(2 * w + 1, top) | st.sampled_from(powers))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.lognormal(size=n) if draw(st.booleans()) else np.zeros(n)
+    for _ in range(draw(st.integers(0, 4))):
+        lo = draw(st.integers(0, n - 1))
+        vals[lo : lo + draw(st.integers(1, 3 * w))] = draw(st.sampled_from([0.0, 1.0 / 0.75, 0.75]))
+    for _ in range(draw(st.integers(0, 2))):
+        lo = draw(st.integers(0, n - 2 * w - 1))
+        vals[[lo, lo + draw(st.sampled_from([w - 1, w, 2 * w - 2, 2 * w - 1, 2 * w]))]] = 1e6
+    vals[draw(st.lists(st.integers(0, n - 1), max_size=8))] = draw(st.sampled_from([5e-324, 1e-300, 1e300]))
+    for end in draw(st.sets(st.sampled_from([0, n - 1]))):
+        vals[end] = draw(st.floats(5.0, 1e6))
+    return vals
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(envelope_rows())
+def test_envelope_brackets_the_sweep(vals):
+    lower, upper = maximal.uncentered_envelope(vals)
+    exact = uncentered_restricted(vals)
+    assert (lower <= exact).all() and (exact <= upper).all()
+
+
+def test_envelope_bounds_are_the_sweep_where_they_are_exact(rng):
+    # lower takes every interval of at most W + 1 cells, so it is the sweep on
+    # spikes 2W + 1 cells apart (a cell's best interval holds one spike, or
+    # ties with the pair), here from the first cell to the last of a row of
+    # (2W - 1) W cells; a row of one value is that value up to the margin;
+    # subnormal cells are covered by the margin's 2^-1074
+    w = maximal.ENVELOPE_W
+    spikes = np.zeros((2 * w - 1) * w)
+    spikes[:: 2 * w + 1] = 1.0
+    assert spikes[-1] == 1.0
+    assert np.array_equal(maximal.uncentered_envelope(spikes)[0], uncentered_restricted(spikes))
+    flat = np.full(1000, 0.75)
+    lower, upper = maximal.uncentered_envelope(flat)
+    assert (lower == 0.75).all() and (upper == 0.75 * (1 + 2.0**-50) + 2.0**-1074).all()
+    tiny = np.where(rng.random(1000) < 0.5, 5e-324, 0.0)
+    lower, upper = maximal.uncentered_envelope(tiny)
+    exact = uncentered_restricted(tiny)
+    assert (lower <= exact).all() and (exact <= upper).all() and (upper <= 2 * 5e-324).all()
+
+
+def test_envelope_pieces_reach_2w_minus_1_cells():
+    # two spikes 2W - 2 cells apart: the cell between them is best served by
+    # the interval of 2W - 1 cells that holds both, which no window and no
+    # shorter piece holds, so only the longest piece bounds it
+    w = maximal.ENVELOPE_W
+    pair = np.zeros(5 * w)
+    pair[[w + 3, 3 * w + 1]] = 1.0
+    lower, upper = maximal.uncentered_envelope(pair)
+    exact = uncentered_restricted(pair)
+    mid = 2 * w + 2
+    assert lower[mid] == 1.0 / w < exact[mid] == 2.0 / (2 * w - 1) <= upper[mid]
+
+
+def test_envelope_margin_covers_a_long_interval_that_rounds_up(monkeypatch):
+    # at W = 4, on a plateau with one cell a few ulps high, a long interval's
+    # rounded average is above every window's and every piece's: only the
+    # margin covers it
+    monkeypatch.setattr(maximal, "ENVELOPE_W", 4)
+    vals = np.full(13, 0.4448800669236115)
+    vals[10] = 0.444880066923612
+    P = maximal._prefix(vals)
+    exact = maximal._uncentered_naive(P)
+    lower, upper = maximal.uncentered_envelope(vals)
+    pieces = max(((P[k:] - P[:-k]) / k).max() for k in range(4, 8))
+    assert (exact > np.maximum(lower, pieces)).any()
+    assert (lower <= exact).all() and (exact <= upper).all()
+
+
+def test_envelope_rows_equal_their_own_calls_and_non_finite_rows(rng):
+    n = 700  # not a multiple of W: a tail window
+    rows = rng.lognormal(size=(5, n))
+    rows[1, 100] = np.inf
+    rows[2, [3, 600]] = [np.inf, np.nan]
+    rows[3] = 0.0
+    lower, upper = maximal.uncentered_envelope(rows)
+    for row, lo, hi in zip(rows, lower, upper):
+        own = maximal.uncentered_envelope(row)
+        assert np.array_equal(lo, own[0], equal_nan=True) and np.array_equal(hi, own[1], equal_nan=True)
+    for i in (1, 2, 3):  # inf, NaN and zero rows: lower is the restricted maximal
+        assert np.array_equal(lower[i], uncentered_restricted(rows[i]), equal_nan=True)
+    assert np.array_equal(upper[1:3], lower[1:3], equal_nan=True)
+    exact = uncentered_restricted(rows[[0, 4]])
+    assert (lower[[0, 4]] <= exact).all() and (exact <= upper[[0, 4]]).all()
+
+
+def test_envelope_sweeps_windows_in_blocks_and_refuses_short_or_huge_rows(rng, monkeypatch):
+    blocks = []
+    real = maximal._uncentered_naive
+
+    def counted(P):
+        blocks.append(P[..., 1:].size)
+        return real(P)
+
+    monkeypatch.setattr(maximal, "_uncentered_naive", counted)
+    maximal.uncentered_envelope(rng.lognormal(size=(8, maximal.NAIVE_CEILING)))
+    assert blocks and max(blocks) <= maximal.SWEEP_CELLS
+    with pytest.raises(ConfigError):
+        maximal.uncentered_envelope(np.ones(2 * maximal.ENVELOPE_W))
+    with pytest.raises(ConfigError, match="finite sums"):
+        maximal.uncentered_envelope(np.full(256, 1e308))
+
+
+def test_swept_rows_names_the_rows_the_sweep_takes(rng):
+    n = 512
+    rows = np.zeros((4, n))
+    rows[0] = rng.lognormal(size=n)
+    rows[1, 7] = 1.0  # sparse
+    rows[2, 3] = np.inf
+    assert maximal.swept_rows(rows).tolist() == [True, False, False, False]
+    assert maximal.swept_rows(rows[0])
+    assert not maximal.swept_rows(rng.lognormal(size=maximal.NAIVE_CEILING + 1))

@@ -1,10 +1,12 @@
-"""Smoke test of the three campaigns in scripts/: main() at its smallest
-size exits 0."""
+"""Smoke test of the three campaigns in scripts/: main() at small sizes
+exits 0."""
 
 import importlib.util
 import os
 
 import pytest
+
+from weightlab.maximal import ENVELOPE_W
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -18,6 +20,8 @@ def load(name):
 
 @pytest.mark.parametrize("name, argv", [
     ("run_bound_audit", ["--L", "4"]),
+    # its Buckley check on 2^(L + 1) > 2W cells: the envelope prunes there
+    ("run_bound_audit", ["--L", str((2 * ENVELOPE_W).bit_length())]),
     ("run_sharpness", ["--grid", "--levels", "6,7,8"]),
     ("run_chain_campaign", ["--pairs", "3"]),
     ("run_sharpness", ["--grid", "--levels", "8,9,10"]),  # N = 2^12..2^14: across NAIVE_CEILING
