@@ -37,7 +37,7 @@ from .constants import (
 )
 from .errors import ConfigError
 from .grid import Grid, build_grid
-from .maximal import ENVELOPE_W, SWEEP_CELLS, swept_rows, uncentered_envelope, uncentered_restricted
+from .maximal import uncentered_envelope, uncentered_restricted
 from .norms import lp_norm, mixed_ratio
 from .weights import (
     Constant,
@@ -501,43 +501,34 @@ def buckley_empirical(
     grid = v.grid
     if corpus is None:
         corpus = test_function_corpus(grid, seed=seed)
+    for name, f in corpus:
+        if not np.isfinite(f.values).all():
+            raise ConfigError(f"buckley check needs finite corpus functions: {name} has a non-finite cell")
     pc = p / (p - 1.0)
     apv = ap_constant(v, p)
     sigma = dual_weight(v, p)
     dual_fw = ainf_fw_constant(sigma)
     bound = pc * apv ** (1.0 / p) * dual_fw ** (1.0 / p)
+    ident = dual_exponent_identity_max_rel(v, max(p, 1.5))  # before the rows are stacked: a lower peak
     live = [(f, d) for f in _distinct(corpus) if (d := lp_norm(f, v, p)) != 0.0]
-    n = grid.ncells
 
-    def ratio(i, row):
-        return lp_norm(GridFunction(grid, row), v, p) / live[i][1]
+    def ratios(rows, idx):
+        return [lp_norm(GridFunction(grid, row), v, p) / live[i][1] for row, i in zip(rows, idx)]
 
-    def blocks(idx, op):  # (i, *op's rows), op taking SWEEP_CELLS cells of rows per call
-        step = max(1, SWEEP_CELLS // n)
-        for j in range(0, len(idx), step):
-            chunk = idx[j : j + step]
-            yield from zip(chunk, *op(np.array([live[i][0].values for i in chunk])))
-
-    def sweep(values):
-        return (uncentered_restricted(values),)
-
-    # A row the sweep would take gets an O(n W) envelope first, and is swept
-    # only if its upper ratio reaches the best lower ratio of all rows.
-    bounded = [i for i, (f, _) in enumerate(live) if n > 2 * ENVELOPE_W and swept_rows(f.values)]
-    rest = [i for i in range(len(live)) if i not in bounded]
-    exact = {i: ratio(i, row) for i, row in blocks(rest, sweep)}
-    floor, upper = max(exact.values(), default=0.0), {}
-    for i, lo, hi in blocks(bounded, uncentered_envelope):
-        floor = max(floor, ratio(i, lo))
-        upper[i] = ratio(i, hi)
+    # Every row gets a cellwise (lower, upper) pair around M f, exact where
+    # they are equal; a row whose upper ratio is below the best lower ratio
+    # of all rows is never swept, and the others are swept together.
+    values = np.array([f.values for f, _ in live]).reshape(len(live), grid.ncells)
+    lower, upper = uncentered_envelope(values)
+    exact = [np.array_equal(lo, hi) for lo, hi in zip(lower, upper)]
+    lows, highs = ratios(lower, range(len(live))), ratios(upper, range(len(live)))
+    floor = max(lows, default=0.0)
+    best = max((lo for lo, e in zip(lows, exact) if e), default=0.0)
     # lp_norm is monotone in each cell up to the last ulps of its power,
-    # which the slack of 2^-40 covers; a NaN bound keeps its row
-    survivors = [i for i in bounded if not upper[i] < floor * (1 - 2.0**-40)]
-    exact.update((i, ratio(i, row)) for i, row in blocks(survivors, sweep))
-    best = 0.0
-    for i in sorted(exact):  # corpus order
-        best = max(best, exact[i])
-    ident = dual_exponent_identity_max_rel(v, max(p, 1.5))
+    # which the slack of 2^-40 covers
+    survivors = [i for i, (e, hi) in enumerate(zip(exact, highs)) if not e and not hi < floor * (1 - 2.0**-40)]
+    if survivors:
+        best = max(best, *ratios(uncentered_restricted(values[survivors]), survivors))
     return BuckleyReport(
         p=p,
         ap=apv,

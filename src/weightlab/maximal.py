@@ -17,53 +17,49 @@ All interval averages are formed from one shared prefix-sum (dyadic ops:
 one ``grid.pyramid`` of sums) by the same formula as in the oracles.  Both
 dyadic operators share one top-down ancestor-max pass and one per-cell
 ancestor oracle over their per-level candidates, and agree with it bitwise.
-The uncentered maximal of a row with an inf (NaN) cell is inf (NaN) on
-every cell, before any path is chosen; every other row takes one of four
-paths by its length n:
 
-* the sparse path, for n <= NAIVE_CEILING cells of which at most
-  n^2 / SPARSE_CUTOFF move the prefix sum (n/8 of them at 4096 cells, none
-  but in a zero row below 182), in O(n) per such cell.  A cell that leaves
-  the prefix sum unchanged is never the best end of an interval (the
-  zero-end lemma at ``_uncentered_sparse``), so it gives bitwise the
-  sweep's maxima; tests/test_maximal.py gates it with np.array_equal
-  against ``_uncentered_naive``;
-* the naive O(n^2) sweep for the other rows up to NAIVE_CEILING cells,
-  bitwise its oracle ``uncentered_maximal_brute``;
-* the flank split, for a row above NAIVE_CEILING cells that is zero
-  left of its first or right of its last nonzero cell: by the same lemma
-  the support between them takes its own path by its own length, and each
-  zero flank cell the best average over the support's ends, found by a
-  divide-and-conquer on the monotone best end (``_trailing_flank``).  The
-  flanks, and the whole row when the support has at most NAIVE_CEILING
-  cells, are bitwise the sweep; tests/test_maximal.py gates them with
-  np.array_equal against ``_uncentered_naive``;
-* the level-batched hull pass for the other rows above NAIVE_CEILING
-  cells, never above its oracle and at most FAST_PATH_ULPS
-  (tests/test_maximal.py) below it on plateaus; on lognormal, indicator
-  and sorted data it is bitwise.
+The uncentered maximal is one dispatcher and three handlers, and callers
+pass whole stacks: a 2-D array whose rows are independent blocks (all
+cubes of one dyadic level, or a corpus of functions), each row giving
+bitwise what it gives alone.  ``_uncentered_rows`` decides every row's
+path once, by its cells and its length n, taking the rows in blocks of at
+most SWEEP_CELLS = 2^15 cells (8 rows at NAIVE_CEILING, about 1 MB of
+sweep arrays):
 
-The uncentered internals also take a 2-D array whose rows are independent
-blocks (``uncentered_restricted`` on all cubes of one dyadic level, or on
-a corpus of functions): each row gives bitwise what it gives alone.  The
-sweep runs over every row at once, so a caller that stacks many rows
-passes blocks of at most SWEEP_CELLS = 2^15 cells: 8 rows at NAIVE_CEILING,
-enough that numpy's per-row dispatch is small against each step, with
-about 1 MB of sweep arrays per block; rows above NAIVE_CEILING cells run
-one at a time.
-``uncentered_dyadic`` gives the restricted maximal on every dyadic level
-and builds each level up to NAIVE_CEILING cells from the one below: only
-the intervals that leave a cube's left half are swept again, 3/4 of the
-pairs in half the steps, with the same candidates and so the same bits.
-``uncentered_envelope`` bounds the sweep's maxima of each row of more than
-2 ENVELOPE_W cells from both sides in O(n ENVELOPE_W), for a caller that
-only needs to know which rows can matter (the Buckley check of
-``experiments``): lower is the sweep over windows of 2W cells, each value
-one of the sweep's candidates, and upper adds A_W, the largest rounded
-average over W..2W - 1 cells, with a margin for the roundings (the proof
-is at the function); tests/test_maximal.py gates lower <=
-``uncentered_restricted`` <= upper.  ``swept_rows`` names the rows the
-sweep would take, by the sparse rule that ``uncentered_restricted`` uses.
+* a row with an inf (NaN) cell is inf (NaN) on every cell;
+* a finite row above NAIVE_CEILING cells takes ``_uncentered_long``: the
+  flank split when it is zero left of its first or right of its last
+  nonzero cell (the support on its own path, each flank cell by
+  ``_trailing_flank``), bitwise the sweep; else the level-batched hull
+  pass, never above its oracle and at most FAST_PATH_ULPS
+  (tests/test_maximal.py) below it on plateaus, bitwise on lognormal,
+  indicator and sorted data;
+* a finite row of at most NAIVE_CEILING cells of which at most
+  n^2 / SPARSE_CUTOFF move the prefix sum (n/8 of them at 4096 cells,
+  none but in a zero row below 182) takes the sparse path, in O(n) per
+  such cell, bitwise the sweep by the zero-end lemma at
+  ``_uncentered_sparse``;
+* every other row goes, with the others of its block, to the handler of
+  the entry point:
+  - ``uncentered_restricted``: the naive O(n^2) sweep, bitwise its oracle
+    ``uncentered_maximal_brute``;
+  - ``uncentered_dyadic``: every dyadic level, each carried from the one
+    below: only the intervals that leave a cube's left half are swept
+    again, 3/4 of the pairs in half the steps, with the same candidates
+    and so the same bits;
+  - ``uncentered_envelope``: a cellwise (lower, upper) pair around the
+    sweep's maxima in O(n ENVELOPE_W) (the proof is at the function), for
+    a caller that only needs to know which rows can matter (the Buckley
+    check of ``experiments``); the sweep itself on rows of at most
+    2 ENVELOPE_W cells.  So lower and upper are both the exact maxima on
+    every row that the envelope does not bound.
+
+Gates, in tests/test_maximal.py unless named: the sparse path and the
+flank split equal ``_uncentered_naive``; lower <= ``uncentered_restricted``
+<= upper on every row, and both equal it on the rows not bounded; the
+carried levels equal one ``uncentered_restricted`` call per level
+(tests/test_constants.py).  Only this module reads the path thresholds or
+its private names (tests/test_architecture.py).
 
 Every operator refuses, with a ConfigError, finite cells whose cube or
 interval sums overflow, where it would give inf or NaN; the sums are
@@ -76,7 +72,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
 from .grid import finite_product, require_finite_sums, sum_pyramid
 from .weights import GridFunction, GridWeight, require_finite_masses
 
@@ -431,53 +426,65 @@ def uncentered_restricted(values: np.ndarray) -> np.ndarray:
 
     Used for M(chi_Q w) restricted to a cube Q, or to all cubes of one level
     at once: truncation kills any gain from leaving Q, so intervals inside Q
-    suffice.  Rows with an inf or NaN cell are answered first
-    (``_finite_rows``); every other row takes its path of the module
-    docstring by its length, and the rows of the sweep are swept together.
+    suffice.  Every row takes its path of ``_uncentered_rows``, whose
+    handler here is the sweep.
+    """
+    return _uncentered_rows(values, lambda P, r: _uncentered_naive(P))
+
+
+def _uncentered_rows(values: np.ndarray, sweep) -> np.ndarray:
+    """The one place that decides each row's path, for a block ``values``
+    whose rows are independent blocks; returns an array of its shape.
+
+    The rows are taken in blocks of at most SWEEP_CELLS cells (one row
+    where a row is longer), each with its own prefix rows P.  A row with an
+    inf or NaN cell is its total on every cell, inf or NaN: every cell
+    shares an interval with that cell, and every interval holding it
+    averages that value.  A finite row of more than NAIVE_CEILING cells
+    takes ``_uncentered_long``, and a sparse one, whose prefix moves at
+    most n^2 / SPARSE_CUTOFF times, ``_uncentered_sparse``.  The other rows
+    r of the block go to the handler together, as sweep(P[r], r) with r
+    indexing the whole stack: a slice where the rows are adjacent, so that
+    P[r] is a view.
     """
     values = np.asarray(values, dtype=float)
-    P = _prefix(np.abs(values))
-    rows = P.reshape(-1, P.shape[-1])
-    n = rows.shape[1] - 1
-    cells = values.reshape(len(rows), n)
-    if not np.isfinite(rows[:, -1]).all():
-        return _finite_rows(rows, lambda r: uncentered_restricted(cells[r])).reshape(values.shape)
-    if n > NAIVE_CEILING:
-        return np.array([_uncentered_long(v, row) for v, row in zip(cells, rows)]).reshape(values.shape)
-    sparse = _sparse(rows)
-    if not sparse.any():
-        return _uncentered_naive(P)
-    # the sweep's arrays are freed before ``out`` is made: a lower peak
-    dense = None if sparse.all() else _uncentered_naive(rows[~sparse])
-    out = np.empty((len(rows), n))
-    if dense is not None:
-        out[~sparse] = dense
-    for i in np.flatnonzero(sparse):
-        out[i] = _uncentered_sparse(rows[i])
+    if not values.size:
+        return np.zeros(values.shape)
+    cells = values.reshape(-1, values.shape[-1])
+    n = cells.shape[1]
+    step = max(1, SWEEP_CELLS // n)
+    out = None
+    for j in range(0, len(cells), step):
+        P = _prefix(np.abs(cells[j : j + step]))
+        total = P[:, -1]
+        swept = np.isfinite(total) & (n <= NAIVE_CEILING)
+        if swept.any():
+            swept &= np.count_nonzero(P[:, 1:] != P[:, :-1], axis=1) * SPARSE_CUTOFF > n * n
+        if out is None:
+            if swept.all() and len(P) == len(cells):  # the handler's array is the result
+                return sweep(P, slice(None)).reshape(values.shape)
+            out = np.empty(cells.shape)
+        r = np.flatnonzero(swept)
+        if len(r):
+            lo, hi = r[0], r[-1] + 1
+            r, at = (slice(lo, hi), slice(j + lo, j + hi)) if hi - lo == len(r) else (r, j + r)
+            out[at] = sweep(P[r], at)
+        for i in np.flatnonzero(~swept):
+            if not np.isfinite(total[i]):
+                out[j + i] = total[i]
+            elif n > NAIVE_CEILING:
+                out[j + i] = _uncentered_long(cells[j + i], P[i])
+            else:
+                out[j + i] = _uncentered_sparse(P[i])
     return out.reshape(values.shape)
 
 
-def _sparse(rows: np.ndarray) -> np.ndarray:
-    """Which finite prefix rows of at most NAIVE_CEILING cells take the
-    sparse path: those whose prefix moves at most n^2 / SPARSE_CUTOFF times."""
-    n = rows.shape[1] - 1
-    return np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1) * SPARSE_CUTOFF <= n * n
-
-
-def swept_rows(values: np.ndarray) -> np.ndarray:
-    """Which rows of a block (one flag per row, of shape values.shape[:-1])
-    ``uncentered_restricted`` answers by the O(n^2) sweep: finite, dense,
-    of at most NAIVE_CEILING cells."""
-    values = np.asarray(values, dtype=float)
-    rows = _prefix(np.abs(values)).reshape(-1, values.shape[-1] + 1)
-    swept = np.isfinite(rows[:, -1]) & ~_sparse(rows) & (values.shape[-1] <= NAIVE_CEILING)
-    return swept.reshape(values.shape[:-1])
-
-
 def uncentered_envelope(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cellwise (lower, upper) around the sweep's maxima of every row of a
-    block of n > 2 ENVELOPE_W cells, in O(n ENVELOPE_W) per row; for rows
-    of at most NAIVE_CEILING cells the sweep is ``uncentered_restricted``.
+    """Cellwise (lower, upper) around ``uncentered_restricted`` of every row
+    of a block, in O(n ENVELOPE_W) per row that it bounds: the rows of more
+    than 2 ENVELOPE_W cells that the restricted maximal sweeps.  Every other
+    row takes its own path of ``_uncentered_rows``, the sweep among them,
+    and lower and upper are both its exact maxima.
 
     With W = ENVELOPE_W, lower is the sweep over the windows [kW, kW + 2W)
     of each row's own prefix row (and [n - 2W, n) for the tail), so each of
@@ -491,30 +498,34 @@ def uncentered_envelope(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     where it is subnormal, it and its best piece's quotient differ by a
     factor below 1 + 3u, less than the spacing 2^-1074, so it rounds at
     most 2^-1074 above that piece's.
-    A row with an inf (NaN) cell has both bounds inf (NaN) on every cell.
     """
     values = np.asarray(values, dtype=float)
+    w = ENVELOPE_W
+    cap = np.full(values.shape[:-1], -np.inf)  # upper is lower where it stays -inf
+    caps = cap.reshape(-1)
+
+    def bound(rows, r):
+        if rows.shape[1] - 1 <= 2 * w:
+            return _uncentered_naive(rows)
+        caps[r] = _piece_maxima(rows, w) * (1 + 2.0**-50) + 2.0**-1074
+        return _window_maxima(rows, w)
+
     # the prefix rows are freed before upper is made: a lower peak
-    lower, cap = _envelope_rows(_prefix(np.abs(values)).reshape(-1, values.shape[-1] + 1))
-    upper = np.maximum(lower, cap[:, None])
-    return lower.reshape(values.shape), upper.reshape(values.shape)
+    lower = _uncentered_rows(values, bound)
+    return lower, np.maximum(lower, cap[..., None])
 
 
-def _envelope_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per prefix row, the lower bound of ``uncentered_envelope`` and the
-    cap A_W (1 + 2^-50) + 2^-1074, which is 0 where the row is not finite."""
-    n, w = rows.shape[1] - 1, ENVELOPE_W
-    if n <= 2 * w:
-        raise ConfigError(f"the uncentered envelope needs more than {2 * w} cells, got {n}")
-    lower = _finite_rows(rows, lambda r: _window_maxima(rows[r], w))
+def _piece_maxima(rows: np.ndarray, w: int) -> np.ndarray:
+    """A_W of each finite prefix row: its largest rounded average over
+    intervals of W..2W - 1 cells."""
+    n = rows.shape[1] - 1
     top, t = np.zeros(len(rows)), np.empty((len(rows), n + 1 - w))
-    with np.errstate(invalid="ignore"):  # inf - inf in a row with an inf cell
-        for length in range(w, 2 * w):
-            s = t[:, : n + 1 - length]
-            np.subtract(rows[:, length:], rows[:, :-length], out=s)
-            np.divide(s, length, out=s)
-            np.maximum(top, s.max(axis=1), out=top)
-    return lower, np.where(np.isfinite(rows[:, -1]), top * (1 + 2.0**-50) + 2.0**-1074, 0.0)
+    for length in range(w, 2 * w):
+        s = t[:, : n + 1 - length]
+        np.subtract(rows[:, length:], rows[:, :-length], out=s)
+        np.divide(s, length, out=s)
+        np.maximum(top, s.max(axis=1), out=top)
+    return top
 
 
 def _window_maxima(rows: np.ndarray, w: int) -> np.ndarray:
@@ -544,41 +555,21 @@ def _window_maxima(rows: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def _finite_rows(rows: np.ndarray, fn) -> np.ndarray:
-    """The maxima of the prefix rows ``rows``: fn(r) on the rows r whose
-    last sum is finite, that sum on every cell of the others.  It is inf
-    for a row with an inf cell and NaN for one with a NaN cell, and every
-    cell shares an interval with that cell, whose average is that value."""
-    total = rows[:, -1]
-    finite = np.isfinite(total)
-    if finite.all():
-        return fn(slice(None))
-    out = np.repeat(total[:, None], rows.shape[1] - 1, axis=1)
-    if finite.any():
-        out[finite] = fn(finite)
-    return out
-
-
 def uncentered_dyadic(values: np.ndarray):
     """For d = 0, 1, ..., m on an array of N = 2^m cells, the uncentered
     maximal restricted to every dyadic block of 2^d cells, as the rows of
     one (N / 2^d, 2^d) array: bitwise ``uncentered_restricted`` of
-    ``values.reshape(-1, 2^d)``.
+    ``values.reshape(-1, 2^d)``, on the same paths of ``_uncentered_rows``.
 
-    The blocks of 2^d cells are built from those of 2^(d-1) while the
-    sweep serves them (2^d <= NAIVE_CEILING): np.cumsum is sequential, so
-    the prefix row of a block's left half is bitwise its left child's, and
-    the child's maxima stand for every interval inside the left half.  Each
-    such level sweeps only the right ends b > 2^(d-1) of its finite blocks;
-    a block with an inf or NaN cell is that value, as in
-    ``uncentered_restricted``.
+    The handler builds the swept blocks of 2^d cells from those of
+    2^(d-1): np.cumsum is sequential, so the prefix row of a block's left
+    half is bitwise its left child's, and the child's maxima, on whatever
+    path they were found, stand for every interval inside the left half.
+    Each such level sweeps only the right ends b > 2^(d-1).
     """
     below = None
     for d in range(len(values).bit_length()):
-        rows = np.reshape(values, (-1, 1 << d))
-        if below is None or rows.shape[1] > NAIVE_CEILING:
-            below = uncentered_restricted(rows)
-        else:
-            P, left = _prefix(np.abs(rows)), below[::2]
-            below = _finite_rows(P, lambda r: _uncentered_naive(P[r], left[r]))
+        left = None if below is None else below[::2]
+        below = _uncentered_rows(np.reshape(values, (-1, 1 << d)),
+                                 lambda P, r: _uncentered_naive(P, None if left is None else left[r]))
         yield below

@@ -191,6 +191,24 @@ def test_carried_levels_equal_per_level_sweep(shape, J, L):
     assert_carried_levels_equal_per_level_sweep(fw_weight(shape, J, L).cell_values)
 
 
+def zero_rich_cells(kind, n):
+    """A zero-rich row of n cells: a corpus row at J = 1, or lognormal cells
+    of which about 30% are nonzero."""
+    if kind == "lognormal":
+        rng = np.random.default_rng(n)
+        return rng.lognormal(size=n) * (rng.random(n) < 0.3)
+    return dict(wl.test_function_corpus(wl.build_grid(1, n.bit_length() - 2), n_random=0))[kind].values
+
+
+@pytest.mark.parametrize("n", [4096, 8192])
+@pytest.mark.parametrize("kind", ["spike_0", "spike_{mid}", "indicator_k2_m0", "indicator_k5_m32",
+                                  "one_sided_f_delta0.5", "lognormal"])
+def test_carried_levels_equal_per_level_sweep_on_zero_rich_cells(kind, n):
+    # sparse blocks take the sparse path inside the carried levels, and a
+    # carried block's left half may have been found on it
+    assert_carried_levels_equal_per_level_sweep(zero_rich_cells(kind.format(mid=n // 2), n))
+
+
 BAD_CELLS = [(1, 0), (2, 0), (2, 1), (64, 0), (64, 31), (64, 32), (64, 63)]
 
 

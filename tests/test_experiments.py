@@ -5,6 +5,7 @@ import pytest
 
 import weightlab as wl
 import weightlab.experiments as exp
+from weightlab import maximal
 from weightlab.errors import ConfigError
 from weightlab.maximal import ENVELOPE_W, NAIVE_CEILING, uncentered_envelope, uncentered_restricted
 
@@ -171,7 +172,7 @@ def buckley_max_ratio_per_function(v, p, corpus):
 ])
 def test_buckley_batch_equals_per_function_loop(monkeypatch, J, L, sweep_cells):
     if sweep_cells:
-        monkeypatch.setattr(exp, "SWEEP_CELLS", sweep_cells)
+        monkeypatch.setattr(maximal, "SWEEP_CELLS", sweep_cells)
     g = wl.build_grid(J, L)
     assert (g.ncells > NAIVE_CEILING) == (L == 13)
     v = exp.random_a1_weight(g, np.random.default_rng(L), cap=16.0)
@@ -184,7 +185,10 @@ def test_buckley_batch_equals_per_function_loop(monkeypatch, J, L, sweep_cells):
 
 
 def test_buckley_sweeps_each_distinct_function_once(monkeypatch):
+    # 64 cells, at most 2W: the envelope sweeps every row and is exact there,
+    # so each distinct function is swept once, by the envelope, and none again
     g = wl.build_grid(1, 5)
+    assert g.ncells <= 2 * ENVELOPE_W
     v = exp.random_a1_weight(g, np.random.default_rng(5), cap=16.0)
     corpus = exp.test_function_corpus(g, seed=3, n_random=2)
     names = dict(corpus)
@@ -193,17 +197,20 @@ def test_buckley_sweeps_each_distinct_function_once(monkeypatch):
         assert np.array_equal(names[f"indicator_k5_m{cell}"].values, names[f"spike_{cell}"].values)
     f = corpus[-1][1]
     thrice = [("a", f), ("b", wl.GridFunction(g, f.values.copy())), ("c", f)]
-    rows = []
+    rows = {"envelope": [], "restricted": []}
 
-    def counting(values):
-        rows.append(len(values))
-        return uncentered_restricted(values)
+    def counting(op, key):
+        def call(values):
+            rows[key].append(len(values))
+            return op(values)
+        return call
 
-    monkeypatch.setattr(exp, "uncentered_restricted", counting)
+    monkeypatch.setattr(exp, "uncentered_envelope", counting(uncentered_envelope, "envelope"))
+    monkeypatch.setattr(exp, "uncentered_restricted", counting(uncentered_restricted, "restricted"))
     for fns, distinct in ((corpus, len(corpus) - 2), (thrice, 1)):
-        rows.clear()
+        rows["envelope"].clear()
         rep = wl.buckley_empirical(v, 2.0, corpus=fns)
-        assert sum(rows) == distinct
+        assert rows["envelope"] == [distinct] and not rows["restricted"]
         assert rep.max_ratio == buckley_max_ratio_per_function(v, 2.0, fns) > 1.0
 
 
@@ -217,7 +224,7 @@ def _buckley_weight(kind, g):
 @pytest.mark.parametrize("L", [8, 9, 10, 11])
 def test_buckley_pruning_equals_per_function_loop(monkeypatch, L, kind):
     # J = 1, L = 8..11: 512..4096 cells, above 2W and up to NAIVE_CEILING,
-    # where the swept rows are bounded first and only the survivors swept
+    # where the dense rows are bounded and only the survivors swept
     g = wl.build_grid(1, L)
     assert 2 * ENVELOPE_W < g.ncells <= NAIVE_CEILING
     v = _buckley_weight(kind, g)
@@ -246,14 +253,28 @@ def test_buckley_pruning_equals_per_function_loop(monkeypatch, L, kind):
     def ratio(key, row):
         return wl.lp_norm(wl.GridFunction(g, row), v, 2.0) / wl.lp_norm(fns[key], v, 2.0)
 
-    # the best lower ratio: of the bounded rows, and of the exact rows that
-    # were never bounded (sparse ones)
-    exact = [ratio(k, uncentered_restricted(fns[k].values)) for k in swept if k not in bounds]
-    floor = max([ratio(k, lo) for k, (lo, _) in bounds.items()] + exact)
-    pruned = {k for k, (_, hi) in bounds.items() if ratio(k, hi) < floor * (1 - 2.0**-40)}
-    assert pruned and not pruned & set(swept)
-    assert all(k in swept or k in pruned for k in bounds)
+    # every distinct row is bounded once; the rows whose bounds are equal are
+    # exact and never swept, and of the others a row whose upper ratio is
+    # below the best lower ratio never
+    assert len(bounds) == len({f.values.tobytes() for _, f in corpus})
+    exact = {k for k, (lo, hi) in bounds.items() if np.array_equal(lo, hi)}
+    floor = max(ratio(k, lo) for k, (lo, _) in bounds.items())
+    pruned = {k for k, (_, hi) in bounds.items() if k not in exact and ratio(k, hi) < floor * (1 - 2.0**-40)}
+    assert pruned and not (pruned | exact) & set(swept)
+    assert all(k in swept or k in pruned or k in exact for k in bounds)
     assert max(ratio(k, uncentered_restricted(fns[k].values)) for k in pruned) < rep.max_ratio
+
+
+def test_buckley_refuses_a_non_finite_corpus_function():
+    # an inf or NaN cell made the function's ratio NaN, which max() dropped
+    g = wl.build_grid(1, 6)
+    v = exp.random_a1_weight(g, np.random.default_rng(1), cap=16.0)
+    corpus = exp.test_function_corpus(g, seed=1, n_random=2)
+    for bad in (np.inf, np.nan):
+        vals = np.ones(g.ncells)
+        vals[5] = bad
+        with pytest.raises(ConfigError, match="bad_one"):
+            wl.buckley_empirical(v, 2.0, corpus=corpus + [("bad_one", wl.GridFunction(g, vals))])
 
 
 def test_buckley_envelope_refinement_stability():
