@@ -515,18 +515,21 @@ def buckley_empirical(
     def ratios(rows, idx):
         return [lp_norm(GridFunction(grid, row), v, p) / live[i][1] for row, i in zip(rows, idx)]
 
-    # Every row gets a cellwise (lower, upper) pair around M f, exact where
-    # they are equal; a row whose upper ratio is below the best lower ratio
-    # of all rows is never swept, and the others are swept together.
+    # Every row gets a cellwise lower bound of M f and a cap, with upper =
+    # max(lower, cap), exact where the cap is at most every lower cell; a
+    # row whose upper ratio is below the best lower ratio of all rows is
+    # never swept, and the others are swept together.
     values = np.array([f.values for f, _ in live]).reshape(len(live), grid.ncells)
-    lower, upper = uncentered_envelope(values)
-    exact = [np.array_equal(lo, hi) for lo, hi in zip(lower, upper)]
-    lows, highs = ratios(lower, range(len(live))), ratios(upper, range(len(live)))
+    lower, cap = uncentered_envelope(values)
+    exact = cap <= lower.min(axis=1)
+    lows = ratios(lower, range(len(live)))
     floor = max(lows, default=0.0)
     best = max((lo for lo, e in zip(lows, exact) if e), default=0.0)
+    bounded = np.flatnonzero(~exact).tolist()
+    highs = ratios((np.maximum(lower[i], cap[i]) for i in bounded), bounded)
     # lp_norm is monotone in each cell up to the last ulps of its power,
     # which the slack of 2^-40 covers
-    survivors = [i for i, (e, hi) in enumerate(zip(exact, highs)) if not e and not hi < floor * (1 - 2.0**-40)]
+    survivors = [i for i, hi in zip(bounded, highs) if not hi < floor * (1 - 2.0**-40)]
     if survivors:
         best = max(best, *ratios(uncentered_restricted(values[survivors]), survivors))
     return BuckleyReport(

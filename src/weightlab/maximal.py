@@ -26,19 +26,18 @@ path once, by its cells and its length n, taking the rows in blocks of at
 most SWEEP_CELLS = 2^15 cells (8 rows at NAIVE_CEILING, about 1 MB of
 sweep arrays):
 
-* a row with an inf (NaN) cell is inf (NaN) on every cell;
-* a finite row above NAIVE_CEILING cells takes ``_uncentered_long``: the
-  flank split when it is zero left of its first or right of its last
-  nonzero cell (the support on its own path, each flank cell by
-  ``_trailing_flank``), bitwise the sweep; else the level-batched hull
-  pass, never above its oracle and at most FAST_PATH_ULPS
+* a row with an inf (NaN) cell is inf (NaN) on every cell, and a zero row
+  is zero: each is its total on every cell;
+* a finite row that is zero left of its first or right of its last
+  nonzero cell is split when it has more than NAIVE_CEILING cells, or
+  when its support (first to last nonzero cell) is at most n /
+  SPLIT_CUTOFF of its cells: the support takes its own path and each
+  flank cell ``_trailing_flank``, bitwise the sweep by the zero-end lemma
+  at ``_uncentered_split``;
+* any other finite row above NAIVE_CEILING cells takes the level-batched
+  hull pass, never above its oracle and at most FAST_PATH_ULPS
   (tests/test_maximal.py) below it on plateaus, bitwise on lognormal,
   indicator and sorted data;
-* a finite row of at most NAIVE_CEILING cells of which at most
-  n^2 / SPARSE_CUTOFF move the prefix sum (n/8 of them at 4096 cells,
-  none but in a zero row below 182) takes the sparse path, in O(n) per
-  such cell, bitwise the sweep by the zero-end lemma at
-  ``_uncentered_sparse``;
 * every other row goes, with the others of its block, to the handler of
   the entry point:
   - ``uncentered_restricted``: the naive O(n^2) sweep, bitwise its oracle
@@ -47,19 +46,26 @@ sweep arrays):
     below: only the intervals that leave a cube's left half are swept
     again, 3/4 of the pairs in half the steps, with the same candidates
     and so the same bits;
-  - ``uncentered_envelope``: a cellwise (lower, upper) pair around the
-    sweep's maxima in O(n ENVELOPE_W) (the proof is at the function), for
-    a caller that only needs to know which rows can matter (the Buckley
-    check of ``experiments``); the sweep itself on rows of at most
-    2 ENVELOPE_W cells.  So lower and upper are both the exact maxima on
-    every row that the envelope does not bound.
+  - ``uncentered_envelope``: a cellwise lower bound and a per-row cap
+    around the sweep's maxima in O(n ENVELOPE_W) (the proof is at the
+    function), for a caller that only needs to know which rows can matter
+    (the Buckley check of ``experiments``); the sweep itself on rows of at
+    most 2 ENVELOPE_W cells.  So lower is the exact maxima on every row
+    that the envelope does not bound.
 
-Gates, in tests/test_maximal.py unless named: the sparse path and the
-flank split equal ``_uncentered_naive``; lower <= ``uncentered_restricted``
-<= upper on every row, and both equal it on the rows not bounded; the
-carried levels equal one ``uncentered_restricted`` call per level
-(tests/test_constants.py).  Only this module reads the path thresholds or
-its private names (tests/test_architecture.py).
+A row of at most NAIVE_CEILING cells whose end cells are nonzero is swept
+however few of its cells are nonzero, so it costs what a dense row of its
+length costs and no more: a 4096-cell row of four spikes, two of them its
+end cells, takes about 45 ms (2-core host), where four spikes over 391
+cells inside zero flanks take 3.5 ms; no caller builds such a row.
+
+Gates, in tests/test_maximal.py unless named: the flank split equals
+``_uncentered_naive`` on both sides of its thresholds; lower <=
+``uncentered_restricted`` <= max(lower, cap) on every row, and lower
+equals it on the rows not bounded; the carried levels equal one
+``uncentered_restricted`` call per level (tests/test_constants.py).  Only
+this module reads the path thresholds or its private names
+(tests/test_architecture.py).
 
 Every operator refuses, with a ConfigError, finite cells whose cube or
 interval sums overflow, where it would give inf or NaN; the sums are
@@ -77,12 +83,11 @@ from .weights import GridFunction, GridWeight, require_finite_masses
 
 NAIVE_CEILING = 4096
 SWEEP_CELLS = 1 << 15  # cells per block of stacked rows handed to one sweep
-# A finite row of n cells whose prefix sum moves at most n^2 / SPARSE_CUTOFF
-# times is swept by the sparse path.  Measured against a sweep block of
-# SWEEP_CELLS cells, the two break even near n^2 / 2^13 (n = 128..1024) and
-# n^2 / 2^14 (n = 4096); at this cutoff the sparse path is 1.5x (n = 4096)
-# to 3-5x (n = 256..2048) faster.
-SPARSE_CUTOFF = 1 << 15
+# A flanked row of n <= NAIVE_CEILING cells is split when its support is at
+# most n / SPLIT_CUTOFF cells.  At n / 2 the corpus's one-sided rows (2048
+# of 4096 cells) would take exact 2048-cell sweeps (12 ms) where the
+# envelope bounds them in 2 ms.
+SPLIT_CUTOFF = 8
 # Width W of the windows and the shortest long interval of uncentered_envelope
 ENVELOPE_W = 32
 FLANK_CHUNK = 4096  # zero flank cells per divide-and-conquer pass of _trailing_flank
@@ -160,7 +165,7 @@ def weighted_dyadic_maximal_brute(f: GridFunction, v: GridWeight) -> GridFunctio
 
 
 # ---------------------------------------------------------------------------
-# uncentered maximal: naive sweep, sparse path, level-batched hull pass, oracle
+# uncentered maximal: naive sweep, level-batched hull pass, flank split, oracle
 
 def _uncentered_naive(P: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
     """Max interval average per cell by an O(N^2) sweep over right ends b,
@@ -189,53 +194,6 @@ def _uncentered_naive(P: np.ndarray, left: np.ndarray | None = None) -> np.ndarr
         np.maximum.accumulate(acc[..., :h], axis=-1, out=out)
         np.maximum(out, left, out=out)
     return res
-
-
-def _step_ends(P: np.ndarray, out: np.ndarray) -> None:
-    """Raise ``out`` (one row) by every interval [a, b) whose left end a is a
-    step of the prefix row P, a cell with P[a + 1] != P[a], in O(N) per step.
-
-    The steps a_1 < a_2 < ... cut the row into runs [a_j, a_(j+1)); a cell c
-    of run j lies in [a_i, b) for i <= j and every b > c.  ``run[b]`` keeps
-    the best average to b from the steps so far, so c takes the suffix max
-    of run from b = c + 1 on: within the run, then beyond its end.
-    """
-    n = len(P) - 1
-    a = np.flatnonzero(P[1:] != P[:-1])
-    if not len(a):
-        return
-    dist = np.arange(1.0, n - a[0] + 1)  # dist[:n - a] = b - a for b = a+1..n
-    run, t = np.full(n + 1, -np.inf), np.empty(n)
-    for lo, hi in zip(a.tolist(), [*a[1:].tolist(), n]):
-        row = t[: n - lo]
-        np.subtract(P[lo + 1 :], P[lo], out=row)
-        np.divide(row, dist[: n - lo], out=row)
-        r = run[lo + 1 :]
-        np.maximum(r, row, out=r)
-        best = np.maximum.accumulate(r[hi - lo - 1 :: -1], out=t[: hi - lo])
-        if hi < n:
-            np.maximum(best, r[hi - lo :].max(), out=best)
-        np.maximum(out[lo:hi], best[::-1], out=out[lo:hi])
-
-
-def _uncentered_sparse(P: np.ndarray) -> np.ndarray:
-    """Max interval average per cell of one finite prefix row P, in
-    O(N * steps); bitwise ``_uncentered_naive``.
-
-    A cell a < c that does not move the prefix (P[a + 1] = P[a], a zero
-    cell) is never the best left end for c: [a + 1, b) has the same rounded
-    numerator over a smaller divisor and still holds c, and likewise a
-    right end b with P[b - 1] = P[b] and b - 1 > c.  So the steps and c
-    itself are the only ends needed.  Two passes of ``_step_ends`` cover
-    them: the steps as left ends, and on the point reflection
-    P -> -P[::-1] (the same rounded differences) the steps as right ends.
-    What is left, a zero cell c as both ends, is the singleton [c, c + 1)
-    of average 0, the value ``out`` starts from.
-    """
-    out = np.zeros(len(P) - 1)
-    _step_ends(P, out)
-    _step_ends(-P[::-1], out[::-1])
-    return out
 
 
 def _uncentered_levels(P: np.ndarray) -> np.ndarray:
@@ -318,29 +276,23 @@ def _tangents(P, Q, V, st, en) -> tuple[np.ndarray, np.ndarray]:
     return g, V[k]
 
 
-def _uncentered_long(values: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Max interval average per cell of one finite row of more than
-    NAIVE_CEILING cells, ``values`` with prefix row P.  A row that is zero
-    left of its first nonzero cell lo or right of its last one hi - 1 is
-    split: the support [lo, hi) is its own block, on its own path, and each
-    zero flank is filled by ``_trailing_flank``.  Other rows take the hull
-    pass.
+def _uncentered_split(values: np.ndarray, P: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Max interval average per cell of one finite row ``values`` with
+    prefix row P that is zero outside its support [lo, hi): the support
+    takes its own path of ``uncentered_restricted``, and each zero flank
+    ``_trailing_flank``; bitwise ``_uncentered_naive``.
 
-    The support's maxima are the row's there: np.cumsum is sequential and
-    the leading zeros sum to 0, so its prefix row is bitwise P[lo..hi], and
-    an interval reaching into a flank has the numerator of its trimmed copy
-    over a larger divisor (the zero-end lemma at ``_uncentered_sparse``).
+    The zero-end lemma: an interval [a, b) with a < lo has the numerator of
+    [lo, b), since np.cumsum is sequential and the leading zeros sum to 0,
+    over a larger divisor, and likewise one with b > hi; so a cell of the
+    support takes its best from intervals inside it, and the support's
+    prefix row is bitwise P[lo..hi].
     """
     n = len(values)
-    nonzero = np.flatnonzero(values)
-    if len(nonzero) and nonzero[0] == 0 and nonzero[-1] == n - 1:
-        return _uncentered_levels(P)
     out = np.zeros(n)
-    if len(nonzero):
-        lo, hi = int(nonzero[0]), int(nonzero[-1]) + 1
-        out[lo:hi] = uncentered_restricted(values[lo:hi])
-        _trailing_flank(P, lo, hi, out)
-        _trailing_flank(-P[::-1], n - hi, n - lo, out[::-1])
+    out[lo:hi] = uncentered_restricted(values[lo:hi])
+    _trailing_flank(P, lo, hi, out)
+    _trailing_flank(-P[::-1], n - hi, n - lo, out[::-1])
     return out
 
 
@@ -440,12 +392,14 @@ def _uncentered_rows(values: np.ndarray, sweep) -> np.ndarray:
     where a row is longer), each with its own prefix rows P.  A row with an
     inf or NaN cell is its total on every cell, inf or NaN: every cell
     shares an interval with that cell, and every interval holding it
-    averages that value.  A finite row of more than NAIVE_CEILING cells
-    takes ``_uncentered_long``, and a sparse one, whose prefix moves at
-    most n^2 / SPARSE_CUTOFF times, ``_uncentered_sparse``.  The other rows
-    r of the block go to the handler together, as sweep(P[r], r) with r
-    indexing the whole stack: a slice where the rows are adjacent, so that
-    P[r] is a view.
+    averages that value; a zero row is its total 0 as well.  A finite row
+    that is zero outside its support [lo, hi) (first to last nonzero cell)
+    takes ``_uncentered_split`` when it has more than NAIVE_CEILING cells
+    or a support of at most n / SPLIT_CUTOFF cells; any other row of more
+    than NAIVE_CEILING cells, the hull pass.  The other rows r of the
+    block go to the handler together, as sweep(P[r], r) with r indexing
+    the whole stack: a slice where the rows are adjacent, so that P[r] is
+    a view.
     """
     values = np.asarray(values, dtype=float)
     if not values.size:
@@ -455,43 +409,47 @@ def _uncentered_rows(values: np.ndarray, sweep) -> np.ndarray:
     step = max(1, SWEEP_CELLS // n)
     out = None
     for j in range(0, len(cells), step):
-        P = _prefix(np.abs(cells[j : j + step]))
+        block = cells[j : j + step]
+        P = _prefix(np.abs(block))
         total = P[:, -1]
-        swept = np.isfinite(total) & (n <= NAIVE_CEILING)
-        if swept.any():
-            swept &= np.count_nonzero(P[:, 1:] != P[:, :-1], axis=1) * SPARSE_CUTOFF > n * n
+        nonzero = block != 0
+        lo, hi = nonzero.argmax(axis=1), n - nonzero[:, ::-1].argmax(axis=1)
+        own = (0 < total) & (total < np.inf)  # the other rows are their total
+        split = own & (hi - lo < n) & ((n > NAIVE_CEILING) | ((hi - lo) * SPLIT_CUTOFF <= n))
+        swept = own & ~split & (n <= NAIVE_CEILING)
         if out is None:
             if swept.all() and len(P) == len(cells):  # the handler's array is the result
                 return sweep(P, slice(None)).reshape(values.shape)
             out = np.empty(cells.shape)
         r = np.flatnonzero(swept)
         if len(r):
-            lo, hi = r[0], r[-1] + 1
-            r, at = (slice(lo, hi), slice(j + lo, j + hi)) if hi - lo == len(r) else (r, j + r)
+            a, b = r[0], r[-1] + 1
+            r, at = (slice(a, b), slice(j + a, j + b)) if b - a == len(r) else (r, j + r)
             out[at] = sweep(P[r], at)
-        for i in np.flatnonzero(~swept):
-            if not np.isfinite(total[i]):
-                out[j + i] = total[i]
-            elif n > NAIVE_CEILING:
-                out[j + i] = _uncentered_long(cells[j + i], P[i])
-            else:
-                out[j + i] = _uncentered_sparse(P[i])
+        i = np.flatnonzero(~own)
+        out[j + i] = total[i, None]
+        for i in np.flatnonzero(split):
+            out[j + i] = _uncentered_split(block[i], P[i], int(lo[i]), int(hi[i]))
+        for i in np.flatnonzero(own & ~split & ~swept):
+            out[j + i] = _uncentered_levels(P[i])
     return out.reshape(values.shape)
 
 
 def uncentered_envelope(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cellwise (lower, upper) around ``uncentered_restricted`` of every row
-    of a block, in O(n ENVELOPE_W) per row that it bounds: the rows of more
-    than 2 ENVELOPE_W cells that the restricted maximal sweeps.  Every other
-    row takes its own path of ``_uncentered_rows``, the sweep among them,
-    and lower and upper are both its exact maxima.
+    """A cellwise lower bound and a per-row cap, (lower, cap), with lower <=
+    ``uncentered_restricted`` <= upper = max(lower, cap) on every row of a
+    block, in O(n ENVELOPE_W) per row that it bounds: the rows of more than
+    2 ENVELOPE_W cells that the restricted maximal sweeps.  Every other row
+    takes its own path of ``_uncentered_rows``, the sweep among them; lower
+    is its exact maxima and its cap -inf.  A row is exact wherever its cap
+    is at most its least lower value.
 
     With W = ENVELOPE_W, lower is the sweep over the windows [kW, kW + 2W)
     of each row's own prefix row (and [n - 2W, n) for the tail), so each of
     its values is one of the sweep's rounded candidates; every interval of
     at most W cells lies in a window.  An interval of L >= W cells splits
     into pieces of W..2W - 1 cells, and its exact average is a mediant of
-    theirs, so upper is max(lower, A_W (1 + 2^-50) + 2^-1074), A_W the
+    theirs, so the cap is A_W (1 + 2^-50) + 2^-1074, A_W the
     largest rounded average over W..2W - 1 cells.  Both roundings of each
     side cost a factor 1 + u (u = 2^-53) where the quotient is normal, so
     the long candidate is at most (1 + u)^2 / (1 - u)^2 < 1 + 5u times A_W;
@@ -501,7 +459,7 @@ def uncentered_envelope(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     values = np.asarray(values, dtype=float)
     w = ENVELOPE_W
-    cap = np.full(values.shape[:-1], -np.inf)  # upper is lower where it stays -inf
+    cap = np.full(values.shape[:-1], -np.inf)
     caps = cap.reshape(-1)
 
     def bound(rows, r):
@@ -510,9 +468,7 @@ def uncentered_envelope(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         caps[r] = _piece_maxima(rows, w) * (1 + 2.0**-50) + 2.0**-1074
         return _window_maxima(rows, w)
 
-    # the prefix rows are freed before upper is made: a lower peak
-    lower = _uncentered_rows(values, bound)
-    return lower, np.maximum(lower, cap[..., None])
+    return _uncentered_rows(values, bound), cap
 
 
 def _piece_maxima(rows: np.ndarray, w: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .grid import finite_product
 from . import maximal
 from .weights import GridFunction, GridWeight, product_cell_masses
 
@@ -120,7 +121,7 @@ def mixed_ratio(
         raise ConfigError("the L1(uv) norm of f underflows to 0: the mixed ratio is undefined")
     if not denominator < math.inf:  # inf, or NaN from 0 * inf
         raise ConfigError("the L1(uv) norm of f is not finite: the mixed ratio is undefined")
-    fv = GridFunction(f.grid, f.values * vrep)
+    fv = GridFunction(f.grid, finite_product(f.values, vrep, "the mixed ratio"))
     if variant == "Md":
         op = maximal.dyadic_maximal(fv)
     elif variant == "M":

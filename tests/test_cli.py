@@ -586,6 +586,19 @@ def test_huge_rows_refused_without_warnings(capsys, tmp_path, command, message):
     assert (code, out) == (2, "") and message in err
 
 
+# f = 1e300 on 8 cells, v = 1e10: the L1(uv) norm is finite at u = 1e-20,
+# but f v overflows, where the report gave a ratio "inf" and a level-set
+# mass "nan"; warnings are errors
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("variant", ["Md", "M"])
+def test_mixed_ratio_refuses_an_overflowing_product(capsys, tmp_path, variant):
+    path = tmp_path / "f.csv"
+    path.write_text("1e300\n" * 8)
+    code, out, err = run_cli(capsys, "weaknorm", "--f", str(path), "--u", "const:c=1e-20",
+                             "--v", "const:c=1e10", "--J", "1", "--variant", variant)
+    assert (code, out) == (2, "") and "the mixed ratio needs a finite product f v on every cell" in err
+
+
 # every subcommand without a CSV input, and the parameters of czd and
 # sawyer-verify on a 4-row CSV {p}, one parameter {x} at a time, L <= 4
 PARAMETER_COMMANDS = [

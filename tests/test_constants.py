@@ -204,8 +204,8 @@ def zero_rich_cells(kind, n):
 @pytest.mark.parametrize("kind", ["spike_0", "spike_{mid}", "indicator_k2_m0", "indicator_k5_m32",
                                   "one_sided_f_delta0.5", "lognormal"])
 def test_carried_levels_equal_per_level_sweep_on_zero_rich_cells(kind, n):
-    # sparse blocks take the sparse path inside the carried levels, and a
-    # carried block's left half may have been found on it
+    # zero blocks are their total and short supports are split inside the
+    # carried levels, and a carried block's left half may have been found so
     assert_carried_levels_equal_per_level_sweep(zero_rich_cells(kind.format(mid=n // 2), n))
 
 

@@ -236,10 +236,10 @@ def test_buckley_pruning_equals_per_function_loop(monkeypatch, L, kind):
         return uncentered_restricted(values)
 
     def bounding(values):
-        lower, upper = uncentered_envelope(values)
-        for row, lo, hi in zip(values, lower, upper):
-            bounds[row.tobytes()] = (lo, hi)
-        return lower, upper
+        lower, cap = uncentered_envelope(values)
+        for row, lo, c in zip(values, lower, cap):
+            bounds[row.tobytes()] = (lo, np.maximum(lo, c))
+        return lower, cap
 
     monkeypatch.setattr(exp, "uncentered_restricted", recording)
     monkeypatch.setattr(exp, "uncentered_envelope", bounding)

@@ -1,3 +1,5 @@
+import timeit
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,6 +279,19 @@ def test_fast_path_against_naive_beyond_ceiling(vals):
     )
 
 
+def test_uncentered_maximal_scales_near_n_log_n():
+    # the exponent gate: on lognormal rows of 2^13..2^16 cells (the hull
+    # pass) the log-log slope of the best of 3 wall times stays near 1, where
+    # a sweep would give 2; a slope is steadier than a wall time on a
+    # shared host
+    rng = np.random.default_rng(13)
+    points = []
+    for L in range(13, 17):
+        f = wl.GridFunction(wl.build_grid(0, L), rng.lognormal(size=1 << L))
+        points.append((1 << L, min(timeit.repeat(lambda: wl.uncentered_maximal(f), number=1, repeat=3))))
+    assert wl.scaling_fit(points).slope <= 1.2
+
+
 def test_fast_path_on_three_piece_step_function():
     # raised IndexError in the recursive hull search this pass replaced
     vals = np.repeat([1.0, 3.0, 2.0], [3979, 5888 - 3979, 8192 - 5888])
@@ -331,7 +346,8 @@ def test_fast_path_rows_equal_one_block_calls(rng):
 
 
 # ---------------------------------------------------------------------------
-# the sparse path: only the cells that move the prefix sum serve as ends
+# sparse rows: zero but for a few cells, split at their support when it is
+# at most n / SPLIT_CUTOFF cells, swept otherwise
 
 @st.composite
 def sparse_rows(draw):
@@ -351,11 +367,21 @@ def sparse_rows(draw):
 
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(sparse_rows())
-def test_sparse_path_equals_naive(vals):
-    P = maximal._prefix(vals)
-    naive = maximal._uncentered_naive(P)
-    assert np.array_equal(maximal._uncentered_sparse(P), naive)
-    assert np.array_equal(uncentered_restricted(vals), naive)
+def test_sparse_rows_equal_naive(vals):
+    assert np.array_equal(uncentered_restricted(vals), maximal._uncentered_naive(maximal._prefix(vals)))
+
+
+def counting_splits(monkeypatch):
+    """The rows, by their total, that ``_uncentered_split`` is called on."""
+    calls = []
+    real = maximal._uncentered_split
+
+    def counted(values, P, lo, hi):
+        calls.append(P[-1])
+        return real(values, P, lo, hi)
+
+    monkeypatch.setattr(maximal, "_uncentered_split", counted)
+    return calls
 
 
 def test_sparse_and_dense_rows_in_one_block_equal_their_own_calls(rng, monkeypatch):
@@ -367,24 +393,22 @@ def test_sparse_and_dense_rows_in_one_block_equal_their_own_calls(rng, monkeypat
     rows[4, [0, n - 1]] = [1e300, 5e-324]  # end spikes, one too small to move the sum
     rows[5] = rng.lognormal(size=n) * (rng.random(n) < 0.5)  # half zero: dense
     rows[6, 7] = np.nan  # NaN on every cell, on no path
-    sparse_calls = []
-    real = maximal._uncentered_sparse
-
-    def counted(P):
-        sparse_calls.append(P[-1])
-        return real(P)
-
-    monkeypatch.setattr(maximal, "_uncentered_sparse", counted)
+    splits = counting_splits(monkeypatch)
     batched = uncentered_restricted(rows)
-    assert len(sparse_calls) == 4  # rows 1-4, the zero row 2 among them
+    # rows 1 and 3 are split; the zero row 2 is its total, and the nonzero
+    # end cells of row 4 leave it no flank
+    assert splits == [1.0, 8 / 0.75]
     for row, out in zip(rows, batched):
         assert np.array_equal(out, uncentered_restricted(row), equal_nan=True)
         assert np.array_equal(out, maximal._uncentered_naive(maximal._prefix(row)), equal_nan=True)
 
 
 def test_spike_at_the_ceiling_never_sweeps():
-    def no_sweep(*args):
-        raise AssertionError("a spike row entered the O(N^2) sweep")
+    real = maximal._uncentered_naive
+
+    def no_sweep(P, left=None):  # no sweep longer than the spike's support
+        assert P.shape[-1] - 1 <= 1, "a spike row entered the O(N^2) sweep"
+        return real(P, left)
 
     n = maximal.NAIVE_CEILING
     g = wl.build_grid(0, n.bit_length() - 1)
@@ -396,6 +420,22 @@ def test_spike_at_the_ceiling_never_sweeps():
             mp.setattr(maximal, "_uncentered_naive", no_sweep)
             assert np.array_equal(uncentered_restricted(vals), want)
             assert np.array_equal(wl.uncentered_maximal(wl.GridFunction(g, vals)).values, want)
+
+
+@pytest.mark.parametrize("n", [64, 100, 512, maximal.NAIVE_CEILING])
+def test_the_split_cutoff_holds_to_the_cell(monkeypatch, n):
+    # a support of n / SPLIT_CUTOFF cells, rounded down, is split and one
+    # cell longer is swept, as is a row whose end cells are nonzero
+    cut = n // maximal.SPLIT_CUTOFF
+    rows = np.zeros((3, n))
+    rows[0, 5 : 5 + cut] = 1.0
+    rows[1, 5 : 6 + cut] = 1.0
+    rows[2, [0, n - 1]] = 1.0
+    splits = counting_splits(monkeypatch)
+    out = uncentered_restricted(rows)
+    assert splits == [cut]
+    for row, got in zip(rows, out):
+        assert np.array_equal(got, maximal._uncentered_naive(maximal._prefix(row)))
 
 
 def test_sparse_rows_of_1e308_refused_as_the_sweep_refuses():
@@ -413,12 +453,13 @@ def test_sparse_rows_of_1e308_refused_as_the_sweep_refuses():
     assert np.array_equal(uncentered_restricted(one), maximal._uncentered_naive(maximal._prefix(one)))
 
 
-@pytest.mark.parametrize("cutoff", [maximal.SPARSE_CUTOFF, 1])
+@pytest.mark.parametrize("cutoff", [maximal.SPLIT_CUTOFF, 1])
 @pytest.mark.parametrize("L", range(1, 6))
 def test_buckley_equals_per_function_brute_loop(monkeypatch, L, cutoff):
-    # at these sizes the default cutoff sends only zero rows to the sparse
-    # path; a cutoff of 1 sends every row
-    monkeypatch.setattr(maximal, "SPARSE_CUTOFF", cutoff)
+    # the default cutoff splits the rows whose support is at most n/8 of
+    # their cells, the spikes and short indicators; a cutoff of 1 splits
+    # every row with a zero flank
+    monkeypatch.setattr(maximal, "SPLIT_CUTOFF", cutoff)
     g = wl.build_grid(1, L)
     v = wl.random_a1_weight(g, np.random.default_rng(L), cap=16.0)
     corpus = wl.test_function_corpus(g, seed=L)
@@ -431,8 +472,8 @@ def test_buckley_equals_per_function_brute_loop(monkeypatch, L, cutoff):
 
 
 # ---------------------------------------------------------------------------
-# rows above NAIVE_CEILING with zero flanks: the support on its own path,
-# each flank by the monotone divide-and-conquer of _trailing_flank
+# rows with zero flanks: the support on its own path, each flank by the
+# monotone divide-and-conquer of _trailing_flank
 
 def naive(vals):
     return maximal._uncentered_naive(maximal._prefix(vals))
@@ -440,12 +481,14 @@ def naive(vals):
 
 @st.composite
 def flanked_rows(draw):
-    """Rows of NAIVE_CEILING + 1..9000 cells, zero outside a support of at
-    most NAIVE_CEILING cells: a step function (zero runs and end spikes
-    allowed), seeded lognormal cells, sparse lognormal cells or a 1/0.75
-    plateau."""
-    n = draw(st.integers(maximal.NAIVE_CEILING + 1, 9000))
-    size = draw(st.integers(1, maximal.NAIVE_CEILING))
+    """Rows of 1..9000 cells, zero outside a support of at most
+    NAIVE_CEILING cells, on either side of n / SPLIT_CUTOFF or at it: a
+    step function (zero runs and end spikes allowed), seeded lognormal
+    cells, sparse lognormal cells or a 1/0.75 plateau."""
+    n = draw(st.integers(1, 9000))
+    top, cut = min(n, maximal.NAIVE_CEILING), n // maximal.SPLIT_CUTOFF
+    size = draw(st.integers(1, max(cut, 1)) | st.integers(min(cut + 1, top), top)
+                | st.sampled_from([max(cut, 1), min(cut + 1, top)]))
     lo = draw(st.integers(0, n - size))
     kind = draw(st.sampled_from(["steps", "lognormal", "sparse", "plateau"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -541,7 +584,7 @@ def test_flanked_rows_of_1e308_refused_as_the_sweep_refuses(monkeypatch):
 @pytest.mark.parametrize("n, cells", [
     (1, [0]), (2, [1]), (256, [100]), (256, [0, 255]),
     (8, [1]),  # the huge row is [0, inf, 0, 1e308, 0, 1e308, 0, 0]
-    (4096, [100]),  # the spike row takes the sparse path
+    (4096, [100]),  # the spike row has zero flanks: the split
     (8192, [100]),  # the spike row has zero flanks on both sides
     (8192, [0, 8191]),  # no zero flank: the hull pass
 ])
@@ -611,18 +654,27 @@ def envelope_rows(draw):
 
 
 def bounded(vals):
-    """Whether the envelope bounds the row: finite, dense and of
-    2W + 1..NAIVE_CEILING cells, a row the restricted maximal sweeps."""
-    n, P = len(vals), maximal._prefix(np.abs(vals))
-    moves = np.count_nonzero(P[1:] != P[:-1])
-    return (np.isfinite(P[-1]) and 2 * maximal.ENVELOPE_W < n <= maximal.NAIVE_CEILING
-            and moves * maximal.SPARSE_CUTOFF > n * n)
+    """Whether the envelope bounds the row: finite, not zero and of
+    2W + 1..NAIVE_CEILING cells, with a support (first to last nonzero
+    cell) of all of them or of more than n / SPLIT_CUTOFF, a row the
+    restricted maximal sweeps."""
+    n, total = len(vals), maximal._prefix(np.abs(vals))[-1]
+    nonzero = np.flatnonzero(vals)
+    support = nonzero[-1] + 1 - nonzero[0] if len(nonzero) else 0
+    return (0 < total < np.inf and 2 * maximal.ENVELOPE_W < n <= maximal.NAIVE_CEILING
+            and (support == n or support * maximal.SPLIT_CUTOFF > n))
+
+
+def envelope(vals):
+    """lower and upper = max(lower, cap) of ``uncentered_envelope``."""
+    lower, cap = maximal.uncentered_envelope(vals)
+    return lower, np.maximum(lower, cap[..., None])
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(envelope_rows())
 def test_envelope_brackets_the_sweep(vals):
-    lower, upper = maximal.uncentered_envelope(vals)
+    lower, upper = envelope(vals)
     exact = uncentered_restricted(vals)
     if not np.isnan(exact).any():
         assert (lower <= exact).all() and (exact <= upper).all()
@@ -642,10 +694,10 @@ def test_envelope_bounds_are_the_sweep_where_they_are_exact(rng):
     assert spikes[-1] == 1.0
     assert np.array_equal(maximal.uncentered_envelope(spikes)[0], uncentered_restricted(spikes))
     flat = np.full(1000, 0.75)
-    lower, upper = maximal.uncentered_envelope(flat)
+    lower, upper = envelope(flat)
     assert (lower == 0.75).all() and (upper == 0.75 * (1 + 2.0**-50) + 2.0**-1074).all()
     tiny = np.where(rng.random(1000) < 0.5, 5e-324, 0.0)
-    lower, upper = maximal.uncentered_envelope(tiny)
+    lower, upper = envelope(tiny)
     exact = uncentered_restricted(tiny)
     assert (lower <= exact).all() and (exact <= upper).all() and (upper <= 2 * 5e-324).all()
 
@@ -653,11 +705,13 @@ def test_envelope_bounds_are_the_sweep_where_they_are_exact(rng):
 def test_envelope_pieces_reach_2w_minus_1_cells():
     # two spikes 2W - 2 cells apart: the cell between them is best served by
     # the interval of 2W - 1 cells that holds both, which no window and no
-    # shorter piece holds, so only the longest piece bounds it
+    # shorter piece holds, so only the longest piece bounds it; end cells
+    # too small to move a sum leave the row no zero flank to split at
     w = maximal.ENVELOPE_W
     pair = np.zeros(5 * w)
     pair[[w + 3, 3 * w + 1]] = 1.0
-    lower, upper = maximal.uncentered_envelope(pair)
+    pair[[0, -1]] = 5e-324
+    lower, upper = envelope(pair)
     exact = uncentered_restricted(pair)
     mid = 2 * w + 2
     assert lower[mid] == 1.0 / w < exact[mid] == 2.0 / (2 * w - 1) <= upper[mid]
@@ -672,7 +726,7 @@ def test_envelope_margin_covers_a_long_interval_that_rounds_up(monkeypatch):
     vals[10] = 0.444880066923612
     P = maximal._prefix(vals)
     exact = maximal._uncentered_naive(P)
-    lower, upper = maximal.uncentered_envelope(vals)
+    lower, upper = envelope(vals)
     pieces = max(((P[k:] - P[:-k]) / k).max() for k in range(4, 8))
     assert (exact > np.maximum(lower, pieces)).any()
     assert (lower <= exact).all() and (exact <= upper).all()
@@ -684,15 +738,15 @@ def test_envelope_rows_equal_their_own_calls_and_non_finite_rows(rng):
     rows[1, 100] = np.inf
     rows[2, [3, 600]] = [np.inf, np.nan]
     rows[3] = 0.0
-    lower, upper = maximal.uncentered_envelope(rows)
-    for row, lo, hi in zip(rows, lower, upper):
+    lower, cap = maximal.uncentered_envelope(rows)
+    for row, lo, c in zip(rows, lower, cap):
         own = maximal.uncentered_envelope(row)
-        assert np.array_equal(lo, own[0], equal_nan=True) and np.array_equal(hi, own[1], equal_nan=True)
+        assert np.array_equal(lo, own[0], equal_nan=True) and c == own[1]
     for i in (1, 2, 3):  # inf, NaN and zero rows: lower is the restricted maximal
         assert np.array_equal(lower[i], uncentered_restricted(rows[i]), equal_nan=True)
-    assert np.array_equal(upper[1:3], lower[1:3], equal_nan=True)
-    exact = uncentered_restricted(rows[[0, 4]])
-    assert (lower[[0, 4]] <= exact).all() and (exact <= upper[[0, 4]]).all()
+    assert (cap[1:4] == -np.inf).all() and (cap[[0, 4]] > 0).all()
+    exact, upper = uncentered_restricted(rows[[0, 4]]), envelope(rows[[0, 4]])[1]
+    assert (lower[[0, 4]] <= exact).all() and (exact <= upper).all()
 
 
 def test_envelope_sweeps_windows_in_blocks_and_refuses_huge_rows(rng, monkeypatch):
@@ -735,9 +789,10 @@ def test_stacks_are_swept_in_blocks_of_sweep_cells(rng, monkeypatch):
     batched = uncentered_restricted(rows)
     for got, want in zip(batched, alone):
         assert np.array_equal(got, want, equal_nan=True)
-    # blocks of two stacked rows, each sweeping its dense rows: 0, 2, 5,
-    # 6 and 7 together, 9
-    assert blocks == [(1, n), (1, n), (1, n), (2, n), (1, n)]
+    # blocks of two stacked rows, each sweeping its rows with no zero
+    # flank: 0 (then the one-cell support of the split row 1), 2, 5, 6 and 7
+    # together, 8 (nonzero at both ends) and 9 together
+    assert blocks == [(1, n), (1, 1), (1, n), (1, n), (2, n), (2, n)]
     blocks.clear()
     levels = list(maximal.uncentered_dyadic(rows.ravel()[: 1 << 11]))
     assert max(r * c for r, c in blocks) <= maximal.SWEEP_CELLS
