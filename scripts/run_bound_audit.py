@@ -15,6 +15,7 @@ import sys
 
 import weightlab as wl
 import weightlab.experiments as exp
+from weightlab.errors import ConfigError
 
 
 def main(argv=None):
@@ -24,6 +25,14 @@ def main(argv=None):
     ap.add_argument("--ps", default="1,2")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    try:
+        return run(args)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+
+
+def run(args) -> int:
     ps = [float(x) for x in args.ps.split(",")]
 
     ok = True

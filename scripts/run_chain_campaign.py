@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 import weightlab as wl
+from weightlab.errors import ConfigError
 
 
 def main(argv=None):
@@ -24,7 +25,17 @@ def main(argv=None):
     ap.add_argument("--a", type=float, default=4.0)
     ap.add_argument("--delta-frac", type=float, default=0.5)
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        print(f"error: --pairs must be at least 1, got {args.pairs}", file=sys.stderr)
+        return 2
+    try:
+        return run(args)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
+
+def run(args) -> int:
     rng = np.random.default_rng(args.seed)
     envs = []
     fails = 0

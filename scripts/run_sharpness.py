@@ -14,6 +14,7 @@ import argparse
 import sys
 
 import weightlab.experiments as exp
+from weightlab.errors import ConfigError
 
 
 def main(argv=None):
@@ -23,6 +24,14 @@ def main(argv=None):
     ap.add_argument("--grid", action="store_true", help="run the grid refinement study")
     ap.add_argument("--levels", default="10,12,14", help="grid L values for --grid")
     args = ap.parse_args(argv)
+    try:
+        return run(args)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+
+
+def run(args) -> int:
     deltas = [float(x) for x in args.deltas.split(",")]
     alphas = [float(x) for x in args.alphas.split(",")]
 

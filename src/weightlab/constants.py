@@ -160,13 +160,19 @@ def mixed_local(w: GridWeight, Q: Cube, p: float, alpha: float, beta: float) -> 
 # global suprema
 
 @np.errstate(divide="ignore", over="ignore")  # a constant that overflows is +inf
+def _a1_level(grid: Grid, mass: list[np.ndarray], essinf: list[np.ndarray], k: int) -> np.ndarray:
+    """A1 of every cube of level k from bare mass and essinf pyramids; +inf at a zero infimum."""
+    d = grid.L - k  # the cubes of level k have 2^d cells
+    return np.where(essinf[d] > 0, mass[d] * 2.0 ** float(k) / essinf[d], np.inf)  # 1/|Q| = 2^k
+
+
+@np.errstate(divide="ignore", over="ignore")  # a constant that overflows is +inf
 def _level_values(w: GridWeight, kind: ConstantKind, k: int) -> np.ndarray:
+    if kind.tag == "A1":
+        return _a1_level(w.grid, w.mass, w.essinf, k)
     d = w.grid.L - k  # the cubes of level k have 2^d cells
     scale = 2.0 ** float(k)  # 1/|Q| at level k
     m = w.mass[d] * scale
-    if kind.tag == "A1":
-        inf_k = w.essinf[d]
-        return np.where(inf_k > 0, m / inf_k, np.inf)
     if kind.tag == "Ap":
         return m * (w.duals[kind.p][d] * scale) ** (kind.p - 1.0)
     if kind.tag == "AinfExp":

@@ -27,8 +27,8 @@ import numpy as np
 
 from .constants import (
     ConstantKind,
+    _a1_level,
     _level_values,
-    a1_constant,
     ainf_exp_constant,
     ainf_fw_constant,
     ap_constant,
@@ -47,8 +47,11 @@ from .weights import (
     Power,
     Step,
     WeightSpec,
+    _from_local_form,
+    a1_tables,
     dual_weight,
     realize,
+    require_piecewise_values,
     with_cached,
 )
 
@@ -90,30 +93,39 @@ def scaling_fit(points: list[tuple[float, float]]) -> FitResult:
 # ---------------------------------------------------------------------------
 # weight and test-function families
 
+def _walk(grid: Grid, rng: np.random.Generator, sigma: float) -> np.ndarray:
+    """Cell values of a geometric random walk with N(0, sigma^2) steps."""
+    walk = np.cumsum(rng.standard_normal(grid.ncells) * sigma)
+    return np.exp(walk - walk.mean())
+
+
 def random_piecewise_weight(grid: Grid, rng: np.random.Generator, sigma: float = 0.5) -> GridWeight:
     """Geometric random walk; positive, wild for large sigma."""
-    steps = rng.standard_normal(grid.ncells) * sigma
-    walk = np.cumsum(steps)
-    vals = np.exp(walk - walk.mean())
-    return realize(Piecewise(tuple(vals.tolist())), grid)
+    return realize(Piecewise(tuple(_walk(grid, rng, sigma).tolist())), grid)
 
 
-def random_a1_weight(
-    grid: Grid,
-    rng: np.random.Generator,
-    cap: float = 10.0,
-    sigma: float = 0.5,
-    max_tries: int = 80,
-) -> GridWeight:
+def _walk_a1(grid: Grid, vals: np.ndarray) -> float:
+    """``a1_constant`` of the realized walk (no level holds a NaN), or the
+    ConfigError of its realization, from its mass and essinf pyramids alone."""
+    require_piecewise_values(vals)
+    mass, essinf = a1_tables(grid, vals, np.zeros(grid.ncells))
+    return max(float(_a1_level(grid, mass, essinf, k).max()) for k in grid.levels())
+
+
+def random_a1_weight(grid: Grid, rng: np.random.Generator, cap: float = 10.0, sigma: float = 0.5,
+                     max_tries: int = 80) -> GridWeight:
     """Rejection sampling of random walks until the grid A1 constant fits
-    under the cap; the walk scale shrinks after each rejection."""
+    under the cap; the walk scale shrinks after each rejection.  Only the
+    kept draw is realized.  A cap below 1 (no A1 constant is) or NaN is refused."""
+    if not cap >= 1:
+        raise ConfigError(f"A1 cap must be at least 1, got {cap}")
     s = sigma
     for _ in range(max_tries):
-        w = random_piecewise_weight(grid, rng, s)
-        if a1_constant(w) <= cap:
-            return w
+        vals = _walk(grid, rng, s)
+        if _walk_a1(grid, vals) <= cap:
+            return _from_local_form(grid, vals, np.zeros(grid.ncells))
         s *= 0.8
-    raise RuntimeError(f"no A1 weight under cap {cap} after {max_tries} tries")
+    raise ConfigError(f"no A1 weight under cap {cap} after {max_tries} tries")
 
 
 def test_function_corpus(

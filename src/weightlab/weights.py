@@ -85,9 +85,14 @@ class Piecewise:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        bad = _bad_weight_value(self.values)
-        if bad:
-            raise ConfigError(f"Piecewise weight cell {bad[0]}: {bad[1]}")
+        require_piecewise_values(self.values)
+
+
+def require_piecewise_values(values) -> None:
+    """Refuse cell values of a piecewise weight that are not positive and finite."""
+    bad = _bad_weight_value(values)
+    if bad:
+        raise ConfigError(f"Piecewise weight cell {bad[0]}: {bad[1]}")
 
 
 @dataclass(frozen=True)
@@ -231,19 +236,21 @@ def _cell_edges(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return edges[:-1], edges[1:]
 
 
-def _from_local_form(grid: Grid, coef: np.ndarray, expo: np.ndarray) -> GridWeight:
+def a1_tables(grid: Grid, coef: np.ndarray, expo: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The mass and essinf pyramids of the local form, as a realized weight
+    holds them: all its A1 constant reads, so a draw is tested on them alone."""
     a, b = _cell_edges(grid)
     mass = _power_integral(a, b, coef, expo)
     if not np.all(mass > 0):
         raise ConfigError(f"weight has no positive mass on cell {int(np.argmin(mass > 0))}")
-    return GridWeight(
-        grid=grid,
-        coef=coef,
-        expo=expo,
-        mass=sum_pyramid(mass, "the mass table of a weight"),
-        essinf=pyramid(_local_essinf(a, b, coef, expo), np.minimum),
-        logmass=pyramid(_log_integral(a, b, coef, expo)),
-    )
+    return sum_pyramid(mass, "the mass table of a weight"), pyramid(_local_essinf(a, b, coef, expo), np.minimum)
+
+
+def _from_local_form(grid: Grid, coef: np.ndarray, expo: np.ndarray) -> GridWeight:
+    mass, essinf = a1_tables(grid, coef, expo)
+    a, b = _cell_edges(grid)
+    return GridWeight(grid=grid, coef=coef, expo=expo, mass=mass, essinf=essinf,
+                      logmass=pyramid(_log_integral(a, b, coef, expo)))
 
 
 def realize(spec: WeightSpec, grid: Grid) -> GridWeight:

@@ -1,7 +1,11 @@
+import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weightlab as wl
 import weightlab.experiments as exp
@@ -307,3 +311,123 @@ def test_corpus_shapes(rng):
     assert sum(n.startswith("random") for n in names) == 8
     for _, f in corpus:
         assert np.all(f.values >= 0)
+
+
+# ---------------------------------------------------------------------------
+# the rejection sampler of random A1 weights
+
+GOLDEN_A1 = os.path.join(os.path.dirname(__file__), "golden", "random_a1_digests.json")
+
+
+def random_a1_weight_oracle(grid, rng, cap, sigma=0.5, max_tries=80):
+    """Oracle: the sampler's loop with every draw realized and its A1
+    constant read by ``a1_constant``; None where the tries run out."""
+    s = sigma
+    for _ in range(max_tries):
+        w = exp.random_piecewise_weight(grid, rng, s)
+        if wl.a1_constant(w) <= cap:
+            return w
+        s *= 0.8
+    return None
+
+
+def sha256_of(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_random_a1_weight_golden_digests():
+    # written before the accept test moved onto the bare pyramids: any
+    # change to the rejection sequence or to the kept weight shows here
+    with open(GOLDEN_A1) as fh:
+        golden = json.load(fh)
+    for case in golden["cases"]:
+        rng = np.random.default_rng(case["seed"])
+        w = exp.random_a1_weight(wl.build_grid(case["J"], case["L"]), rng, cap=case["cap"])
+        assert sha256_of(w.cell_masses) == case["cell_masses"], case
+        assert sha256_of(rng.standard_normal()) == case["next_normal"], case
+
+
+@pytest.mark.parametrize("J", [0, 1, 2])
+@pytest.mark.parametrize("cap", [1.0, 1.5, 4.0, 8.0, 16.0, math.inf])
+def test_random_a1_weight_equals_realize_every_draw_oracle(J, cap):
+    for L in range(12):
+        g = wl.build_grid(J, L)
+        for sigma in (0.1, 0.5, 2.0):
+            seed = [J, L, int(sigma * 10), 0 if math.isinf(cap) else int(cap * 10)]
+            rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = random_a1_weight_oracle(g, rng_oracle, cap, sigma)
+            if expected is None:
+                with pytest.raises(ConfigError, match=f"cap {cap} after 80 tries"):
+                    exp.random_a1_weight(g, rng, cap=cap, sigma=sigma)
+            else:
+                w = exp.random_a1_weight(g, rng, cap=cap, sigma=sigma)
+                assert np.array_equal(w.coef, expected.coef) and np.array_equal(w.expo, expected.expo)
+                for name in ("mass", "essinf", "logmass"):
+                    got, want = getattr(w, name), getattr(expected, name)
+                    assert len(got) == len(want)
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want)), (J, L, sigma, name)
+            assert rng.bit_generator.state == rng_oracle.bit_generator.state, (J, L, sigma)
+
+
+def realized_a1(grid, vals):
+    """Oracle: the A1 constant of the realized Piecewise weight, or the
+    ConfigError its realization raises."""
+    try:
+        return wl.a1_constant(wl.realize(wl.Piecewise(tuple(vals.tolist())), grid))
+    except ConfigError as e:
+        return str(e)
+
+
+def walk_a1(grid, vals):
+    try:
+        return exp._walk_a1(grid, vals)
+    except ConfigError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(J=st.integers(0, 2), L=st.integers(0, 7), data=st.data())
+def test_walk_a1_is_a1_constant_of_the_realized_walk(J, L, data):
+    # cell values 1e-300..1e300 and beyond: subnormal cells whose mass
+    # underflows and cells near the float maximum whose masses overflow
+    # give the realization's ConfigError, the rest its A1 constant bitwise
+    n = 1 << (J + L)
+    exps = data.draw(st.lists(st.floats(-320.0, 308.25), min_size=n, max_size=n))
+    vals = 10.0 ** np.array(exps)
+    assert walk_a1(wl.build_grid(J, L), vals) == realized_a1(wl.build_grid(J, L), vals)
+
+
+@pytest.mark.parametrize("J, L, vals", [
+    (1, 0, np.full(2, 1e308)),  # the two cell masses sum past the float maximum
+    (2, 0, np.array([1.7e308, 1e-300, 1.0, 1.7e308])),
+    (1, 0, np.array([1.0, np.inf])),  # as exp of a walk that overflows
+    (1, 0, np.array([0.0, 1.0])),  # as exp of a walk that underflows
+    (0, 2, np.array([5e-324, 1.0, 1.0, 1.0])),  # a subnormal cell whose mass is 0
+])
+def test_walk_a1_refuses_as_realize(J, L, vals):
+    g = wl.build_grid(J, L)
+    got = walk_a1(g, vals)
+    assert isinstance(got, str) and got == realized_a1(g, vals)
+
+
+@pytest.mark.parametrize("cap", [0.5, 0.999999, -1.0, math.nan, -math.inf])
+def test_random_a1_weight_refuses_an_unattainable_cap_before_drawing(cap):
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="at least 1"):
+        exp.random_a1_weight(wl.build_grid(1, 4), rng, cap=cap)
+    assert rng.bit_generator.state == before
+
+
+def test_random_a1_weight_names_cap_and_tries_when_they_run_out():
+    # a walk of 64 cells with sigma 3 never gets under 1.01 in 5 tries
+    with pytest.raises(ConfigError, match=r"cap 1\.01 after 5 tries"):
+        exp.random_a1_weight(wl.build_grid(1, 5), np.random.default_rng(0), cap=1.01, sigma=3.0, max_tries=5)
+
+
+def test_random_a1_weight_cap_one_keeps_a_constant_walk():
+    # cap 1 is attainable: a walk of one cell, or with steps of 0, is constant
+    w = exp.random_a1_weight(wl.build_grid(0, 0), np.random.default_rng(0), cap=1.0)
+    assert wl.a1_constant(w) == 1.0
+    w = exp.random_a1_weight(wl.build_grid(1, 3), np.random.default_rng(0), cap=1.0, sigma=0.0)
+    assert wl.a1_constant(w) == 1.0 and np.all(w.cell_values == 1.0)

@@ -1,5 +1,5 @@
 """Smoke test of the three campaigns in scripts/: main() at small sizes
-exits 0."""
+exits 0, and a usage error is one line on stderr and exit 2, as in the CLI."""
 
 import importlib.util
 import os
@@ -29,3 +29,18 @@ def load(name):
 def test_campaign_exits_0(capsys, name, argv):
     assert load(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("run_chain_campaign", ["--pairs", "0"]),
+    ("run_chain_campaign", ["--pairs", "-2"]),
+    ("run_chain_campaign", ["--pairs", "1", "--cap", "0.5"]),
+    ("run_chain_campaign", ["--pairs", "1", "--cap", "nan"]),
+    ("run_bound_audit", ["--L", "4", "--ps", "0.5"]),
+    ("run_sharpness", ["--deltas", "1.5"]),
+    ("run_sharpness", ["--grid", "--levels", "30"]),
+])
+def test_campaign_usage_error_exits_2(capsys, name, argv):
+    assert load(name).main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
