@@ -94,9 +94,12 @@ def scaling_fit(points: list[tuple[float, float]]) -> FitResult:
 # weight and test-function families
 
 def _walk(grid: Grid, rng: np.random.Generator, sigma: float) -> np.ndarray:
-    """Cell values of a geometric random walk with N(0, sigma^2) steps."""
+    """Cell values of a geometric random walk with N(0, sigma^2) steps; a
+    walk too wild for the double range has inf, NaN or zero cells, with no
+    warning."""
     walk = np.cumsum(rng.standard_normal(grid.ncells) * sigma)
-    return np.exp(walk - walk.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(walk - walk.mean())
 
 
 def random_piecewise_weight(grid: Grid, rng: np.random.Generator, sigma: float = 0.5) -> GridWeight:
@@ -115,14 +118,20 @@ def _walk_a1(grid: Grid, vals: np.ndarray) -> float:
 def random_a1_weight(grid: Grid, rng: np.random.Generator, cap: float = 10.0, sigma: float = 0.5,
                      max_tries: int = 80) -> GridWeight:
     """Rejection sampling of random walks until the grid A1 constant fits
-    under the cap; the walk scale shrinks after each rejection.  Only the
-    kept draw is realized.  A cap below 1 (no A1 constant is) or NaN is refused."""
+    under the cap; the walk scale shrinks after each rejection.  A draw
+    that is no weight, a walk that over- or underflows, is rejected as a cap
+    miss.  Only the kept draw is realized.  A cap below 1 (no A1 constant
+    is) or NaN is refused."""
     if not cap >= 1:
         raise ConfigError(f"A1 cap must be at least 1, got {cap}")
     s = sigma
     for _ in range(max_tries):
         vals = _walk(grid, rng, s)
-        if _walk_a1(grid, vals) <= cap:
+        try:
+            kept = _walk_a1(grid, vals) <= cap
+        except ConfigError:  # the refusal realize would raise
+            kept = False
+        if kept:
             return _from_local_form(grid, vals, np.zeros(grid.ncells))
         s *= 0.8
     raise ConfigError(f"no A1 weight under cap {cap} after {max_tries} tries")

@@ -18,54 +18,59 @@ one ``grid.pyramid`` of sums) by the same formula as in the oracles.  Both
 dyadic operators share one top-down ancestor-max pass and one per-cell
 ancestor oracle over their per-level candidates, and agree with it bitwise.
 
-The uncentered maximal is one dispatcher and three handlers, and callers
-pass whole stacks: a 2-D array whose rows are independent blocks (all
-cubes of one dyadic level, or a corpus of functions), each row giving
-bitwise what it gives alone.  ``_uncentered_rows`` decides every row's
-path once, by its cells and its length n, taking the rows in blocks of at
-most SWEEP_CELLS = 2^15 cells (8 rows at NAIVE_CEILING, about 1 MB of
-sweep arrays):
+The uncentered maximal is one dispatcher, one exhaustive kernel and three
+handlers, and callers pass whole stacks: a 2-D array whose rows are
+independent blocks (all cubes of one dyadic level, or a corpus of
+functions), each row giving bitwise what it gives alone.
+``_uncentered_rows`` decides every row's path once, by its cells and its
+length n, taking the rows in blocks of at most SWEEP_CELLS = 2^15 cells:
 
 * a row with an inf (NaN) cell is inf (NaN) on every cell, and a zero row
   is zero: each is its total on every cell;
 * a finite row that is zero left of its first or right of its last
   nonzero cell is split when it has more than NAIVE_CEILING cells, or
-  when its support (first to last nonzero cell) is at most n /
-  SPLIT_CUTOFF of its cells: the support takes its own path and each
-  flank cell ``_trailing_flank``, bitwise the sweep by the zero-end lemma
-  at ``_uncentered_split``;
+  when it has at least SPLIT_MIN cells and its support (first to last
+  nonzero cell) is at most n / SPLIT_CUTOFF of them: the support takes
+  its own path and each flank cell ``_trailing_flank``, bitwise the sweep
+  by the zero-end lemma at ``_uncentered_split``;
 * any other finite row above NAIVE_CEILING cells takes the level-batched
   hull pass, never above its oracle and at most FAST_PATH_ULPS
   (tests/test_maximal.py) below it on plateaus, bitwise on lognormal,
   indicator and sorted data;
 * every other row goes, with the others of its block, to the handler of
   the entry point:
-  - ``uncentered_restricted``: the naive O(n^2) sweep, bitwise its oracle
+  - ``uncentered_restricted``: the kernel, bitwise its oracle
     ``uncentered_maximal_brute``;
   - ``uncentered_dyadic``: every dyadic level, each carried from the one
-    below: only the intervals that leave a cube's left half are swept
-    again, 3/4 of the pairs in half the steps, with the same candidates
-    and so the same bits;
+    below: the kernel skips the nodes inside a cube's left half, whose
+    maxima the level below found, and evaluates 3/4 of the candidates,
+    the same ones and so the same bits;
   - ``uncentered_envelope``: a cellwise lower bound and a per-row cap
     around the sweep's maxima in O(n ENVELOPE_W) (the proof is at the
     function), for a caller that only needs to know which rows can matter
-    (the Buckley check of ``experiments``); the sweep itself on rows of at
-    most 2 ENVELOPE_W cells.  So lower is the exact maxima on every row
+    (the Buckley check of ``experiments``); the kernel itself on rows of
+    at most 2 ENVELOPE_W cells.  So lower is the exact maxima on every row
     that the envelope does not bound.
 
-A row of at most NAIVE_CEILING cells whose end cells are nonzero is swept
-however few of its cells are nonzero, so it costs what a dense row of its
-length costs and no more: a 4096-cell row of four spikes, two of them its
-end cells, takes about 45 ms (2-core host), where four spikes over 391
-cells inside zero flanks take 3.5 ms; no caller builds such a row.
+The kernel ``_uncentered_naive`` evaluates every candidate of the O(n^2)
+sweep once, by dyadic node: the nodes of one size, of every row of a
+block, are one stack of s x s rectangles of candidates, formed at most
+NODE_BLOCK = 2^16 candidates (512 KB) per numpy call, so its peak is that
+of its block's rows and one such rectangle.  A row of at most
+NAIVE_CEILING cells whose end cells are nonzero is swept however few of
+its cells are nonzero, so it costs what a dense row of its length costs
+and no more: a 4096-cell row of four spikes, two of them its end cells,
+takes about 30 ms (2-core host), where four spikes over 391 cells inside
+zero flanks take 3.5 ms; no caller builds such a row.
 
-Gates, in tests/test_maximal.py unless named: the flank split equals
-``_uncentered_naive`` on both sides of its thresholds; lower <=
-``uncentered_restricted`` <= max(lower, cap) on every row, and lower
-equals it on the rows not bounded; the carried levels equal one
-``uncentered_restricted`` call per level (tests/test_constants.py).  Only
-this module reads the path thresholds or its private names
-(tests/test_architecture.py).
+Gates, in tests/test_maximal.py unless named: the kernel equals an
+exhaustive loop over right ends and ``uncentered_maximal_brute``, with and
+without carried left halves; the flank split equals the kernel on both
+sides of its thresholds; lower <= ``uncentered_restricted`` <= max(lower,
+cap) on every row, and lower equals it on the rows not bounded; the
+carried levels equal one ``uncentered_restricted`` call per level
+(tests/test_constants.py).  Only this module reads the path thresholds or
+its private names (tests/test_architecture.py).
 
 Every operator refuses, with a ConfigError, finite cells whose cube or
 interval sums overflow, where it would give inf or NaN; the sums are
@@ -83,14 +88,19 @@ from .weights import GridFunction, GridWeight, require_finite_masses
 
 NAIVE_CEILING = 4096
 SWEEP_CELLS = 1 << 15  # cells per block of stacked rows handed to one sweep
-# A flanked row of n <= NAIVE_CEILING cells is split when its support is at
-# most n / SPLIT_CUTOFF cells.  At n / 2 the corpus's one-sided rows (2048
-# of 4096 cells) would take exact 2048-cell sweeps (12 ms) where the
-# envelope bounds them in 2 ms.
+# A flanked row of SPLIT_MIN <= n <= NAIVE_CEILING cells is split when its
+# support is at most n / SPLIT_CUTOFF cells.  At n / 2 the corpus's
+# one-sided rows (2048 of 4096 cells) would take exact 2048-cell sweeps
+# (12 ms) where the envelope bounds them in 2 ms.
 SPLIT_CUTOFF = 8
+# Rows of fewer cells are never split: a split costs 0.3-0.6 ms a call, the
+# kernel 1-30 us per row of 8-32 cells in a block (2-core host).
+SPLIT_MIN = 64
 # Width W of the windows and the shortest long interval of uncentered_envelope
 ENVELOPE_W = 32
 FLANK_CHUNK = 4096  # zero flank cells per divide-and-conquer pass of _trailing_flank
+NODE_BLOCK = 1 << 16  # candidates per numpy call of the node kernel _node_maxima
+NODE_INNER = 32  # node halves of up to this many cells put the node index innermost
 
 
 # ---------------------------------------------------------------------------
@@ -168,32 +178,103 @@ def weighted_dyadic_maximal_brute(f: GridFunction, v: GridWeight) -> GridFunctio
 # uncentered maximal: naive sweep, level-batched hull pass, flank split, oracle
 
 def _uncentered_naive(P: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
-    """Max interval average per cell by an O(N^2) sweep over right ends b,
-    every row of P at once; acc[a] is the best (P[b'] - P[a]) / (b' - a)
-    over b' >= b.  Each step takes res[:b], not yet written, as its scratch
-    row, and all share one distance row.
+    """Max interval average per cell of every prefix row of P (any leading
+    shape), over every candidate fl(fl(P[b] - P[a]) / (b - a)): O(n^2),
+    batched by dyadic node.
 
-    With ``left``, the maxima of every row's left half h = N/2 on its own,
-    the sweep stops after b = h + 1: a left-half cell c then takes the max
-    of acc[a] over a <= c (the intervals that leave the left half) and of
-    left[c] (those inside it), which is the same set of candidates.
+    The singletons are np.diff(P).  An interval [a, b) of two or more
+    cells is owned by the one node [lo, lo + 2s) with a < lo + s < b, so
+    the candidates of one node are the s x s rectangle T[i, j] over the
+    left ends a = lo + i and right ends b = lo + s + 1 + j, and a cell of
+    the node's left half takes the prefix max of T's row maxima, one of its
+    right half the suffix max of its column maxima.  All nodes of one size,
+    of every row, go to ``_node_maxima`` together; the last node of each
+    size is clipped at n.  Each cell takes the max of the same rounded
+    candidates as an exhaustive loop, so the same bits.
+
+    With ``left``, the maxima of every row's left half h = n // 2 on its
+    own, the nodes inside the left half are skipped: a left-half cell
+    takes the max of ``left`` (the intervals inside it) and of the nodes
+    that leave it.
     """
     n = P.shape[-1] - 1
+    rows = P.reshape(-1, n + 1)
+    out = np.diff(rows)
     h = 0 if left is None else n // 2
-    res = np.empty_like(P[..., 1:])  # in P's layout: a step is one block
-    acc = np.full_like(res, -np.inf)
-    dist = np.arange(n, 0, -1.0)  # dist[n - b:] = b - a for a = 0..b-1
-    for b in range(n, h, -1):
-        t, a = res[..., :b], acc[..., :b]
-        np.subtract(P[..., b, None], P[..., :b], out=t)
-        np.divide(t, dist[n - b :], out=t)
-        np.maximum(a, t, out=a)
-        np.maximum.reduce(a, axis=-1, out=res[..., b - 1])
+    s = 1
+    while s < n:
+        step = 2 * s
+        k0, k1 = h // step, n // step  # the whole nodes k0 <= k < k1
+        if k1 > k0:
+            ends = np.lib.stride_tricks.sliding_window_view(rows, s, axis=-1)
+            O = out[:, k0 * step : k1 * step].reshape(len(rows), k1 - k0, 2, s)
+            _node_maxima(ends[:, k0 * step : k1 * step : step],
+                         ends[:, k0 * step + s + 1 : k1 * step + s + 1 : step], O[:, :, 0], O[:, :, 1])
+        lo = k1 * step
+        if n - lo > s:  # the last node, clipped to its n - lo - s right ends
+            _node_maxima(rows[:, None, lo : lo + s], rows[:, None, lo + s + 1 :],
+                         out[:, None, lo : lo + s], out[:, None, lo + s :])
+        s = step
+    out = out.reshape(P.shape[:-1] + (n,))
     if h:
-        out = res[..., :h]
-        np.maximum.accumulate(acc[..., :h], axis=-1, out=out)
-        np.maximum(out, left, out=out)
-    return res
+        np.maximum(out[..., :h], left, out=out[..., :h])
+    return out
+
+
+def _node_maxima(PL, PR, left_half, right_half) -> None:
+    """For the (rows, nodes) of one size s, T[r, k, i, j] = fl(fl(PR[r, k, j]
+    - PL[r, k, i]) / (s + 1 + j - i)): raise ``left_half`` by the prefix max of T's
+    row maxima over i and ``right_half`` by the suffix max of its column
+    maxima over j, NODE_BLOCK candidates per numpy call.  Up to NODE_INNER
+    left ends, the node index is innermost, so that every numpy call runs
+    over the nodes rather than over a short row of one node."""
+    s, w = PL.shape[-1], PR.shape[-1]
+    D = np.lib.stride_tricks.sliding_window_view(np.arange(1.0, 2 * s + 1), s)[s:0:-1, :w]  # Toeplitz
+    if s <= NODE_INNER:  # rows (s, M) and (w, M) of the M nodes
+        L, R = np.moveaxis(PL, -1, 0).reshape(s, -1), np.moveaxis(PR, -1, 0).reshape(w, -1)
+        M = L.shape[1]
+        rmax, cmax = np.empty((s, M)), np.empty((w, M))
+        g = min(M, max(1, NODE_BLOCK // (s * w)))  # nodes per block
+        buf = np.empty(s * w * g)
+        for m in range(0, M, g):
+            k = slice(m, m + g)
+            T = buf[: s * w * min(g, M - m)].reshape(s, w, -1)
+            np.subtract(R[None, :, k], L[:, None, k], out=T)
+            np.divide(T, D[:, :, None], out=T)
+            T.max(axis=1, out=rmax[:, k])
+            T.max(axis=0, out=cmax[:, k])
+        # the prefix and suffix maxima, one row of nodes per call
+        for i in range(s):
+            if i:
+                np.maximum(rmax[i], rmax[i - 1], out=rmax[i])
+            o = left_half[..., i]
+            np.maximum(o, rmax[i].reshape(o.shape), out=o)
+        for j in reversed(range(w)):
+            if j < w - 1:
+                np.maximum(cmax[j], cmax[j + 1], out=cmax[j])
+            o = right_half[..., j]
+            np.maximum(o, cmax[j].reshape(o.shape), out=o)
+        return
+    else:  # rows (M, s) and (M, w)
+        L, R = PL.reshape(-1, s), PR.reshape(-1, w)
+        M = len(L)
+        rmax, cmax = np.empty((M, s)), np.full((M, w), -np.inf)
+        c = min(s, max(1, NODE_BLOCK // w))  # left ends per block
+        g = min(M, max(1, NODE_BLOCK // (s * w)))  # nodes per block, where c = s
+        buf = np.empty(g * c * w)
+        for m in range(0, M, g):
+            k = slice(m, m + g)
+            for i in range(0, s, c):
+                T = buf[: min(g, M - m) * min(c, s - i) * w].reshape(-1, min(c, s - i), w)
+                np.subtract(R[k, None, :], L[k, i : i + c, None], out=T)
+                np.divide(T, D[i : i + c], out=T)
+                T.max(axis=2, out=rmax[k, i : i + c])
+                np.maximum(cmax[k], T.max(axis=1), out=cmax[k])
+        np.maximum.accumulate(rmax, axis=1, out=rmax)
+        cmax = np.maximum.accumulate(cmax[:, ::-1], axis=1)[:, ::-1]
+        rmax, cmax = rmax.reshape(PL.shape), cmax.reshape(PR.shape)
+    np.maximum(left_half, rmax, out=left_half)
+    np.maximum(right_half, cmax, out=right_half)
 
 
 def _uncentered_levels(P: np.ndarray) -> np.ndarray:
@@ -379,7 +460,7 @@ def uncentered_restricted(values: np.ndarray) -> np.ndarray:
     Used for M(chi_Q w) restricted to a cube Q, or to all cubes of one level
     at once: truncation kills any gain from leaving Q, so intervals inside Q
     suffice.  Every row takes its path of ``_uncentered_rows``, whose
-    handler here is the sweep.
+    handler here is the kernel ``_uncentered_naive``.
     """
     return _uncentered_rows(values, lambda P, r: _uncentered_naive(P))
 
@@ -394,8 +475,9 @@ def _uncentered_rows(values: np.ndarray, sweep) -> np.ndarray:
     shares an interval with that cell, and every interval holding it
     averages that value; a zero row is its total 0 as well.  A finite row
     that is zero outside its support [lo, hi) (first to last nonzero cell)
-    takes ``_uncentered_split`` when it has more than NAIVE_CEILING cells
-    or a support of at most n / SPLIT_CUTOFF cells; any other row of more
+    takes ``_uncentered_split`` when it has more than NAIVE_CEILING cells,
+    or at least SPLIT_MIN cells and a support of at most n / SPLIT_CUTOFF
+    of them; any other row of more
     than NAIVE_CEILING cells, the hull pass.  The other rows r of the
     block go to the handler together, as sweep(P[r], r) with r indexing
     the whole stack: a slice where the rows are adjacent, so that P[r] is
@@ -415,7 +497,7 @@ def _uncentered_rows(values: np.ndarray, sweep) -> np.ndarray:
         nonzero = block != 0
         lo, hi = nonzero.argmax(axis=1), n - nonzero[:, ::-1].argmax(axis=1)
         own = (0 < total) & (total < np.inf)  # the other rows are their total
-        split = own & (hi - lo < n) & ((n > NAIVE_CEILING) | ((hi - lo) * SPLIT_CUTOFF <= n))
+        split = own & (hi - lo < n) & ((n > NAIVE_CEILING) | ((n >= SPLIT_MIN) & ((hi - lo) * SPLIT_CUTOFF <= n)))
         swept = own & ~split & (n <= NAIVE_CEILING)
         if out is None:
             if swept.all() and len(P) == len(cells):  # the handler's array is the result
@@ -486,28 +568,25 @@ def _piece_maxima(rows: np.ndarray, w: int) -> np.ndarray:
 
 def _window_maxima(rows: np.ndarray, w: int) -> np.ndarray:
     """Per cell of each finite prefix row, the sweep's maximum over the
-    windows [kW, kW + 2W) and [n - 2W, n) that hold it.  The windows are
-    swept in blocks of SWEEP_CELLS / 4 cells, one window per column, so that
-    each step of the sweep is one block of memory; as the windows hold each
-    cell twice, a quarter block keeps the peak below the sweep's."""
-    n = rows.shape[1] - 1
+    windows [kW, kW + 2W) and [n - 2W, n) that hold it.
+
+    An interval of the window [kW, kW + 2W) lies in one of its W-cell
+    pieces or leaves the first for the second: the pieces of every row are
+    the rows of one stack of the kernel, and the intervals that leave a
+    piece the nodes [kW, kW + 2W) of ``_node_maxima`` at every k.  The tail
+    window is one more row."""
+    R, n = len(rows), rows.shape[1] - 1
     k = (n - w) // w  # windows [jW, jW + 2W), j < k, per row
-    per = max(1, SWEEP_CELLS // (8 * w))  # windows per block
-    wins = np.lib.stride_tricks.sliding_window_view(rows, 2 * w + 1, axis=1)[:, ::w]
-    out = np.full((len(rows), n), -np.inf)
-    nr, nw = max(1, per // k), min(k, per)  # rows and windows per block
-    for r in range(0, len(rows), nr):
-        for j in range(0, k, nw):
-            block = wins[r : r + nr, j : j + nw]
-            res = _uncentered_naive(np.moveaxis(np.ascontiguousarray(np.moveaxis(block, -1, 0)), 0, -1))
-            # window j covers the W-cell pieces j and j + 1 of its row
-            o = out[r : r + nr, j * w : (j + block.shape[1] + 1) * w].reshape(len(res), -1, w)
-            np.maximum(o[:, :-1], res[..., :w], out=o[:, :-1])
-            np.maximum(o[:, 1:], res[..., w:], out=o[:, 1:])
+    m = (k + 1) * w  # their pieces [jW, jW + W), j <= k, cover [0, m)
+    out = np.full((R, n), -np.inf)
+    pieces = np.lib.stride_tricks.sliding_window_view(rows[:, : m + 1], w + 1, axis=1)[:, ::w]
+    out[:, :m] = _uncentered_naive(pieces).reshape(R, m)
+    ends = np.lib.stride_tricks.sliding_window_view(rows, w, axis=1)
+    _node_maxima(ends[:, : k * w : w], ends[:, w + 1 : w + 1 + k * w : w],
+                 out[:, : k * w].reshape(R, k, w), out[:, w:m].reshape(R, k, w))
     if n % w:  # the tail window [n - 2W, n)
-        for r in range(0, len(rows), per):
-            tail = out[r : r + per, n - 2 * w :]
-            np.maximum(tail, _uncentered_naive(rows[r : r + per, n - 2 * w :]), out=tail)
+        tail = out[:, n - 2 * w :]
+        np.maximum(tail, _uncentered_naive(rows[:, n - 2 * w :]), out=tail)
     return out
 
 
@@ -517,11 +596,12 @@ def uncentered_dyadic(values: np.ndarray):
     one (N / 2^d, 2^d) array: bitwise ``uncentered_restricted`` of
     ``values.reshape(-1, 2^d)``, on the same paths of ``_uncentered_rows``.
 
-    The handler builds the swept blocks of 2^d cells from those of
-    2^(d-1): np.cumsum is sequential, so the prefix row of a block's left
-    half is bitwise its left child's, and the child's maxima, on whatever
-    path they were found, stand for every interval inside the left half.
-    Each such level sweeps only the right ends b > 2^(d-1).
+    The levels are carried: np.cumsum is sequential, so the prefix row of a
+    block's left half is bitwise its left child's, and the child's maxima,
+    on whatever path they were found, stand for every interval inside the
+    left half.  So the kernel skips the nodes inside each swept block's
+    left half and evaluates only those that leave it or lie in its right
+    half.
     """
     below = None
     for d in range(len(values).bit_length()):

@@ -234,20 +234,25 @@ def test_prefix_rows_of_a_level_are_left_halves_of_the_next(rng):
 
 
 def test_ainf_fw_carried_levels_call_structure(monkeypatch):
-    # counted instead of timed: a level of 2^d cells up to the naive ceiling
-    # sweeps the right ends b > 2^(d-1) only, 2^(d-1) steps; above it, each
-    # cube is one hull call
+    # counted instead of timed: a level of n = 2^d cells up to the naive
+    # ceiling evaluates, per cube, the candidates of the intervals that leave
+    # its left half and of those of two or more cells inside its right half,
+    # (n/2)^2 + n^2/8 - n/4; above it, each cube is one hull call
     sweeps, hulls = [], []
-    naive, levels = maximal._uncentered_naive, maximal._uncentered_levels
+    naive, nodes, levels = maximal._uncentered_naive, maximal._node_maxima, maximal._uncentered_levels
 
     def counted_naive(P, left=None):
-        steps = []
-        maximal.range = lambda *a: steps.append(len(range(*a))) or range(*a)
-        try:
-            return naive(P, left)
-        finally:
-            del maximal.range
-            sweeps.append((P.shape[-1] - 1, sum(steps)))
+        candidates = []
+
+        def counted_nodes(PL, PR, left_half, right_half):
+            candidates.append(PL.size * PR.shape[-1])
+            return nodes(PL, PR, left_half, right_half)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(maximal, "_node_maxima", counted_nodes)
+            out = naive(P, left)
+        sweeps.append((P.shape[-1] - 1, sum(candidates) // len(P)))
+        return out
 
     def counted_hull(P):
         hulls.append(len(P) - 1)
@@ -257,7 +262,7 @@ def test_ainf_fw_carried_levels_call_structure(monkeypatch):
     monkeypatch.setattr(maximal, "_uncentered_levels", counted_hull)
     wl.ainf_fw_constant(fw_weight("steps", 0, 13))
     assert maximal.NAIVE_CEILING == 1 << 12
-    assert sweeps == [(1, 1)] + [(1 << d, 1 << (d - 1)) for d in range(1, 13)]
+    assert sweeps == [(1, 0)] + [(n, 3 * n * n // 8 - n // 4) for n in (1 << d for d in range(1, 13))]
     assert hulls == [1 << 13]
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -321,11 +322,15 @@ GOLDEN_A1 = os.path.join(os.path.dirname(__file__), "golden", "random_a1_digests
 
 def random_a1_weight_oracle(grid, rng, cap, sigma=0.5, max_tries=80):
     """Oracle: the sampler's loop with every draw realized and its A1
-    constant read by ``a1_constant``; None where the tries run out."""
+    constant read by ``a1_constant``, a draw that realize refuses rejected;
+    None where the tries run out."""
     s = sigma
     for _ in range(max_tries):
-        w = exp.random_piecewise_weight(grid, rng, s)
-        if wl.a1_constant(w) <= cap:
+        try:
+            w = exp.random_piecewise_weight(grid, rng, s)
+        except ConfigError:
+            w = None
+        if w is not None and wl.a1_constant(w) <= cap:
             return w
         s *= 0.8
     return None
@@ -408,6 +413,24 @@ def test_walk_a1_refuses_as_realize(J, L, vals):
     g = wl.build_grid(J, L)
     got = walk_a1(g, vals)
     assert isinstance(got, str) and got == realized_a1(g, vals)
+
+
+@pytest.mark.parametrize("sigma, cap", [(4.0, 10.0), (50.0, math.inf)])
+def test_random_a1_weight_rejects_a_walk_that_overflows(sigma, cap):
+    # at L = 16 one of the first two walks overflows exp (inf cells), at
+    # sigma = 50 underflowing it too (zero cells): each such walk is
+    # rejected as a cap miss, with no warning, until sigma has shrunk, and
+    # the kept weight is the oracle's
+    g = wl.build_grid(0, 16)
+    r = np.random.default_rng(0)
+    assert any(np.isinf(exp._walk(g, r, sigma * 0.8**t)).any() for t in range(2))
+    rng, rng_oracle = np.random.default_rng(0), np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = exp.random_a1_weight(g, rng, cap=cap, sigma=sigma)
+        expected = random_a1_weight_oracle(g, rng_oracle, cap, sigma)
+    assert np.array_equal(w.coef, expected.coef) and wl.a1_constant(w) <= cap
+    assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
 
 @pytest.mark.parametrize("cap", [0.5, 0.999999, -1.0, math.nan, -math.inf])
