@@ -54,9 +54,10 @@ length n, taking the rows in blocks of at most SWEEP_CELLS = 2^15 cells:
 
 The kernel ``_uncentered_naive`` evaluates every candidate of the O(n^2)
 sweep once, by dyadic node: the nodes of one size, of every row of a
-block, are one stack of s x s rectangles of candidates, formed at most
-NODE_BLOCK = 2^16 candidates (512 KB) per numpy call, so its peak is that
-of its block's rows and one such rectangle.  A row of at most
+group of NODE_BLOCK / 8 cells, are one stack of s x s rectangles of
+candidates, formed at most NODE_BLOCK = 2^15 candidates (256 KB) per
+numpy call.  So besides its block's prefix rows and maxima it holds one
+such rectangle and about NODE_BLOCK / 4 floats of node rows.  A row of at most
 NAIVE_CEILING cells whose end cells are nonzero is swept however few of
 its cells are nonzero, so it costs what a dense row of its length costs
 and no more: a 4096-cell row of four spikes, two of them its end cells,
@@ -99,7 +100,7 @@ SPLIT_MIN = 64
 # Width W of the windows and the shortest long interval of uncentered_envelope
 ENVELOPE_W = 32
 FLANK_CHUNK = 4096  # zero flank cells per divide-and-conquer pass of _trailing_flank
-NODE_BLOCK = 1 << 16  # candidates per numpy call of the node kernel _node_maxima
+NODE_BLOCK = 1 << 15  # candidates per numpy call of the node kernel _node_maxima
 NODE_INNER = 32  # node halves of up to this many cells put the node index innermost
 
 
@@ -184,13 +185,9 @@ def _uncentered_naive(P: np.ndarray, left: np.ndarray | None = None) -> np.ndarr
 
     The singletons are np.diff(P).  An interval [a, b) of two or more
     cells is owned by the one node [lo, lo + 2s) with a < lo + s < b, so
-    the candidates of one node are the s x s rectangle T[i, j] over the
-    left ends a = lo + i and right ends b = lo + s + 1 + j, and a cell of
-    the node's left half takes the prefix max of T's row maxima, one of its
-    right half the suffix max of its column maxima.  All nodes of one size,
-    of every row, go to ``_node_maxima`` together; the last node of each
-    size is clipped at n.  Each cell takes the max of the same rounded
-    candidates as an exhaustive loop, so the same bits.
+    all of them are the candidates of the nodes of every size s, the last
+    one of each clipped at n (``_nodes``).  Each cell takes the max of the
+    same rounded candidates as an exhaustive loop, so the same bits.
 
     With ``left``, the maxima of every row's left half h = n // 2 on its
     own, the nodes inside the left half are skipped: a left-half cell
@@ -198,41 +195,63 @@ def _uncentered_naive(P: np.ndarray, left: np.ndarray | None = None) -> np.ndarr
     that leave it.
     """
     n = P.shape[-1] - 1
-    rows = P.reshape(-1, n + 1)
+    rows = np.ascontiguousarray(P.reshape(-1, n + 1))
     out = np.diff(rows)
     h = 0 if left is None else n // 2
     s = 1
     while s < n:
-        step = 2 * s
-        k0, k1 = h // step, n // step  # the whole nodes k0 <= k < k1
-        if k1 > k0:
-            ends = np.lib.stride_tricks.sliding_window_view(rows, s, axis=-1)
-            O = out[:, k0 * step : k1 * step].reshape(len(rows), k1 - k0, 2, s)
-            _node_maxima(ends[:, k0 * step : k1 * step : step],
-                         ends[:, k0 * step + s + 1 : k1 * step + s + 1 : step], O[:, :, 0], O[:, :, 1])
-        lo = k1 * step
-        if n - lo > s:  # the last node, clipped to its n - lo - s right ends
-            _node_maxima(rows[:, None, lo : lo + s], rows[:, None, lo + s + 1 :],
-                         out[:, None, lo : lo + s], out[:, None, lo + s :])
-        s = step
+        _nodes(rows, out, s, h // (2 * s) * 2 * s, 2 * s)
+        s *= 2
     out = out.reshape(P.shape[:-1] + (n,))
     if h:
         np.maximum(out[..., :h], left, out=out[..., :h])
     return out
 
 
+def _nodes(rows: np.ndarray, out: np.ndarray, s: int, first: int, step: int) -> None:
+    """Raise ``out``, the (R, n) maxima of the (R, n + 1) prefix rows, by
+    the candidates of the nodes [lo, lo + 2s) at lo = first, first + step,
+    ... while lo + s < n, the last one clipped at n.  A left end of a node
+    is a = lo + i and a right end b = lo + s + 1 + j, i, j < s: a cell of
+    its left half takes the best of the left ends up to it, a cell of its
+    right half the best of the right ends past it.  The rows go to
+    ``_node_maxima`` NODE_BLOCK / 8 cells at a time (one row where a row is
+    longer), every whole node of a group in one call."""
+    n = out.shape[1]
+    k = max(0, (n - 2 * s - first) // step + 1)  # the whole nodes, lo + 2s <= n
+    lo = first + k * step  # the clipped one, if lo + s < n
+    g = max(1, NODE_BLOCK // (8 * n))  # rows per group
+    for r in range(0, len(rows), g):
+        P, o = rows[r : r + g], out[r : r + g]
+        if k:
+            _node_maxima(_every(P, first, step, k, s), _every(P, first + s + 1, step, k, s),
+                         _every(o, first, step, k, s), _every(o, first + s, step, k, s))
+        if lo + s < n:
+            _node_maxima(P[:, None, lo : lo + s], P[:, None, lo + s + 1 :], o[:, None, lo : lo + s], o[:, None, lo + s :])
+
+
+def _every(a: np.ndarray, first: int, step: int, k: int, s: int) -> np.ndarray:
+    """The (rows, k, s) view of the s cells of every row of a C-contiguous
+    a at first, first + step, ..., first + (k - 1) step."""
+    r, c = a.strides
+    return np.ndarray((len(a), k, s), a.dtype, a, first * c, (r, step * c, c))
+
+
 def _node_maxima(PL, PR, left_half, right_half) -> None:
     """For the (rows, nodes) of one size s, T[r, k, i, j] = fl(fl(PR[r, k, j]
-    - PL[r, k, i]) / (s + 1 + j - i)): raise ``left_half`` by the prefix max of T's
-    row maxima over i and ``right_half`` by the suffix max of its column
-    maxima over j, NODE_BLOCK candidates per numpy call.  Up to NODE_INNER
-    left ends, the node index is innermost, so that every numpy call runs
-    over the nodes rather than over a short row of one node."""
+    - PL[r, k, i]) / (s + 1 + j - i)): raise ``left_half`` by the prefix max
+    of T's row maxima over i and ``right_half`` by the suffix max of its
+    column maxima over j, NODE_BLOCK candidates per numpy call.  The
+    divisors are a Toeplitz view of one arange.  With at most NODE_INNER
+    left ends and at least 8 nodes per left end, the node index is
+    innermost, so that every numpy call runs over the nodes rather than
+    over a short row of one node."""
     s, w = PL.shape[-1], PR.shape[-1]
-    D = np.lib.stride_tricks.sliding_window_view(np.arange(1.0, 2 * s + 1), s)[s:0:-1, :w]  # Toeplitz
-    if s <= NODE_INNER:  # rows (s, M) and (w, M) of the M nodes
-        L, R = np.moveaxis(PL, -1, 0).reshape(s, -1), np.moveaxis(PR, -1, 0).reshape(w, -1)
-        M = L.shape[1]
+    base = np.arange(1.0, 2 * s + 1)
+    D = np.ndarray((s, w), float, base, s * base.itemsize, (-base.itemsize, base.itemsize))
+    M = PL.size // s
+    if s <= NODE_INNER and M >= 8 * s:  # rows (s, M) and (w, M) of the M nodes
+        L, R = np.moveaxis(PL, -1, 0).reshape(s, M), np.moveaxis(PR, -1, 0).reshape(w, M)
         rmax, cmax = np.empty((s, M)), np.empty((w, M))
         g = min(M, max(1, NODE_BLOCK // (s * w)))  # nodes per block
         buf = np.empty(s * w * g)
@@ -243,8 +262,7 @@ def _node_maxima(PL, PR, left_half, right_half) -> None:
             np.divide(T, D[:, :, None], out=T)
             T.max(axis=1, out=rmax[:, k])
             T.max(axis=0, out=cmax[:, k])
-        # the prefix and suffix maxima, one row of nodes per call
-        for i in range(s):
+        for i in range(s):  # the prefix and suffix maxima, one row of nodes per call
             if i:
                 np.maximum(rmax[i], rmax[i - 1], out=rmax[i])
             o = left_half[..., i]
@@ -255,26 +273,26 @@ def _node_maxima(PL, PR, left_half, right_half) -> None:
             o = right_half[..., j]
             np.maximum(o, cmax[j].reshape(o.shape), out=o)
         return
-    else:  # rows (M, s) and (M, w)
-        L, R = PL.reshape(-1, s), PR.reshape(-1, w)
-        M = len(L)
-        rmax, cmax = np.empty((M, s)), np.full((M, w), -np.inf)
-        c = min(s, max(1, NODE_BLOCK // w))  # left ends per block
-        g = min(M, max(1, NODE_BLOCK // (s * w)))  # nodes per block, where c = s
-        buf = np.empty(g * c * w)
-        for m in range(0, M, g):
-            k = slice(m, m + g)
-            for i in range(0, s, c):
-                T = buf[: min(g, M - m) * min(c, s - i) * w].reshape(-1, min(c, s - i), w)
-                np.subtract(R[k, None, :], L[k, i : i + c, None], out=T)
-                np.divide(T, D[i : i + c], out=T)
-                T.max(axis=2, out=rmax[k, i : i + c])
+    L, R = PL.reshape(M, s), PR.reshape(M, w)  # rows (M, s) and (M, w)
+    rmax, cmax = np.empty((M, s)), np.empty((M, w))
+    c = min(s, max(1, NODE_BLOCK // w))  # left ends per block
+    g = min(M, max(1, NODE_BLOCK // (c * w)))  # nodes per block
+    buf = np.empty(g * c * w)
+    for m in range(0, M, g):
+        k = slice(m, m + g)
+        for i in range(0, s, c):
+            T = buf[: min(g, M - m) * min(c, s - i) * w].reshape(-1, min(c, s - i), w)
+            np.subtract(R[k, None, :], L[k, i : i + c, None], out=T)
+            np.divide(T, D[i : i + c], out=T)
+            T.max(axis=2, out=rmax[k, i : i + c])
+            if i:
                 np.maximum(cmax[k], T.max(axis=1), out=cmax[k])
-        np.maximum.accumulate(rmax, axis=1, out=rmax)
-        cmax = np.maximum.accumulate(cmax[:, ::-1], axis=1)[:, ::-1]
-        rmax, cmax = rmax.reshape(PL.shape), cmax.reshape(PR.shape)
-    np.maximum(left_half, rmax, out=left_half)
-    np.maximum(right_half, cmax, out=right_half)
+            else:
+                T.max(axis=1, out=cmax[k])
+    np.maximum.accumulate(rmax, axis=1, out=rmax)
+    np.maximum(left_half, rmax.reshape(left_half.shape), out=left_half)
+    np.maximum.accumulate(cmax[:, ::-1], axis=1, out=cmax[:, ::-1])
+    np.maximum(right_half, cmax.reshape(right_half.shape), out=right_half)
 
 
 def _uncentered_levels(P: np.ndarray) -> np.ndarray:
@@ -570,20 +588,20 @@ def _window_maxima(rows: np.ndarray, w: int) -> np.ndarray:
     """Per cell of each finite prefix row, the sweep's maximum over the
     windows [kW, kW + 2W) and [n - 2W, n) that hold it.
 
-    An interval of the window [kW, kW + 2W) lies in one of its W-cell
-    pieces or leaves the first for the second: the pieces of every row are
-    the rows of one stack of the kernel, and the intervals that leave a
-    piece the nodes [kW, kW + 2W) of ``_node_maxima`` at every k.  The tail
-    window is one more row."""
-    R, n = len(rows), rows.shape[1] - 1
-    k = (n - w) // w  # windows [jW, jW + 2W), j < k, per row
-    m = (k + 1) * w  # their pieces [jW, jW + W), j <= k, cover [0, m)
-    out = np.full((R, n), -np.inf)
-    pieces = np.lib.stride_tricks.sliding_window_view(rows[:, : m + 1], w + 1, axis=1)[:, ::w]
-    out[:, :m] = _uncentered_naive(pieces).reshape(R, m)
-    ends = np.lib.stride_tricks.sliding_window_view(rows, w, axis=1)
-    _node_maxima(ends[:, : k * w : w], ends[:, w + 1 : w + 1 + k * w : w],
-                 out[:, : k * w].reshape(R, k, w), out[:, w:m].reshape(R, k, w))
+    An interval of the window [kW, kW + 2W) lies in one of its two W-cell
+    pieces or leaves the first for the second.  W is a power of two, so the
+    intervals inside the pieces are those of the row's own nodes of up to
+    W cells, and those that leave a piece are the nodes [kW, kW + 2W) at
+    every k; the last of these, clipped at n, and the nodes past the last
+    whole piece hold intervals of the tail window."""
+    n = rows.shape[1] - 1
+    rows = np.ascontiguousarray(rows)
+    out = np.diff(rows)
+    s = 1
+    while s < w:
+        _nodes(rows, out, s, 0, 2 * s)
+        s *= 2
+    _nodes(rows, out, w, 0, w)
     if n % w:  # the tail window [n - 2W, n)
         tail = out[:, n - 2 * w :]
         np.maximum(tail, _uncentered_naive(rows[:, n - 2 * w :]), out=tail)

@@ -14,7 +14,8 @@ import weightlab
 
 SRC = Path(weightlab.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
-THRESHOLDS = {"NAIVE_CEILING", "SWEEP_CELLS", "ENVELOPE_W", "SPLIT_CUTOFF", "FLANK_CHUNK"}
+THRESHOLDS = {"NAIVE_CEILING", "SWEEP_CELLS", "ENVELOPE_W", "SPLIT_CUTOFF", "SPLIT_MIN", "FLANK_CHUNK",
+              "NODE_BLOCK", "NODE_INNER"}
 
 
 def maximal_reads(path: Path) -> list[tuple[int, str]]:

@@ -750,16 +750,19 @@ def test_envelope_rows_equal_their_own_calls_and_non_finite_rows(rng):
 
 
 def test_envelope_sweeps_windows_in_blocks_and_refuses_huge_rows(rng, monkeypatch):
-    blocks = []
-    real = maximal._uncentered_naive
+    # the windows are the nodes of the row's own prefix rows, taken
+    # NODE_BLOCK / 8 cells of rows (here one row) per kernel call
+    n = maximal.NAIVE_CEILING
+    rows_per_call = []
+    real = maximal._node_maxima
 
-    def counted(P):
-        blocks.append(P[..., 1:].size)
-        return real(P)
+    def counted(PL, PR, left_half, right_half):
+        rows_per_call.append(len(PL))
+        return real(PL, PR, left_half, right_half)
 
-    monkeypatch.setattr(maximal, "_uncentered_naive", counted)
-    maximal.uncentered_envelope(rng.lognormal(size=(8, maximal.NAIVE_CEILING)))
-    assert blocks and max(blocks) <= maximal.SWEEP_CELLS
+    monkeypatch.setattr(maximal, "_node_maxima", counted)
+    maximal.uncentered_envelope(rng.lognormal(size=(8, n)))
+    assert rows_per_call and max(rows_per_call) * n <= max(maximal.NODE_BLOCK // 8, n)
     with pytest.raises(ConfigError, match="finite sums"):
         maximal.uncentered_envelope(np.full(256, 1e308))
 
