@@ -209,6 +209,27 @@ def test_carried_levels_equal_per_level_sweep_on_zero_rich_cells(kind, n):
     assert_carried_levels_equal_per_level_sweep(zero_rich_cells(kind.format(mid=n // 2), n))
 
 
+def test_zero_rich_carried_levels_split_no_row_below_split_min():
+    # lognormal x (rand < 0.3) on 8192 cells: every 8-cell cube with one
+    # nonzero cell used to be split, one call each (221 calls); rows of fewer
+    # than SPLIT_MIN cells are swept in their block, and here only the whole
+    # row, above the ceiling with a zero end, is split
+    rng = np.random.default_rng(1)
+    cells = rng.lognormal(size=8192) * (rng.random(8192) < 0.3)
+    splits = []
+    real = maximal._uncentered_split
+
+    def counted(values, P, lo, hi):
+        splits.append(len(values))
+        return real(values, P, lo, hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maximal, "_uncentered_split", counted)
+        list(maximal.uncentered_dyadic(cells))
+    assert maximal.SPLIT_MIN == 64 and cells[-1] == 0.0 and splits == [8192]
+    assert_carried_levels_equal_per_level_sweep(cells)
+
+
 BAD_CELLS = [(1, 0), (2, 0), (2, 1), (64, 0), (64, 31), (64, 32), (64, 63)]
 
 

@@ -8,7 +8,12 @@ import weightlab as wl
 from weightlab import maximal
 from weightlab.errors import ConfigError
 from weightlab.maximal import uncentered_restricted
-from conftest import random_function
+from conftest import random_function, uncentered_loop
+
+
+def naive(vals):
+    """The kernel's reference, the loop over right ends, on a cell block."""
+    return uncentered_loop(maximal._prefix(vals))
 
 
 def test_constant_function_fixed_point():
@@ -154,7 +159,7 @@ def test_fast_path_equals_naive(rng):
             else:
                 vals = np.sort(rng.lognormal(size=g.ncells))
             f = wl.GridFunction(g, vals)
-            a = maximal._uncentered_naive(maximal._prefix(vals))
+            a = naive(vals)
             b = maximal._uncentered_levels(maximal._prefix(vals))
             assert np.array_equal(a, b), kind
 
@@ -275,7 +280,7 @@ def test_fast_path_against_brute_on_step_functions(vals):
 def test_fast_path_against_naive_beyond_ceiling(vals):
     f = wl.GridFunction(wl.build_grid(0, 13), vals)
     assert_fast_path_contract(
-        wl.uncentered_maximal(f).values, maximal._uncentered_naive(maximal._prefix(f.values))
+        wl.uncentered_maximal(f).values, naive(f.values)
     )
 
 
@@ -297,7 +302,7 @@ def test_fast_path_on_three_piece_step_function():
     vals = np.repeat([1.0, 3.0, 2.0], [3979, 5888 - 3979, 8192 - 5888])
     f = wl.GridFunction(wl.build_grid(0, 13), vals)
     assert_fast_path_contract(
-        wl.uncentered_maximal(f).values, maximal._uncentered_naive(maximal._prefix(f.values))
+        wl.uncentered_maximal(f).values, naive(f.values)
     )
 
 
@@ -310,7 +315,7 @@ def test_naive_rows_equal_one_block_calls(rng):
         P = maximal._prefix(rows)
         batched = maximal._uncentered_naive(P)
         for row, out in zip(rows, batched):
-            assert np.array_equal(out, maximal._uncentered_naive(maximal._prefix(row)))
+            assert np.array_equal(out, naive(row))
         assert np.array_equal(batched, uncentered_restricted(rows))
 
 
@@ -346,6 +351,60 @@ def test_fast_path_rows_equal_one_block_calls(rng):
 
 
 # ---------------------------------------------------------------------------
+# the node kernel: bitwise its reference loop and the brute oracle
+
+@st.composite
+def kernel_stacks(draw):
+    """1-D, 2-D and 3-D stacks of rows of 1..4096 cells, powers of two and
+    not: each row lognormal or zero, with plateaus (1/0.75, 0.75), zero runs,
+    spikes, end spikes and 5e-324 and 1e300 cells."""
+    n = draw(st.integers(1, 4096) | st.sampled_from([1 << k for k in range(13)])
+             | st.sampled_from([3, 5, 33, 63, 65, 127, 129, 1023, 1025, 4095]))
+    lead = draw(st.sampled_from([(), (1,), (2,), (3,), (2, 2), (1, 3)] if n <= 512 else [(), (1,), (2,)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = np.zeros(lead + (n,))
+    height = st.sampled_from([0.0, 1.0 / 0.75, 0.75, 5e-324, 1e300])
+    for row in vals.reshape(-1, n):
+        if draw(st.booleans()):
+            row[:] = rng.lognormal(size=n)
+        for _ in range(draw(st.integers(0, 4))):
+            lo = draw(st.integers(0, n - 1))
+            row[lo : lo + draw(st.integers(1, 96))] = draw(height)
+        row[draw(st.lists(st.integers(0, n - 1), max_size=4))] = draw(st.floats(5.0, 1e6))
+        for end in draw(st.sets(st.sampled_from([0, n - 1]))):
+            row[end] = draw(st.floats(5.0, 1e6) | height)
+    return vals
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(kernel_stacks())
+def test_kernel_equals_loop_and_brute(vals):
+    n = vals.shape[-1]
+    P = maximal._prefix(vals)
+    got = maximal._uncentered_naive(P)
+    assert got.shape == vals.shape and np.array_equal(got, uncentered_loop(P))
+    for row, out in list(zip(vals.reshape(-1, n), got.reshape(-1, n)))[:2]:
+        assert np.array_equal(out, brute_block(row))
+    if n & (n - 1) == 0:  # the carried levels of one row: each from the one below
+        row = vals.reshape(-1, n)[0]
+        below = maximal._uncentered_naive(maximal._prefix(row.reshape(-1, 1)))
+        for d in range(1, n.bit_length()):
+            Pd = maximal._prefix(row.reshape(-1, 1 << d))
+            below = maximal._uncentered_naive(Pd, below[::2])
+            assert np.array_equal(below, uncentered_loop(Pd)), d
+            assert np.array_equal(below, uncentered_loop(Pd, uncentered_loop(Pd[:, : (1 << (d - 1)) + 1]))), d
+
+
+def test_kernel_on_rows_one_cell_past_a_power_of_two(rng):
+    # a row of 2^k + 1 cells has a clipped last node of every size s < 2^k,
+    # and the top one, clipped to a single right end, holds every interval
+    # of two or more cells that reaches the last cell
+    for k in range(12):
+        P = maximal._prefix(rng.lognormal(size=(2, (1 << k) + 1)))
+        assert np.array_equal(maximal._uncentered_naive(P), uncentered_loop(P)), k
+
+
+# ---------------------------------------------------------------------------
 # sparse rows: zero but for a few cells, split at their support when it is
 # at most n / SPLIT_CUTOFF cells, swept otherwise
 
@@ -368,7 +427,7 @@ def sparse_rows(draw):
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(sparse_rows())
 def test_sparse_rows_equal_naive(vals):
-    assert np.array_equal(uncentered_restricted(vals), maximal._uncentered_naive(maximal._prefix(vals)))
+    assert np.array_equal(uncentered_restricted(vals), naive(vals))
 
 
 def counting_splits(monkeypatch):
@@ -400,7 +459,7 @@ def test_sparse_and_dense_rows_in_one_block_equal_their_own_calls(rng, monkeypat
     assert splits == [1.0, 8 / 0.75]
     for row, out in zip(rows, batched):
         assert np.array_equal(out, uncentered_restricted(row), equal_nan=True)
-        assert np.array_equal(out, maximal._uncentered_naive(maximal._prefix(row)), equal_nan=True)
+        assert np.array_equal(out, naive(row), equal_nan=True)
 
 
 def test_spike_at_the_ceiling_never_sweeps():
@@ -415,7 +474,7 @@ def test_spike_at_the_ceiling_never_sweeps():
     for cell in (0, n // 2, n - 1):
         vals = np.zeros(n)
         vals[cell] = 1.0
-        want = maximal._uncentered_naive(maximal._prefix(vals))
+        want = naive(vals)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(maximal, "_uncentered_naive", no_sweep)
             assert np.array_equal(uncentered_restricted(vals), want)
@@ -435,7 +494,7 @@ def test_the_split_cutoff_holds_to_the_cell(monkeypatch, n):
     out = uncentered_restricted(rows)
     assert splits == [cut]
     for row, got in zip(rows, out):
-        assert np.array_equal(got, maximal._uncentered_naive(maximal._prefix(row)))
+        assert np.array_equal(got, naive(row))
 
 
 def test_sparse_rows_of_1e308_refused_as_the_sweep_refuses():
@@ -450,7 +509,7 @@ def test_sparse_rows_of_1e308_refused_as_the_sweep_refuses():
     assert refusals[0] == refusals[1] == refusals[2] and "finite sums" in refusals[0]
     one = np.zeros(n)
     one[200] = 1e308  # sums to itself: a defined value
-    assert np.array_equal(uncentered_restricted(one), maximal._uncentered_naive(maximal._prefix(one)))
+    assert np.array_equal(uncentered_restricted(one), naive(one))
 
 
 @pytest.mark.parametrize("cutoff", [maximal.SPLIT_CUTOFF, 1])
@@ -474,10 +533,6 @@ def test_buckley_equals_per_function_brute_loop(monkeypatch, L, cutoff):
 # ---------------------------------------------------------------------------
 # rows with zero flanks: the support on its own path, each flank by the
 # monotone divide-and-conquer of _trailing_flank
-
-def naive(vals):
-    return maximal._uncentered_naive(maximal._prefix(vals))
-
 
 @st.composite
 def flanked_rows(draw):
@@ -725,7 +780,7 @@ def test_envelope_margin_covers_a_long_interval_that_rounds_up(monkeypatch):
     vals = np.full(13, 0.4448800669236115)
     vals[10] = 0.444880066923612
     P = maximal._prefix(vals)
-    exact = maximal._uncentered_naive(P)
+    exact = uncentered_loop(P)
     lower, upper = envelope(vals)
     pieces = max(((P[k:] - P[:-k]) / k).max() for k in range(4, 8))
     assert (exact > np.maximum(lower, pieces)).any()
