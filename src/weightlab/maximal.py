@@ -57,12 +57,13 @@ sweep once, by dyadic node: the nodes of one size, of every row of a
 group of NODE_BLOCK / 8 cells, are one stack of s x s rectangles of
 candidates, formed at most NODE_BLOCK = 2^15 candidates (256 KB) per
 numpy call.  So besides its block's prefix rows and maxima it holds one
-such rectangle and about NODE_BLOCK / 4 floats of node rows.  A row of at most
-NAIVE_CEILING cells whose end cells are nonzero is swept however few of
-its cells are nonzero, so it costs what a dense row of its length costs
-and no more: a 4096-cell row of four spikes, two of them its end cells,
-takes about 30 ms (2-core host), where four spikes over 391 cells inside
-zero flanks take 3.5 ms; no caller builds such a row.
+such rectangle and about NODE_BLOCK / 4 floats of node rows.
+
+A row of at most NAIVE_CEILING cells whose end cells are nonzero is swept
+however few of its cells are nonzero, so it costs what a dense row of its
+length costs and no more: a 4096-cell row of four spikes, two of them its
+end cells, takes about 25 ms (2-core host), where four spikes over 391
+cells inside zero flanks take 2 ms; no caller builds such a row.
 
 Gates, in tests/test_maximal.py unless named: the kernel equals an
 exhaustive loop over right ends and ``uncentered_maximal_brute``, with and
@@ -227,7 +228,8 @@ def _nodes(rows: np.ndarray, out: np.ndarray, s: int, first: int, step: int) -> 
             _node_maxima(_every(P, first, step, k, s), _every(P, first + s + 1, step, k, s),
                          _every(o, first, step, k, s), _every(o, first + s, step, k, s))
         if lo + s < n:
-            _node_maxima(P[:, None, lo : lo + s], P[:, None, lo + s + 1 :], o[:, None, lo : lo + s], o[:, None, lo + s :])
+            _node_maxima(P[:, None, lo : lo + s], P[:, None, lo + s + 1 :],
+                         o[:, None, lo : lo + s], o[:, None, lo + s :])
 
 
 def _every(a: np.ndarray, first: int, step: int, k: int, s: int) -> np.ndarray:
@@ -495,11 +497,10 @@ def _uncentered_rows(values: np.ndarray, sweep) -> np.ndarray:
     that is zero outside its support [lo, hi) (first to last nonzero cell)
     takes ``_uncentered_split`` when it has more than NAIVE_CEILING cells,
     or at least SPLIT_MIN cells and a support of at most n / SPLIT_CUTOFF
-    of them; any other row of more
-    than NAIVE_CEILING cells, the hull pass.  The other rows r of the
-    block go to the handler together, as sweep(P[r], r) with r indexing
-    the whole stack: a slice where the rows are adjacent, so that P[r] is
-    a view.
+    of them; any other row of more than NAIVE_CEILING cells, the hull
+    pass.  The other rows r of the block go to the handler together, as
+    sweep(P[r], r) with r indexing the whole stack: a slice where the rows
+    are adjacent, so that P[r] is a view.
     """
     values = np.asarray(values, dtype=float)
     if not values.size:
@@ -515,7 +516,8 @@ def _uncentered_rows(values: np.ndarray, sweep) -> np.ndarray:
         nonzero = block != 0
         lo, hi = nonzero.argmax(axis=1), n - nonzero[:, ::-1].argmax(axis=1)
         own = (0 < total) & (total < np.inf)  # the other rows are their total
-        split = own & (hi - lo < n) & ((n > NAIVE_CEILING) | ((n >= SPLIT_MIN) & ((hi - lo) * SPLIT_CUTOFF <= n)))
+        short = (n >= SPLIT_MIN) & ((hi - lo) * SPLIT_CUTOFF <= n)  # a short support
+        split = own & (hi - lo < n) & ((n > NAIVE_CEILING) | short)
         swept = own & ~split & (n <= NAIVE_CEILING)
         if out is None:
             if swept.all() and len(P) == len(cells):  # the handler's array is the result
