@@ -53,11 +53,12 @@ length n, taking the rows in blocks of at most SWEEP_CELLS = 2^15 cells:
     that the envelope does not bound.
 
 The kernel ``_uncentered_naive`` evaluates every candidate of the O(n^2)
-sweep once, by dyadic node: the nodes of one size, of every row of a
-group of NODE_BLOCK / 8 cells, are one stack of s x s rectangles of
-candidates, formed at most NODE_BLOCK = 2^15 candidates (256 KB) per
-numpy call.  So besides its block's prefix rows and maxima it holds one
-such rectangle and about NODE_BLOCK / 4 floats of node rows.
+sweep once, by dyadic node: the nodes of one size s, of a group of rows
+whose nodes hold at most NODE_BLOCK / 4 cells a half, are one stack of
+s x s rectangles of candidates, formed at most NODE_BLOCK = 2^15
+candidates (256 KB) per numpy call.  So besides its block's prefix rows
+and maxima it holds one such rectangle and at most NODE_BLOCK floats of
+node rows and their maxima.
 
 A row of at most NAIVE_CEILING cells whose end cells are nonzero is swept
 however few of its cells are nonzero, so it costs what a dense row of its
@@ -216,12 +217,13 @@ def _nodes(rows: np.ndarray, out: np.ndarray, s: int, first: int, step: int) -> 
     is a = lo + i and a right end b = lo + s + 1 + j, i, j < s: a cell of
     its left half takes the best of the left ends up to it, a cell of its
     right half the best of the right ends past it.  The rows go to
-    ``_node_maxima`` NODE_BLOCK / 8 cells at a time (one row where a row is
-    longer), every whole node of a group in one call."""
+    ``_node_maxima`` in groups of at most NODE_BLOCK / 4 cells of node rows
+    (one row where a row has more), every whole node of a group in one
+    call."""
     n = out.shape[1]
     k = max(0, (n - 2 * s - first) // step + 1)  # the whole nodes, lo + 2s <= n
     lo = first + k * step  # the clipped one, if lo + s < n
-    g = max(1, NODE_BLOCK // (8 * n))  # rows per group
+    g = max(1, NODE_BLOCK // (4 * s * (k + 1)))  # rows per group
     for r in range(0, len(rows), g):
         P, o = rows[r : r + g], out[r : r + g]
         if k:
@@ -245,35 +247,36 @@ def _node_maxima(PL, PR, left_half, right_half) -> None:
     of T's row maxima over i and ``right_half`` by the suffix max of its
     column maxima over j, NODE_BLOCK candidates per numpy call.  The
     divisors are a Toeplitz view of one arange.  With at most NODE_INNER
-    left ends and at least 8 nodes per left end, the node index is
-    innermost, so that every numpy call runs over the nodes rather than
-    over a short row of one node."""
+    left ends and enough nodes (64, and 512 / s below 8 left ends; the
+    crossover measured on a 2-core host), the node index is innermost, so
+    that every numpy call runs over the nodes rather than over a short row
+    of one node."""
     s, w = PL.shape[-1], PR.shape[-1]
     base = np.arange(1.0, 2 * s + 1)
     D = np.ndarray((s, w), float, base, s * base.itemsize, (-base.itemsize, base.itemsize))
     M = PL.size // s
-    if s <= NODE_INNER and M >= 8 * s:  # rows (s, M) and (w, M) of the M nodes
+    if s <= NODE_INNER and M >= max(64, 512 // s):  # rows (s, M) and (w, M) of the M nodes
         L, R = np.moveaxis(PL, -1, 0).reshape(s, M), np.moveaxis(PR, -1, 0).reshape(w, M)
         rmax, cmax = np.empty((s, M)), np.empty((w, M))
-        g = min(M, max(1, NODE_BLOCK // (s * w)))  # nodes per block
-        buf = np.empty(s * w * g)
+        g = min(M, max(128, NODE_BLOCK // (s * w)))  # nodes per block
+        c = min(s, max(1, NODE_BLOCK // (w * g)))  # left ends per block
+        buf = np.empty(c * w * g)
         for m in range(0, M, g):
             k = slice(m, m + g)
-            T = buf[: s * w * min(g, M - m)].reshape(s, w, -1)
-            np.subtract(R[None, :, k], L[:, None, k], out=T)
-            np.divide(T, D[:, :, None], out=T)
-            T.max(axis=1, out=rmax[:, k])
-            T.max(axis=0, out=cmax[:, k])
-        for i in range(s):  # the prefix and suffix maxima, one row of nodes per call
-            if i:
-                np.maximum(rmax[i], rmax[i - 1], out=rmax[i])
-            o = left_half[..., i]
-            np.maximum(o, rmax[i].reshape(o.shape), out=o)
-        for j in reversed(range(w)):
-            if j < w - 1:
-                np.maximum(cmax[j], cmax[j + 1], out=cmax[j])
-            o = right_half[..., j]
-            np.maximum(o, cmax[j].reshape(o.shape), out=o)
+            for i in range(0, s, c):
+                T = buf[: min(c, s - i) * w * min(g, M - m)].reshape(-1, w, min(g, M - m))
+                np.subtract(R[None, :, k], L[i : i + c, None, k], out=T)
+                np.divide(T, D[i : i + c, :, None], out=T)
+                T.max(axis=1, out=rmax[i : i + c, k])
+                if i:
+                    np.maximum(cmax[:, k], T.max(axis=0), out=cmax[:, k])
+                else:
+                    T.max(axis=0, out=cmax[:, k])
+        _scan_max(rmax)
+        _scan_max(cmax[::-1])
+        for a, half in ((rmax, left_half), (cmax, right_half)):
+            o = np.moveaxis(half, -1, 0)
+            np.maximum(o, a.reshape(o.shape), out=o)
         return
     L, R = PL.reshape(M, s), PR.reshape(M, w)  # rows (M, s) and (M, w)
     rmax, cmax = np.empty((M, s)), np.empty((M, w))
@@ -295,6 +298,16 @@ def _node_maxima(PL, PR, left_half, right_half) -> None:
     np.maximum(left_half, rmax.reshape(left_half.shape), out=left_half)
     np.maximum.accumulate(cmax[:, ::-1], axis=1, out=cmax[:, ::-1])
     np.maximum(right_half, cmax.reshape(right_half.shape), out=right_half)
+
+
+def _scan_max(a: np.ndarray) -> None:
+    """Prefix max of a along its first axis, in place, by doubling: after
+    the step of shift k each row holds the max of the 2k rows up to it
+    (numpy reads an overlapping input before it writes)."""
+    k = 1
+    while k < len(a):
+        np.maximum(a[k:], a[:-k], out=a[k:])
+        k *= 2
 
 
 def _uncentered_levels(P: np.ndarray) -> np.ndarray:

@@ -805,19 +805,20 @@ def test_envelope_rows_equal_their_own_calls_and_non_finite_rows(rng):
 
 
 def test_envelope_sweeps_windows_in_blocks_and_refuses_huge_rows(rng, monkeypatch):
-    # the windows are the nodes of the row's own prefix rows, taken
-    # NODE_BLOCK / 8 cells of rows (here one row) per kernel call
-    n = maximal.NAIVE_CEILING
-    rows_per_call = []
+    # the windows are the nodes of the row's own prefix rows, and a kernel
+    # call takes the nodes of at most NODE_BLOCK / 4 cells a half (of one
+    # row where a row has more)
+    node_cells = []
     real = maximal._node_maxima
 
     def counted(PL, PR, left_half, right_half):
-        rows_per_call.append(len(PL))
+        node_cells.append((PL.size, PL[0].size))
         return real(PL, PR, left_half, right_half)
 
     monkeypatch.setattr(maximal, "_node_maxima", counted)
-    maximal.uncentered_envelope(rng.lognormal(size=(8, n)))
-    assert rows_per_call and max(rows_per_call) * n <= max(maximal.NODE_BLOCK // 8, n)
+    maximal.uncentered_envelope(rng.lognormal(size=(8, maximal.NAIVE_CEILING)))
+    assert node_cells and all(size <= max(maximal.NODE_BLOCK // 4, row) for size, row in node_cells)
+    assert max(size for size, _ in node_cells) > max(row for _, row in node_cells)  # rows are grouped
     with pytest.raises(ConfigError, match="finite sums"):
         maximal.uncentered_envelope(np.full(256, 1e308))
 
