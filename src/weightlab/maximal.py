@@ -256,7 +256,7 @@ def _node_maxima(PL, PR, left_half, right_half) -> None:
     D = np.ndarray((s, w), float, base, s * base.itemsize, (-base.itemsize, base.itemsize))
     M = PL.size // s
     if s <= NODE_INNER and M >= max(64, 512 // s):  # rows (s, M) and (w, M) of the M nodes
-        L, R = np.moveaxis(PL, -1, 0).reshape(s, M), np.moveaxis(PR, -1, 0).reshape(w, M)
+        L, R = PL.transpose(2, 0, 1).reshape(s, M), PR.transpose(2, 0, 1).reshape(w, M)
         rmax, cmax = np.empty((s, M)), np.empty((w, M))
         g = min(M, max(128, NODE_BLOCK // (s * w)))  # nodes per block
         c = min(s, max(1, NODE_BLOCK // (w * g)))  # left ends per block
@@ -267,15 +267,15 @@ def _node_maxima(PL, PR, left_half, right_half) -> None:
                 T = buf[: min(c, s - i) * w * min(g, M - m)].reshape(-1, w, min(g, M - m))
                 np.subtract(R[None, :, k], L[i : i + c, None, k], out=T)
                 np.divide(T, D[i : i + c, :, None], out=T)
-                T.max(axis=1, out=rmax[i : i + c, k])
+                np.maximum.reduce(T, axis=1, out=rmax[i : i + c, k])
                 if i:
-                    np.maximum(cmax[:, k], T.max(axis=0), out=cmax[:, k])
+                    np.maximum(cmax[:, k], np.maximum.reduce(T, axis=0), out=cmax[:, k])
                 else:
-                    T.max(axis=0, out=cmax[:, k])
+                    np.maximum.reduce(T, axis=0, out=cmax[:, k])
         _scan_max(rmax)
         _scan_max(cmax[::-1])
         for a, half in ((rmax, left_half), (cmax, right_half)):
-            o = np.moveaxis(half, -1, 0)
+            o = half.transpose(2, 0, 1)
             np.maximum(o, a.reshape(o.shape), out=o)
         return
     L, R = PL.reshape(M, s), PR.reshape(M, w)  # rows (M, s) and (M, w)
@@ -289,11 +289,11 @@ def _node_maxima(PL, PR, left_half, right_half) -> None:
             T = buf[: min(g, M - m) * min(c, s - i) * w].reshape(-1, min(c, s - i), w)
             np.subtract(R[k, None, :], L[k, i : i + c, None], out=T)
             np.divide(T, D[i : i + c], out=T)
-            T.max(axis=2, out=rmax[k, i : i + c])
+            np.maximum.reduce(T, axis=2, out=rmax[k, i : i + c])
             if i:
-                np.maximum(cmax[k], T.max(axis=1), out=cmax[k])
+                np.maximum(cmax[k], np.maximum.reduce(T, axis=1), out=cmax[k])
             else:
-                T.max(axis=1, out=cmax[k])
+                np.maximum.reduce(T, axis=1, out=cmax[k])
     np.maximum.accumulate(rmax, axis=1, out=rmax)
     np.maximum(left_half, rmax.reshape(left_half.shape), out=left_half)
     np.maximum.accumulate(cmax[:, ::-1], axis=1, out=cmax[:, ::-1])
