@@ -178,7 +178,7 @@ def weighted_dyadic_maximal_brute(f: GridFunction, v: GridWeight) -> GridFunctio
 
 
 # ---------------------------------------------------------------------------
-# uncentered maximal: naive sweep, level-batched hull pass, flank split, oracle
+# uncentered maximal: node kernel, level-batched hull pass, flank split, oracle
 
 def _uncentered_naive(P: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
     """Max interval average per cell of every prefix row of P (any leading
