@@ -25,6 +25,9 @@ def main(argv=None):
     ap.add_argument("--ps", default="1,2")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    if args.seed < 0:
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         return run(args)
     except ConfigError as e:

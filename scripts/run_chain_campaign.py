@@ -28,6 +28,9 @@ def main(argv=None):
     if args.pairs < 1:
         print(f"error: --pairs must be at least 1, got {args.pairs}", file=sys.stderr)
         return 2
+    if args.seed < 0:
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         return run(args)
     except ConfigError as e:

@@ -7,9 +7,10 @@ Weight spec grammar (exact):
 Exit codes: 0 success, 1 a verification block failed, 2 usage error.
 All JSON reports carry a top-level {"schema": 1}; every non-finite float,
 at any depth, is encoded as the string "inf", "-inf" or "nan".  All
-randomness hangs off --seed (default 0), so identical invocations are
-byte-identical.  main() may be called repeatedly in one process: it builds
-its argument parser once and reuses it, since parsing does not change it.
+randomness hangs off --seed (a non-negative integer, default 0), so
+identical invocations are byte-identical.  main() may be called repeatedly
+in one process: it builds its argument parser once and reuses it, since
+parsing does not change it.
 """
 
 from __future__ import annotations
@@ -324,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    if args.seed < 0:  # numpy's generators take non-negative seeds only
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ConfigError, CsvFormatError, OSError) as e:

@@ -270,24 +270,107 @@ def reverse_holder_exponent(a1: float) -> float:
 RH_CHUNK = 1 << 15  # doubles per draw of random unions
 
 
-def _levelset_ratios(w: GridWeight, eps: float, n_subsets: int, rng):
-    """Yield [w(E)/w(Q)] / [2 (|E|/|Q|)^eps] level by level: first for the
-    single cells of every cube, then chunk by chunk for the random unions."""
+def _levelset_counts(w: GridWeight, eps: float, n_subsets: int, rng) -> tuple[int, int, float]:
+    """(samples, violations, max) of [w(E)/w(Q)] / [2 (|E|/|Q|)^eps] over the
+    single cells of every cube, then over the random unions level by level,
+    one ``_union_counts`` pass per draw of at most RH_CHUNK doubles."""
     grid = w.grid
+    samples, violations, top = 0, 0, -math.inf
+    levels = []
     for k in grid.levels():
         m = 1 << (grid.L - k)
         blocks = w.cell_masses.reshape(-1, m)
         wq = w.mass[grid.L - k]
-        # single cells: the extremal small-|E| cases
-        yield (blocks / wq[:, None]) / (2.0 * (1.0 / m) ** eps)
-        if m == 1:
-            continue
+        # single cells: the extremal small-|E| cases, which usually hold the
+        # maximum, so they go first and the union passes start from it
+        ratio = (blocks / wq[:, None]) / (2.0 * (1.0 / m) ** eps)
+        samples += ratio.size
+        violations += int(np.count_nonzero(ratio > 1.0))
+        top = max(top, float(ratio.max()))
+        if m > 1:
+            levels.append((m, blocks, wq))
+    # one draw buffer and one for the masked cells, shared by every draw
+    size = max((max(1, RH_CHUNK // m) * m for m, _, _ in levels), default=0)
+    draws, cells = np.empty(size), np.empty(size)
+    for m, blocks, wq in levels:
+        # the exact path's factor 2 (|E|/m)^eps per size |E| (Python pow);
+        # an empty union sums to 0 and gets ratio 0 here, and is not counted.
+        # fromiter holds no list of m Python floats, which left the heap
+        # about 0.2 MB larger for the stages after the check
+        fac = np.fromiter((2.0 * (max(sz, 1) / m) ** eps for sz in range(m + 1)), float, m + 1)
+        full = blocks.sum(axis=1)
         rows = len(wq) * n_subsets
         step = max(1, RH_CHUNK // m)
         for r in range(0, rows, step):
             cube = np.arange(r, min(r + step, rows)) // n_subsets
-            mask = rng.random((len(cube), m)) < 0.5
-            yield _union_ratios(blocks, wq, cube, mask, eps)
+            u = draws[: len(cube) * m].reshape(-1, m)
+            rng.random(out=u)
+            np.less(u, 0.5, out=u)  # the mask, as 1.0 and 0.0
+            sel = cells[: len(cube) * m].reshape(-1, m)
+            s, v, top = _union_counts(blocks, wq, full, fac, cube, u, sel, eps, top)
+            samples += s
+            violations += v
+    return samples, violations, top
+
+
+def _union_counts(blocks, wq, full, fac, cube, mask, sel, eps, top) -> tuple[int, int, float]:
+    """(samples, violations, max(top, ratios)) over the non-empty unions
+    E = {mask[i] == 1} of the cells of cube[i] (mask holds 1.0 and 0.0;
+    sel is scratch of its shape), each ratio bitwise what ``_union_ratios``
+    gives, with exact sums only where the result can turn.
+
+    Every w(E) is first formed by one fused sum, an einsum of the draw's
+    mask with its cubes' cells (not a matmul: BLAS would run a second
+    thread).  A full cube (E = Q) takes full[cube] = ``blocks.sum(axis=1)``,
+    bitwise ``block[mask].sum()``, as its ratio ties at 1/2 with the
+    maximum (exactly on a Step weight).  Both sums add the |E| <= m
+    nonnegative cells of E (the fused one with exact zeros for the others),
+    only in other orders, so each is the real w(E) times (1 + theta),
+    |theta| <= gamma_{m-1} = (m-1)u / (1 - (m-1)u), u = 2^-53.  Both ratios
+    then divide by the same wq and the same factor 2 (|E|/m)^eps, one
+    rounding each, so each is the real ratio times (1 + theta),
+    |theta| <= gamma_{m+1}, and one is within a relative
+    tau = 2 gamma_{m+1} / (1 - gamma_{m+1}) < 3 (m+1) u of the other
+    (m < 2^40).  With t = 4 (m+1) u, and R the fused ratios:
+      - a ratio the exact path puts above max(top, max R) can only come
+        from an R >= max(top, max R) (1 - 2t), which is at most
+        max(top, max R) / (1 + tau)^2 also after the product's rounding;
+      - R > 1 + 2t gives an exact ratio above 1, and R < 1 - 2t one at or
+        below 1 (1 - 2t and 1 + 2t are doubles).
+    Only the unions in those two bands are summed again by ``_union_ratios``,
+    and the new maximum is the largest of top, the full cubes' ratios in the
+    band and those exact ratios.  A quotient that is subnormal breaks the
+    relative bound, but the ratios of such a union, fused or exact, are
+    below m 2^-1022 (the factor is at least 2/m), far under 1 - 2t and under
+    every running maximum, which starts at a single cell's ratio of at
+    least 1/(4N) on N cells.  A fused sum that overflows makes max R
+    infinite, and then every union is summed again."""
+    m = blocks.shape[1]
+    t2 = 8 * (m + 1) * 2.0**-53  # 2t
+    sizes = np.einsum("ij->i", mask).astype(np.intp)  # exact: a count of at most m ones
+    blocks.take(cube, axis=0, out=sel)
+    we = np.einsum("ij,ij->i", sel, mask)
+    whole = sizes == m
+    we[whole] = full[cube[whole]]
+    ratio = we  # in place: two divides, as the exact path does them
+    ratio /= wq.take(cube)
+    ratio /= fac.take(sizes)
+    hi = max(top, float(ratio.max()))
+    lo = hi * (1.0 - t2) if hi < math.inf else -math.inf
+    # [lo, inf) and [1 - 2t, 1 + 2t] in one or two comparisons
+    near = ratio >= min(lo, 1.0 - t2)
+    if lo > 1.0 + t2:
+        near &= (ratio >= lo) | (ratio <= 1.0 + t2)
+    cand = np.flatnonzero(near)
+    size = sizes[cand]
+    top = max(top, float(ratio[cand[size == m]].max(initial=-math.inf)))
+    again = cand[(size > 0) & (size < m)]
+    violations = int(np.count_nonzero(ratio > 1.0)) - int(np.count_nonzero(ratio[again] > 1.0))
+    if len(again):
+        exact = _union_ratios(blocks, wq, cube[again], mask[again] > 0.0, eps)
+        violations += int(np.count_nonzero(exact > 1.0))
+        top = max(top, float(exact.max()))
+    return int(np.count_nonzero(sizes)), violations, top
 
 
 def _union_ratios(blocks, wq, cube, mask, eps) -> np.ndarray:
@@ -324,7 +407,19 @@ def reverse_holder_check(
     averages of w^{r_w} or of w are not finite (their sums overflow) is
     refused with a ConfigError naming its first such cube: the ratio there
     would be NaN, which passes every comparison.  Those sums and averages
-    are formed with overflow warnings off."""
+    are formed with overflow warnings off.  So is a level with an average of
+    w^{r_w} below the smallest normal double: w^{r_w} has underflowed there
+    (to 0 on a constant 1e-300), and the ratio would read 0 and pass.
+
+    The level-set report reads three numbers, the count of unions, the count
+    above 1 and the largest ratio, each bitwise what a per-cube loop of
+    ``block[mask].sum()`` gives (``tests/test_constants.py``
+    ``reference_levelset`` is that loop and gates it).  Each draw forms every
+    union's ratio from one fused masked sum, exact on full cubes, and sums
+    again with numpy's pairwise sum (``_union_ratios``) only the unions whose
+    fused ratio lies within 8 (m+1) 2^-53 of the running maximum or of 1,
+    a bound ``_union_counts`` proves; single-cell ratios go first, so the
+    running maximum starts where it usually ends."""
     a1 = a1_constant(w)
     if not math.isfinite(a1):
         raise ConfigError("reverse Holder check needs a finite A1 constant")
@@ -338,25 +433,23 @@ def reverse_holder_check(
     for k in grid.levels():
         scale = 2.0 ** float(k)
         with np.errstate(over="ignore"):
-            lhs = (w.powers[rw][grid.L - k] * scale) ** (1.0 / rw)
+            avg = w.powers[rw][grid.L - k] * scale
+            lhs = avg ** (1.0 / rw)
             rhs = 2.0 * w.mass[grid.L - k] * scale
         bad = np.flatnonzero(~(np.isfinite(lhs) & np.isfinite(rhs)))
         if len(bad):
             raise ConfigError(f"reverse Holder check: the averages of w^{rw!r} or of w are not "
                               f"finite on cube (level {k}, index {int(bad[0])})")
+        bad = np.flatnonzero(avg < np.finfo(float).tiny)
+        if len(bad):
+            raise ConfigError(f"reverse Holder check: the average of w^{rw!r} underflows (below the "
+                              f"smallest normal double) on cube (level {k}, index {int(bad[0])})")
         ratio = lhs / rhs
         arg = int(np.argmax(ratio))
         if float(ratio[arg]) > worst:
             worst = float(ratio[arg])
             worst_cube = Cube(k, arg)
-    samples = 0
-    violations = 0
-    max_ratio = -math.inf
-    for ratio in _levelset_ratios(w, eps, n_subsets, np.random.default_rng(seed)):
-        samples += ratio.size
-        violations += int(np.count_nonzero(ratio > 1.0))
-        if ratio.size:
-            max_ratio = max(max_ratio, float(ratio.max()))
+    samples, violations, max_ratio = _levelset_counts(w, eps, n_subsets, np.random.default_rng(seed))
     return ReverseHolderReport(
         a1=a1,
         r_w=rw,

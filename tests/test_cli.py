@@ -235,6 +235,18 @@ def test_usage_errors(capsys, tmp_path):
         code, out, err = run_cli(capsys, "rh-check", "--weight", f"csv:{f}", "--J", "0", "--L", "3")
     assert code == 2
     assert out == "" and "not finite on cube (level 0, index 0)" in err
+    # a weight whose w^{r_w} averages underflow: the ratio would read 0 and pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "--seed", "3", "rh-check", "--weight", "const:c=1e-300",
+                                 "--J", "0", "--L", "3")
+    assert code == 2
+    assert out == "" and "underflows" in err and "on cube (level 0, index 0)" in err
+    # a negative seed, which numpy's generators refuse
+    code, out, err = run_cli(capsys, "--seed", "-1", "rh-check", "--weight", "step:alpha=0.25",
+                             "--J", "1", "--L", "4")
+    assert code == 2
+    assert out == "" and "--seed must be a non-negative integer, got -1" in err and "Traceback" not in err
 
 
 def test_byte_identical_reruns(capsys):
@@ -403,6 +415,27 @@ def ceiling_digests(tmp_path, seed: int) -> dict:
     return out
 
 
+def rh_check_digests(tmp_path) -> dict:
+    """Exit codes and SHA-256 stdout digests of rh-check at seed 3 on
+    N = 4096 cells (J = 1, L = 11): the Step(1/4) weight, whose full-cube
+    unions tie at ratio 1/2, and a seeded random A1 weight read from a csv.
+    The commands run in tmp_path, so no temporary path reaches their output."""
+    g = wl.build_grid(1, 11)
+    w = wl.random_a1_weight(g, np.random.default_rng(3), cap=16.0)
+    (tmp_path / "rh_a1.csv").write_text("".join(f"{x!r}\n" for x in w.cell_values.tolist()))
+    commands = {
+        "step": "--seed 3 rh-check --weight step:alpha=0.25 --J 1 --L 11",
+        "csv_a1": "--seed 3 rh-check --weight csv:rh_a1.csv --J 1 --L 11",
+    }
+    out = {}
+    for name, command in commands.items():
+        buf = io.StringIO()
+        with contextlib.chdir(tmp_path), contextlib.redirect_stdout(buf):
+            out[name + "_code"] = main(command.split())
+        out[name + "_stdout"] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return out
+
+
 def test_outputs_match_recorded_digests(tmp_path):
     # The digests were recorded before the dyadic-tree code was merged into
     # grid.pyramid, the deep-chain one before the principal-cubes ancestor
@@ -415,7 +448,9 @@ def test_outputs_match_recorded_digests(tmp_path):
     # weight-layer ones were recorded before the weight tables became plain
     # pyramid lists, the report ones before the report layouts were read
     # from the dataclass fields, the ceiling ones before rows above
-    # NAIVE_CEILING cells with zero flanks left the hull pass.
+    # NAIVE_CEILING cells with zero flanks left the hull pass, the rh-check
+    # ones before the level-set unions were summed in one fused pass with an
+    # exact recheck near the running maximum and near 1.
     with open(GOLDEN) as fh:
         golden = json.load(fh)
     assert cli_digests(tmp_path, golden["seed"]) == golden["digests"]
@@ -423,6 +458,7 @@ def test_outputs_match_recorded_digests(tmp_path):
     assert weight_digests(tmp_path, golden["seed"]) == golden["weights"]
     assert report_digests(tmp_path, golden["seed"]) == golden["reports"]
     assert ceiling_digests(tmp_path, golden["seed"]) == golden["ceiling"]
+    assert rh_check_digests(tmp_path) == golden["rh_check"]
 
 
 def test_reused_parser_gives_the_same_outputs(tmp_path):

@@ -479,6 +479,100 @@ def test_union_ratios_equal_row_by_row_sums(rng):
         assert np.array_equal(np.sort(got), np.sort(ref)), m
 
 
+def levelset_weight(shape, g, seed):
+    n = g.ncells
+    rng = np.random.default_rng(seed)
+    if shape == "spread":  # every cell on its own scale in 1e-200..1e200
+        vals = 10.0 ** rng.uniform(-200.0, 200.0, n)
+    elif shape == "banded":  # runs of 8 comparable cells, each run on its own scale
+        vals = rng.lognormal(size=n) * 10.0 ** np.repeat(rng.uniform(-200.0, 200.0, n // 8), 8)
+    elif shape == "constant":
+        return wl.realize(wl.Constant(0.3), g)
+    elif shape == "step":
+        return wl.realize(wl.Step(0.25), g)
+    else:
+        return wl.random_a1_weight(g, rng, cap=16.0)
+    return wl.realize(wl.Piecewise(tuple(vals.tolist())), g)
+
+
+@pytest.mark.parametrize("shape", ["spread", "banded", "constant", "step", "random_a1"])
+def test_certified_levelset_equals_per_cube_loop_on_adversarial_weights(shape, monkeypatch):
+    # eps of A1 = 2 and of the understated A1 = 0.05 (ratios straddle 1);
+    # the spread weights have no finite A1, so the pass is called directly
+    g = wl.build_grid(1, 6)
+    w = levelset_weight(shape, g, 7)
+    for eps in (1.0 / 9.0, 1.0 / 1.2):
+        for n_subsets in (5, 64):
+            ref = reference_levelset(w, eps, n_subsets, 11)
+            for chunk in (3, 100, constants.RH_CHUNK):
+                monkeypatch.setattr(constants, "RH_CHUNK", chunk)
+                got = constants._levelset_counts(w, eps, n_subsets, np.random.default_rng(11))
+                assert got == ref, (eps, n_subsets, chunk)
+    if shape == "banded":
+        # the fused sums differ from the pairwise ones in their last bits
+        blocks = w.cell_masses.reshape(-1, 32)
+        mask = np.random.default_rng(0).random(blocks.shape) < 0.5
+        fused = (blocks * mask) @ np.ones(32)
+        assert any(f != b[r].sum() for f, b, r in zip(fused, blocks, mask))
+    if shape == "random_a1":
+        # a full cube's pairwise sum tops its pyramid mass, so w(Q)/w(Q) is
+        # above 1 there and that union holds the maximum
+        assert reference_levelset(w, 1.0 / 9.0, 64, 11)[2] > 0.5
+
+
+@pytest.mark.parametrize("m", [4, 64])
+def test_union_counts_recheck_exactly_the_certified_bands(m, monkeypatch):
+    # single-cell unions with eps = 0: the fused ratio is cell / 1 / 2 with
+    # no rounding, so the cells put ratios on each edge of the two bands,
+    # [1 - 2t, 1 + 2t] and [top (1 - 2t), inf), 2t = 8 (m + 1) 2^-53
+    t2 = 8 * (m + 1) * 2.0**-53
+    lo = 0.75 * (1.0 - t2)
+    cases = [  # (top, ratios, the ones summed again)
+        (2.0, [1.0 - t2, np.nextafter(1.0 - t2, 0.0), 1.0 + t2, np.nextafter(1.0 + t2, 2.0)],
+         [1.0 - t2, 1.0 + t2]),
+        (0.75, [lo, np.nextafter(lo, 0.0), 0.1, 0.25], [lo]),
+    ]
+    seen = []
+
+    def counting(blocks, wq, cube, mask, eps):
+        seen.extend(blocks[cube][mask] / 2.0)
+        return ref_union_ratios(blocks, wq, cube, mask, eps)
+
+    ref_union_ratios = constants._union_ratios
+    monkeypatch.setattr(constants, "_union_ratios", counting)
+    for top, ratios, again in cases:
+        blocks = np.full((1, m), 0.5)
+        blocks[0, : len(ratios)] = 2.0 * np.array(ratios)
+        wq = np.array([1.0])
+        fac = np.full(m + 1, 2.0)
+        mask = np.eye(m)[: len(ratios)]
+        seen.clear()
+        got = constants._union_counts(blocks, wq, blocks.sum(axis=1), fac, np.zeros(len(ratios), np.intp),
+                                      mask, np.empty_like(mask), 0.0, top)
+        assert sorted(seen) == sorted(again), (m, top)
+        assert got == (len(ratios), sum(r > 1.0 for r in ratios), max(top, *ratios))
+
+
+def test_levelset_pass_sums_few_unions_again(monkeypatch):
+    # a work count, steadier than a time on a shared host: on a random A1
+    # weight of 4096 cells the exact pairwise sums see at most 0.1% of the
+    # unions (none when this was written)
+    g = wl.build_grid(1, 11)
+    w = wl.random_a1_weight(g, np.random.default_rng(3), cap=16.0)
+    rows = []
+    exact = constants._union_ratios
+
+    def counting(blocks, wq, cube, mask, eps):
+        rows.append(len(cube))
+        return exact(blocks, wq, cube, mask, eps)
+
+    monkeypatch.setattr(constants, "_union_ratios", counting)
+    rep = wl.reverse_holder_check(w, seed=3)
+    unions = rep.levelset_samples - g.ncells * (g.J + g.L + 1)  # less the single cells
+    assert unions > 200_000
+    assert sum(rows) <= unions // 1000, (sum(rows), unions)
+
+
 def test_doubling_checks():
     g = wl.build_grid(1, 6)
     one = wl.realize(wl.Constant(1.0), g)

@@ -36,7 +36,9 @@ def test_campaign_exits_0(capsys, name, argv):
     ("run_chain_campaign", ["--pairs", "-2"]),
     ("run_chain_campaign", ["--pairs", "1", "--cap", "0.5"]),
     ("run_chain_campaign", ["--pairs", "1", "--cap", "nan"]),
+    ("run_chain_campaign", ["--pairs", "1", "--seed", "-1"]),
     ("run_bound_audit", ["--L", "4", "--ps", "0.5"]),
+    ("run_bound_audit", ["--L", "4", "--seed", "-1"]),
     ("run_sharpness", ["--deltas", "1.5"]),
     ("run_sharpness", ["--grid", "--levels", "30"]),
 ])
