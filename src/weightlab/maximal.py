@@ -34,9 +34,9 @@ length n, taking the rows in blocks of at most SWEEP_CELLS = 2^15 cells:
   its own path and each flank cell ``_trailing_flank``, bitwise the sweep
   by the zero-end lemma at ``_uncentered_split``;
 * any other finite row above NAIVE_CEILING cells takes the level-batched
-  hull pass, never above its oracle and at most FAST_PATH_ULPS
-  (tests/test_maximal.py) below it on plateaus, bitwise on lognormal,
-  indicator and sorted data;
+  hull pass, O(hull vertices) bookkeeping a level, never above its oracle
+  and at most FAST_PATH_ULPS (tests/test_maximal.py) below it on plateaus,
+  bitwise on lognormal, indicator and sorted data;
 * every other row goes, with the others of its block, to the handler of
   the entry point:
   - ``uncentered_restricted``: the kernel, bitwise its oracle
@@ -70,8 +70,9 @@ Gates, in tests/test_maximal.py unless named: the kernel equals an
 exhaustive loop over right ends and ``uncentered_maximal_brute``, with and
 without carried left halves; the flank split equals the kernel on both
 sides of its thresholds; lower <= ``uncentered_restricted`` <= max(lower,
-cap) on every row, and lower equals it on the rows not bounded; the
-carried levels equal one ``uncentered_restricted`` call per level
+cap) on every row, and lower equals it on the rows not bounded; the hull
+pass equals its mask-based form ``hull_mask_reference`` (tests/conftest.py);
+the carried levels equal one ``uncentered_restricted`` call per level
 (tests/test_constants.py).  Only this module reads the path thresholds or
 its private names (tests/test_architecture.py).
 
@@ -317,53 +318,52 @@ def _uncentered_levels(P: np.ndarray) -> np.ndarray:
     singletons seed the result.  Averages are slopes between points (x, P[x]),
     so the best b for a left end a is the tangent from a to the upper hull
     on [lo + s, lo + 2s]; the point reflection (x, y) -> (-x, -y) turns right
-    ends and lower hulls into the same problem.  Hulls are masks over P,
-    merged by bridges after each level (Chung and Lu, SIAM J. Comput. 34,
-    2004).  Zero cells pad N to a power of two: they add no new maximum.
+    ends and lower hulls into the same problem.  Each pass carries its hulls
+    as one sorted vertex array, merged by bridges after each level (Chung
+    and Lu, SIAM J. Comput. 34, 2004) in O(vertices).  Zero cells pad N to a
+    power of two: they add no new maximum.
     """
     n = len(P) - 1
     m = 1 << max(n - 1, 0).bit_length()
-    if m > n:
-        P = np.concatenate((P, np.full(m - n, P[-1])))
+    P = np.concatenate((P, np.full(m - n, P[-1])))
     out, R = np.diff(P), -P[::-1]
-    upper, lower = np.ones(m + 1, dtype=bool), np.ones(m + 1, dtype=bool)
+    upper = lower = np.arange(m + 1, dtype=np.int32)
     for d in range(m.bit_length() - 1):
-        _left_ends(P, upper, out, 1 << d)
-        _left_ends(R, lower[::-1], out[::-1], 1 << d)
+        upper = _left_ends(P, upper, out, 1 << d)
+        lower = _left_ends(R, lower, out[::-1], 1 << d)
     return out[:n]
 
 
-def _left_ends(P, upper, out, s) -> None:
+def _left_ends(P, V, out, s) -> np.ndarray:
     """Raise ``out`` on the left half of every node by the prefix maxima of
-    the left ends' tangents, then merge the node's two hulls in ``upper``."""
+    the left ends' tangents, and return V, the vertices of the hulls, merged.
+    Every node end is a vertex: no bridge has one strictly inside it."""
     m = len(P) - 1
     lo = np.arange(0, m, 2 * s, dtype=np.int32)[:, None]
-    V = np.arange(m + 1, dtype=np.int32)[upper]
-    st = np.searchsorted(V, lo + s).astype(np.int32)
-    en = (np.searchsorted(V, lo + 2 * s, "right") - 1).astype(np.int32)
-    G, K = _tangents(P, lo + np.arange(s, dtype=np.int32), V, st, en)
+    b = np.flatnonzero((V & (s - 1)) == 0)  # where V is lo, lo + s, lo + 2s, ...
+    G, K, E = _tangents(P, lo + np.arange(s, dtype=np.int32), V, b[1::2, None], b[2::2, None])
     if 2 * s < m:
         # The bridge starts at the last left vertex whose tangent does not
         # rise above its incoming edge: a local test, so a rounding tie moves
         # the hull by the roundoff of one edge, not of the whole bridge.
-        i = np.flatnonzero(V[:-1] % (2 * s) < s)  # V[-1] = m is no left end
-        v, u = V[i], V[i - 1]
-        j, c = v // (2 * s), v % (2 * s)
-        keep = (c == 0) | (G[j, c] <= (P[v] - P[u]) / (v - u))
+        i = np.flatnonzero((V[:-1] & s) == 0)  # the left vertices; V[-1] = m is none
+        v = V[i]
+        j, c = v // (2 * s), v & (2 * s - 1)  # c = v % 2s
+        keep = (c == 0) | (G[j, c] <= E[i])
         j, v = j[keep], v[keep]
         p = v[np.append(j[1:] != j[:-1], True)]  # last kept vertex of each row
-        d = np.zeros(m + 2, dtype=np.int8)  # drop the vertices strictly inside
-        d[p + 1] += 1                       # each bridge (p, K at p)
-        d[K[np.arange(len(p)), p % (2 * s)]] -= 1
-        upper &= np.cumsum(d[:-1], dtype=np.int8) == 0
+        k = K[np.arange(len(p)), p % (2 * s)]  # the bridge (p, k) of each row
+        x = np.minimum(V // (2 * s), len(p) - 1)  # the row of each vertex
+        V = V[(V <= p.take(x)) | (V >= k.take(x))]
     np.maximum.accumulate(G, axis=1, out=G)
     O = out.reshape(-1, 2 * s)[:, :s]
     np.maximum(O, G, out=O)
+    return V
 
 
-def _tangents(P, Q, V, st, en) -> tuple[np.ndarray, np.ndarray]:
+def _tangents(P, Q, V, st, en) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max of (P[v] - P[q]) / (v - q) for each query q in row r over the hull
-    vertices v = V[st[r]..en[r]] right of q, and the v attaining it.
+    vertices v = V[st[r]..en[r]] right of q, the v attaining it, and E.
 
     The average rises from vertex i - 1 to i iff the edge slope E[i] exceeds
     the average to i - 1, and then never again: binary lifting on that test
@@ -384,10 +384,10 @@ def _tangents(P, Q, V, st, en) -> tuple[np.ndarray, np.ndarray]:
     while w:
         np.minimum(k + w, en, out=j)
         avg(j - 1)
-        np.copyto(k, j, where=(j > k) & (E[j] > g))
+        np.copyto(k, j, where=E[j] > g)
         w >>= 1
     avg(k)
-    return g, V[k]
+    return g, V[k], E
 
 
 def _uncentered_split(values: np.ndarray, P: np.ndarray, lo: int, hi: int) -> np.ndarray:

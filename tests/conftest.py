@@ -51,3 +51,79 @@ def uncentered_loop(P, left=None):
         np.maximum.accumulate(acc[..., :h], axis=-1, out=out)
         np.maximum(out, left, out=out)
     return res
+
+
+def hull_mask_reference(P):
+    """Reference of the hull pass ``maximal._uncentered_levels``: the same
+    level-batched pass, with each pass's hulls kept as a bool mask over all
+    m + 1 points of the padded prefix row P, rebuilt into a vertex array at
+    every level and merged by bridges (Chung and Lu, SIAM J. Comput. 34,
+    2004) through an int8 difference array; the tangents' lifting test asks
+    j > k as well.  Zero cells pad N to a power of two."""
+    n = len(P) - 1
+    m = 1 << max(n - 1, 0).bit_length()
+    if m > n:
+        P = np.concatenate((P, np.full(m - n, P[-1])))
+    out, R = np.diff(P), -P[::-1]
+    upper, lower = np.ones(m + 1, dtype=bool), np.ones(m + 1, dtype=bool)
+    for d in range(m.bit_length() - 1):
+        _mask_left_ends(P, upper, out, 1 << d)
+        _mask_left_ends(R, lower[::-1], out[::-1], 1 << d)
+    return out[:n]
+
+
+def _mask_left_ends(P, upper, out, s) -> None:
+    """Raise ``out`` on the left half of every node by the prefix maxima of
+    the left ends' tangents, then merge the node's two hulls in ``upper``."""
+    m = len(P) - 1
+    lo = np.arange(0, m, 2 * s, dtype=np.int32)[:, None]
+    V = np.arange(m + 1, dtype=np.int32)[upper]
+    st = np.searchsorted(V, lo + s).astype(np.int32)
+    en = (np.searchsorted(V, lo + 2 * s, "right") - 1).astype(np.int32)
+    G, K = _mask_tangents(P, lo + np.arange(s, dtype=np.int32), V, st, en)
+    if 2 * s < m:
+        # The bridge starts at the last left vertex whose tangent does not
+        # rise above its incoming edge: a local test, so a rounding tie moves
+        # the hull by the roundoff of one edge, not of the whole bridge.
+        i = np.flatnonzero(V[:-1] % (2 * s) < s)  # V[-1] = m is no left end
+        v, u = V[i], V[i - 1]
+        j, c = v // (2 * s), v % (2 * s)
+        keep = (c == 0) | (G[j, c] <= (P[v] - P[u]) / (v - u))
+        j, v = j[keep], v[keep]
+        p = v[np.append(j[1:] != j[:-1], True)]  # last kept vertex of each row
+        d = np.zeros(m + 2, dtype=np.int8)  # drop the vertices strictly inside
+        d[p + 1] += 1                       # each bridge (p, K at p)
+        d[K[np.arange(len(p)), p % (2 * s)]] -= 1
+        upper &= np.cumsum(d[:-1], dtype=np.int8) == 0
+    np.maximum.accumulate(G, axis=1, out=G)
+    O = out.reshape(-1, 2 * s)[:, :s]
+    np.maximum(O, G, out=O)
+
+
+def _mask_tangents(P, Q, V, st, en) -> tuple[np.ndarray, np.ndarray]:
+    """Max of (P[v] - P[q]) / (v - q) for each query q in row r over the hull
+    vertices v = V[st[r]..en[r]] right of q, and the v attaining it.
+
+    The average rises from vertex i - 1 to i iff the edge slope E[i] exceeds
+    the average to i - 1, and then never again: binary lifting on that test
+    finds the tangent.  Comparing two rounded averages instead stalls on
+    ties along nearly straight runs of the hull.
+    """
+    PV = P[V]
+    E = np.concatenate(([-np.inf], (PV[1:] - PV[:-1]) / (V[1:] - V[:-1])))
+    PQ, tmp, g = P[Q], np.empty_like(Q), np.empty(Q.shape)
+
+    def avg(k):  # g = (P[V[k]] - P[Q]) / (V[k] - Q); "clip" skips take's copy
+        np.subtract(np.take(PV, k, out=g, mode="clip"), PQ, out=g)
+        np.subtract(np.take(V, k, out=tmp, mode="clip"), Q, out=tmp)
+        np.divide(g, tmp, out=g)
+
+    k, j = np.repeat(st, Q.shape[1], axis=1), np.empty_like(Q)
+    w = (1 << int((en - st).max()).bit_length()) >> 1
+    while w:
+        np.minimum(k + w, en, out=j)
+        avg(j - 1)
+        np.copyto(k, j, where=(j > k) & (E[j] > g))
+        w >>= 1
+    avg(k)
+    return g, V[k]

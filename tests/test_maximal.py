@@ -2,13 +2,13 @@ import timeit
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import weightlab as wl
 from weightlab import maximal
 from weightlab.errors import ConfigError
 from weightlab.maximal import uncentered_restricted
-from conftest import random_function, uncentered_loop
+from conftest import hull_mask_reference, random_function, uncentered_loop
 
 
 def naive(vals):
@@ -148,7 +148,7 @@ def test_oracle_agreement_special_shapes():
 
 
 def test_fast_path_equals_naive(rng):
-    # the divide-and-conquer hull pass is gated on equality with the sweep
+    # the level-batched hull pass is gated on equality with the sweep
     for L in (10, 13):
         g = wl.build_grid(0, L)
         for kind in ("lognormal", "indicator", "sorted"):
@@ -275,13 +275,11 @@ def test_fast_path_against_brute_on_step_functions(vals):
     assert_fast_path_contract(maximal._uncentered_levels(maximal._prefix(vals)), brute)
 
 
-@settings(derandomize=True, max_examples=10, deadline=None)
-@given(step_functions(st.just(8192)))
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(step_functions(st.sampled_from([4097, 6000, 8192])))
 def test_fast_path_against_naive_beyond_ceiling(vals):
-    f = wl.GridFunction(wl.build_grid(0, 13), vals)
-    assert_fast_path_contract(
-        wl.uncentered_maximal(f).values, naive(f.values)
-    )
+    # 4097 and 6000 cells take the hull pass padded to 8192 cells
+    assert_fast_path_contract(uncentered_restricted(vals), naive(vals))
 
 
 def test_uncentered_maximal_scales_near_n_log_n():
@@ -304,6 +302,51 @@ def test_fast_path_on_three_piece_step_function():
     assert_fast_path_contract(
         wl.uncentered_maximal(f).values, naive(f.values)
     )
+
+
+@st.composite
+def hull_rows(draw):
+    """Rows of 1..9000 cells with nonzero end cells: lognormal, 2-6-piece
+    steps of heights in (0.1, 3), constant 0.1 and 0.3 plateaus, and
+    lognormal rows with interior zero runs or with 5e-324 and 1e300 cells;
+    optionally with end spikes."""
+    n = draw(st.one_of(st.sampled_from([4097, 5000, 8191, 8193]), st.integers(1, 9000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["lognormal", "steps", "plateau", "zero runs", "tiny and huge"]))
+    if kind == "steps":
+        cuts = np.unique(rng.integers(1, max(n, 2), size=draw(st.integers(1, 5))))
+        heights = rng.uniform(0.1, 3.0, size=len(cuts) + 1)
+        vals = np.repeat(heights, np.diff(np.r_[0, np.minimum(cuts, n), n]))
+    elif kind == "plateau":
+        vals = np.full(n, draw(st.sampled_from([0.1, 0.3])))
+    else:
+        vals = rng.lognormal(size=n)
+        runs = rng.integers(1, max(n - 1, 2), size=(draw(st.integers(1, 4)) if n > 2 else 0, 2))
+        for a, b in np.sort(runs, axis=1):  # inside [1, n - 1)
+            if kind == "zero runs":
+                vals[a:b] = 0.0
+            elif kind == "tiny and huge":
+                vals[a : a + 3] = 5e-324
+                vals[b] = 1e300
+    spike = draw(st.sampled_from(["none", "left", "right", "both"]))
+    if spike in ("left", "both"):
+        vals[0] = draw(st.floats(5.0, 100.0))
+    if spike in ("right", "both"):
+        vals[-1] = draw(st.floats(5.0, 100.0))
+    return vals
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(hull_rows())
+@example(np.repeat([1.0, 3.0, 2.0], [3979, 5888 - 3979, 8192 - 5888]))
+@example(np.random.default_rng(14).lognormal(size=1 << 14))
+@example(np.random.default_rng(15).lognormal(size=1 << 15))
+@example(np.random.default_rng(16).lognormal(size=1 << 16))
+def test_hull_pass_equals_mask_reference(vals):
+    # carrying each hull's vertex array gives the mask-based pass's bits
+    assert vals[0] != 0 and vals[-1] != 0
+    P = maximal._prefix(vals)
+    assert np.array_equal(maximal._uncentered_levels(P), hull_mask_reference(P))
 
 
 def test_naive_rows_equal_one_block_calls(rng):
