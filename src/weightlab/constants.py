@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Cube, Grid, cells_of
+from .grid import Cube, Grid, cells_of, rows
 from .maximal import uncentered_dyadic, uncentered_restricted
 from .weights import GridWeight, require_finite_masses, with_cached
 
@@ -267,110 +268,184 @@ def reverse_holder_exponent(a1: float) -> float:
     return 1.0 + 1.0 / (2.0 ** (DIM + 1) * a1)
 
 
-RH_CHUNK = 1 << 15  # doubles per draw of random unions
+RH_CHUNK = 1 << 15  # mask cells per _union_counts call (one union if a cube has more cells)
 
 
 def _levelset_counts(w: GridWeight, eps: float, n_subsets: int, rng) -> tuple[int, int, float]:
     """(samples, violations, max) of [w(E)/w(Q)] / [2 (|E|/|Q|)^eps] over the
-    single cells of every cube, then over the random unions level by level,
-    one ``_union_counts`` pass per draw of at most RH_CHUNK doubles."""
-    grid = w.grid
+    single cells of every cube, which usually hold the maximum and so go
+    first, then over n_subsets random unions of every cube of more than one
+    cell, coarse levels first; violations are ratios above 1."""
     samples, violations, top = 0, 0, -math.inf
-    levels = []
-    for k in grid.levels():
-        m = 1 << (grid.L - k)
-        blocks = w.cell_masses.reshape(-1, m)
-        wq = w.mass[grid.L - k]
-        # single cells: the extremal small-|E| cases, which usually hold the
-        # maximum, so they go first and the union passes start from it
-        ratio = (blocks / wq[:, None]) / (2.0 * (1.0 / m) ** eps)
-        samples += ratio.size
-        violations += int(np.count_nonzero(ratio > 1.0))
-        top = max(top, float(ratio.max()))
-        if m > 1:
-            levels.append((m, blocks, wq))
-    # one draw buffer and one for the masked cells, shared by every draw
-    size = max((max(1, RH_CHUNK // m) * m for m, _, _ in levels), default=0)
-    draws, cells = np.empty(size), np.empty(size)
-    for m, blocks, wq in levels:
-        # the exact path's factor 2 (|E|/m)^eps per size |E| (Python pow);
-        # an empty union sums to 0 and gets ratio 0 here, and is not counted.
-        # fromiter holds no list of m Python floats, which left the heap
-        # about 0.2 MB larger for the stages after the check
-        fac = np.fromiter((2.0 * (max(sz, 1) / m) ** eps for sz in range(m + 1)), float, m + 1)
-        full = blocks.sum(axis=1)
-        rows = len(wq) * n_subsets
-        step = max(1, RH_CHUNK // m)
-        for r in range(0, rows, step):
-            cube = np.arange(r, min(r + step, rows)) // n_subsets
-            u = draws[: len(cube) * m].reshape(-1, m)
-            rng.random(out=u)
-            np.less(u, 0.5, out=u)  # the mask, as 1.0 and 0.0
-            sel = cells[: len(cube) * m].reshape(-1, m)
-            s, v, top = _union_counts(blocks, wq, full, fac, cube, u, sel, eps, top)
-            samples += s
-            violations += v
+    ds = np.arange(w.grid.J + w.grid.L, -1, -1)  # cubes of 2^d cells, coarse levels first
+    for d in ds.tolist():
+        s, v, top = cell_counts(rows(w.cell_masses, d), w.mass[d], eps, 1.0, top)
+        samples, violations = samples + s, violations + v
+    idx = np.concatenate([np.arange(w.grid.ncells >> d) for d in ds.tolist()])
+    s, v, top = union_counts(w, np.repeat(ds, w.grid.ncells >> ds), idx, n_subsets, rng, eps, 1.0, top)
+    return samples + s, violations + v, top
+
+
+def cell_counts(blocks, wq, eps, theta, top) -> tuple[int, int, float]:
+    """(samples, violations above theta, max(top, ratios)) over the single
+    cells of the cubes with cells blocks (one row a cube) and masses wq, by
+    one vectorised ratio, bitwise the one-cell union's."""
+    ratio = (blocks / wq[:, None]) / (2.0 * (1.0 / blocks.shape[1]) ** eps)
+    return ratio.size, int(np.count_nonzero(ratio > theta)), max(top, float(ratio.max()))
+
+
+def union_counts(w: GridWeight, d, idx, n_subsets, rng, eps, theta, top) -> tuple[int, int, float]:
+    """(samples, violations above theta, max(top, ratios)) of
+    [w(E)/w(Q)] / [2 (|E|/|Q|)^eps] over n_subsets seeded random unions E of
+    the cells of each cube Q of the set (d, idx) with more than one cell,
+    drawn as a loop over the cubes and then the subsets would draw them (one
+    ``rng.random(m)`` row a union, E where it is below 1/2; empty unions
+    skipped).  The counts do not depend on the order of the unions."""
+
+    def draw(s, r0, r1, mask):
+        rng.random(out=mask)
+        np.less(mask, 0.5, out=mask)
+
+    many = d > 0
+    return _count(w, d[many], idx[many], n_subsets, draw, eps, theta, top)
+
+
+def superlevel_counts(w: GridWeight, d, idx, f, heights, eps, theta, top) -> tuple[int, int, float]:
+    """As ``union_counts``, over the non-empty unions E = {f > heights[i]} of
+    the cells of the cubes (d[i], idx[i]), f a cell array."""
+
+    def compare(s, r0, r1, mask):
+        np.greater(rows(f, s)[idx[r0:r1]], heights[r0:r1, None], out=mask)
+
+    return _count(w, d, idx, 1, compare, eps, theta, top)
+
+
+def _count(w: GridWeight, d, idx, n, fill, eps, theta, top) -> tuple[int, int, float]:
+    """The counts of ``_union_counts`` over n unions a cube of the set
+    (d, idx), whose masks fill(s, r0, r1, mask) writes in stream order, rows
+    r0 <= r < r1 of cubes of 2^s cells at a time (row r is a union in cube
+    r // n), as 1.0 and 0.0.  The rows go in chunks of at most RH_CHUNK
+    doubles (a longer row alone), each chunk's rows of one cube size side by
+    side in one buffer, so that each size of a chunk takes one
+    ``_union_counts`` call on a view."""
+    size = min(n * int(np.sum(1 << d)), max(RH_CHUNK, 1 << int(d.max(initial=0))))
+    draws, cells = np.empty((2, size))
+    samples, violations, full, fac = 0, 0, {}, {}  # per size: every cube's pairwise sum, factors
+    for chunk in _chunks(d, n):
+        sizes = sorted({s for s, _, _ in chunk})
+        at = list(accumulate((sum(r1 - r0 for t, r0, r1 in chunk if t == s) << s for s in sizes), initial=0))
+        pos = dict(zip(sizes, at))
+        for s, r0, r1 in chunk:
+            fill(s, r0, r1, draws[pos[s] : pos[s] + ((r1 - r0) << s)].reshape(-1, 1 << s))
+            pos[s] += (r1 - r0) << s
+        for s, lo, hi in zip(sizes, at, at[1:]):
+            if s not in full:
+                full[s], fac[s] = rows(w.cell_masses, s).sum(axis=1), np.full((1 << s) + 1, np.nan)
+            cube = np.concatenate([_row_cubes(idx, n, r0, r1) for t, r0, r1 in chunk if t == s])
+            mask, sel = (x[lo:hi].reshape(-1, 1 << s) for x in (draws, cells))
+            got = _union_counts(rows(w.cell_masses, s), w.mass[s], full[s], fac[s], cube, mask, sel, eps, theta, top)
+            samples, violations, top = samples + got[0], violations + got[1], got[2]
     return samples, violations, top
 
 
-def _union_counts(blocks, wq, full, fac, cube, mask, sel, eps, top) -> tuple[int, int, float]:
-    """(samples, violations, max(top, ratios)) over the non-empty unions
-    E = {mask[i] == 1} of the cells of cube[i] (mask holds 1.0 and 0.0;
-    sel is scratch of its shape), each ratio bitwise what ``_union_ratios``
-    gives, with exact sums only where the result can turn.
+def _chunks(d, n):
+    """The rows of n unions a cube, for cubes of 2^d[i] cells, in stream
+    order: per run of cubes of one size, pieces of at most RH_CHUNK doubles
+    (or one row), packed into chunks of at most RH_CHUNK doubles while they
+    fit; per chunk, its pieces (d, first row, end row)."""
+    chunk, room = [], RH_CHUNK
+    starts = np.flatnonzero(np.diff(d, prepend=-1)).tolist()
+    for a, b in zip(starts, [*starts[1:], len(d)]):
+        s, step = int(d[a]), max(1, RH_CHUNK >> int(d[a]))
+        for r in range(a * n, b * n, step):
+            end = min(r + step, b * n)
+            if (end - r) << s > room and chunk:
+                yield chunk
+                chunk, room = [], RH_CHUNK
+            chunk.append((s, r, end))
+            room -= (end - r) << s
+    if chunk:
+        yield chunk
 
-    Every w(E) is first formed by one fused sum, an einsum of the draw's
-    mask with its cubes' cells (not a matmul: BLAS would run a second
-    thread).  A full cube (E = Q) takes full[cube] = ``blocks.sum(axis=1)``,
-    bitwise ``block[mask].sum()``, as its ratio ties at 1/2 with the
-    maximum (exactly on a Step weight).  Both sums add the |E| <= m
-    nonnegative cells of E (the fused one with exact zeros for the others),
-    only in other orders, so each is the real w(E) times (1 + theta),
-    |theta| <= gamma_{m-1} = (m-1)u / (1 - (m-1)u), u = 2^-53.  Both ratios
-    then divide by the same wq and the same factor 2 (|E|/m)^eps, one
-    rounding each, so each is the real ratio times (1 + theta),
-    |theta| <= gamma_{m+1}, and one is within a relative
-    tau = 2 gamma_{m+1} / (1 - gamma_{m+1}) < 3 (m+1) u of the other
-    (m < 2^40).  With t = 4 (m+1) u, and R the fused ratios:
-      - a ratio the exact path puts above max(top, max R) can only come
-        from an R >= max(top, max R) (1 - 2t), which is at most
-        max(top, max R) / (1 + tau)^2 also after the product's rounding;
-      - R > 1 + 2t gives an exact ratio above 1, and R < 1 - 2t one at or
-        below 1 (1 - 2t and 1 + 2t are doubles).
-    Only the unions in those two bands are summed again by ``_union_ratios``,
-    and the new maximum is the largest of top, the full cubes' ratios in the
-    band and those exact ratios.  A quotient that is subnormal breaks the
-    relative bound, but the ratios of such a union, fused or exact, are
-    below m 2^-1022 (the factor is at least 2/m), far under 1 - 2t and under
-    every running maximum, which starts at a single cell's ratio of at
-    least 1/(4N) on N cells.  A fused sum that overflows makes max R
-    infinite, and then every union is summed again."""
+
+def _row_cubes(idx, n, r0, r1):
+    """idx[r // n] for the rows r0 <= r < r1, by one repeat."""
+    k = np.arange(r0 // n, (r1 - 1) // n + 2)
+    ends = k * n
+    ends[0], ends[-1] = r0, r1
+    return np.repeat(idx[k[:-1]], np.diff(ends))
+
+
+def _union_counts(blocks, wq, full, fac, cube, mask, sel, eps, theta, top) -> tuple[int, int, float]:
+    """(samples, violations above theta, max(top, ratios)) over the non-empty
+    unions E = {mask[i] == 1} of the cells of cube[i] (mask holds 1.0 and
+    0.0, sel is scratch of its shape, full the row sums of blocks, fac the
+    factors 2 (|E|/m)^eps by size |E|, NaN where not formed yet), each
+    ratio bitwise what ``_union_ratios`` gives, with exact sums only where
+    the result can turn.
+
+    Every w(E) is first formed by one fused sum, an einsum of the mask with
+    its cubes' cells (not a matmul: BLAS would run a second thread).  A full
+    cube (E = Q) takes full[cube], bitwise ``block[mask].sum()``, as its
+    ratio ties at 1/2 with the maximum (exactly on a Step weight).  Both sums
+    add the |E| <= m nonnegative cells of E (the fused one with exact zeros
+    for the others) in other orders, so each is the real w(E) times (1 + d1),
+    |d1| <= gamma_{m-1} = (m-1)u / (1 - (m-1)u), u = 2^-53 (a subnormal sum
+    is exact).  Both ratios then divide by the same wq and the same factor
+    f = 2 (|E|/m)^eps >= 2/m (eps in [0, 1], one Python pow a size, as on
+    the exact path, kept in fac for the later calls); a division errs by a relative u, or by an absolute
+    2^-1075 where its quotient is subnormal.  So each ratio is X (1 + d2) + e
+    with X the real ratio, |d2| <= gamma_{m+1} and |e| <= (1 + 1/f) 2^-1075
+    <= (1 + m) 2^-1075, and one is within a relative tau = 2 gamma_{m+1} /
+    (1 - gamma_{m+1}) < 3 (m+1) u (m < 2^40) plus an absolute
+    2 (1 + m) 2^-1075 of the other.  With t = 4 (m+1) u, s = m 2^-1072, R
+    the fused ratios and H = max(top, max R):
+      - a ratio the exact path puts above H comes from an R >= H (1 - 2t) - s;
+      - R > theta + (2t |theta| + s) gives an exact ratio above theta, and
+        R < theta - (2t |theta| + s) one at or below it, for any theta (no
+        ratio is negative, so at theta < 0 no union lies below).
+    2t is more than twice tau and s twice the absolute terms, which covers
+    the roundings of the band edges.  Only the unions in those two bands are
+    summed again by ``_union_ratios``, and the new maximum is the largest of
+    top, the full cubes' ratios in the band and those exact ratios.  A fused
+    sum that overflows makes H infinite, and then every union is summed
+    again.  An empty union is no sample; its ratio is 0."""
     m = blocks.shape[1]
     t2 = 8 * (m + 1) * 2.0**-53  # 2t
+    slack = m * 2.0**-1072
     sizes = np.einsum("ij->i", mask).astype(np.intp)  # exact: a count of at most m ones
+    factor = fac.take(sizes)
+    new = np.isnan(factor)
+    if new.any():  # form the sizes the unions hit (every size if they outnumber them)
+        hit = sorted(set(sizes[new].tolist())) if len(sizes) <= m else range(m + 1)
+        fac[hit] = [2.0 * (max(sz, 1) / m) ** eps for sz in hit]
+        factor = fac.take(sizes)
     blocks.take(cube, axis=0, out=sel)
     we = np.einsum("ij,ij->i", sel, mask)
     whole = sizes == m
     we[whole] = full[cube[whole]]
     ratio = we  # in place: two divides, as the exact path does them
     ratio /= wq.take(cube)
-    ratio /= fac.take(sizes)
+    ratio /= factor
     hi = max(top, float(ratio.max()))
-    lo = hi * (1.0 - t2) if hi < math.inf else -math.inf
-    # [lo, inf) and [1 - 2t, 1 + 2t] in one or two comparisons
-    near = ratio >= min(lo, 1.0 - t2)
-    if lo > 1.0 + t2:
-        near &= (ratio >= lo) | (ratio <= 1.0 + t2)
+    lo = hi * (1.0 - t2) - slack if hi < math.inf else -math.inf
+    band = t2 * abs(theta) + slack
+    # [lo, inf) and [theta - band, theta + band] in one or two comparisons
+    near = ratio >= min(lo, theta - band)
+    if lo > theta + band:
+        near &= (ratio >= lo) | (ratio <= theta + band)
     cand = np.flatnonzero(near)
     size = sizes[cand]
     top = max(top, float(ratio[cand[size == m]].max(initial=-math.inf)))
     again = cand[(size > 0) & (size < m)]
-    violations = int(np.count_nonzero(ratio > 1.0)) - int(np.count_nonzero(ratio[again] > 1.0))
+    samples = int(np.count_nonzero(sizes))
+    violations = int(np.count_nonzero(ratio > theta)) - int(np.count_nonzero(ratio[again] > theta))
+    violations -= len(sizes) - samples if theta < 0 else 0  # the empty unions' ratio 0
     if len(again):
         exact = _union_ratios(blocks, wq, cube[again], mask[again] > 0.0, eps)
-        violations += int(np.count_nonzero(exact > 1.0))
+        violations += int(np.count_nonzero(exact > theta))
         top = max(top, float(exact.max()))
-    return int(np.count_nonzero(sizes)), violations, top
+    return samples, violations, top
 
 
 def _union_ratios(blocks, wq, cube, mask, eps) -> np.ndarray:
@@ -399,11 +474,7 @@ def reverse_holder_check(
     the measure-comparison consequence w(E)/w(Q) <= 2 (|E|/|Q|)^{eps_w} on
     sampled E (every single cell of Q plus seeded random cell unions).
 
-    Each level is checked in one pass over all its cubes.  The unions are
-    drawn in the order of a loop over cubes and then subsets, one
-    ``rng.random(m)`` row per union, in chunks of at most RH_CHUNK doubles
-    (one row if a cube has more cells), so the stream and every sample are
-    those of that loop; empty unions are skipped, as there.  A level whose
+    Each level is checked in one pass over all its cubes.  A level whose
     averages of w^{r_w} or of w are not finite (their sums overflow) is
     refused with a ConfigError naming its first such cube: the ratio there
     would be NaN, which passes every comparison.  Those sums and averages
@@ -414,12 +485,8 @@ def reverse_holder_check(
     The level-set report reads three numbers, the count of unions, the count
     above 1 and the largest ratio, each bitwise what a per-cube loop of
     ``block[mask].sum()`` gives (``tests/test_constants.py``
-    ``reference_levelset`` is that loop and gates it).  Each draw forms every
-    union's ratio from one fused masked sum, exact on full cubes, and sums
-    again with numpy's pairwise sum (``_union_ratios``) only the unions whose
-    fused ratio lies within 8 (m+1) 2^-53 of the running maximum or of 1,
-    a bound ``_union_counts`` proves; single-cell ratios go first, so the
-    running maximum starts where it usually ends."""
+    ``reference_levelset`` is that loop and gates it): ``cell_counts`` takes
+    the single cells, then ``union_counts`` the random unions."""
     a1 = a1_constant(w)
     if not math.isfinite(a1):
         raise ConfigError("reverse Holder check needs a finite A1 constant")

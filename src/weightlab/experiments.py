@@ -347,9 +347,14 @@ def bound_audit_ap(
     seed: int = 0,
 ) -> BoundAuditReport:
     """Measured mixed ratios (u = 1, dyadic operator) against the two
-    bound expressions, plus the r-parameter algebra per weight."""
+    bound expressions, plus the r-parameter algebra per weight.  Zero
+    functions are skipped; a corpus with no other is a ConfigError."""
     if not 1 <= p < math.inf:
         raise ConfigError(f"bound audit needs a finite p >= 1, got {p}")
+    if corpus is not None and not any(np.any(f.values) for _, f in corpus):
+        # every ratio would be skipped, and the audit would pass on nothing
+        raise ConfigError(f"bound audit needs a corpus with a nonzero function, got {len(corpus)} "
+                          "functions, none nonzero")
     rows = []
     algebra = []
     env_ainf = 0.0

@@ -41,12 +41,13 @@ verify_chain finds the J cube holding a cell by np.searchsorted over the
 start cells idx << d, and walks the u-growth chain once per run of cells
 between consecutive boundaries of the J cubes that hold principal cubes
 (the cells of a run share one chain; b9 and b10 counts are scaled by the
-run length).  b3 draws its random unions per pair, in pair order, in
-chunks of at most constants.RH_CHUNK doubles, and buckets them by cube
-size; a bucket is summed by one constants._union_ratios call before a
-chunk would take it past RH_CHUNK mask cells.  Its count, violations and
-worst do not depend on the order of the unions.  b6 sums its scores with
-Python sum in pair order.
+run length).  b3 counts with the passes of the reverse-Holder check: the
+single cells of each cube size at once (constants.cell_counts), the
+targeted sets of all pairs, grouped by cube size, as one comparison of
+M_d v with the heights per chunk (superlevel_counts), and the random
+unions, drawn per pair in pair order (union_counts); its count,
+violations and worst do not depend on the order of the unions.  b6 sums
+its scores with Python sum in pair order.
 build_record refuses a non-finite M_d g or M_d v, a non-finite [v]_{A1}
 and an a that is not a finite number above 2^n; principal_cubes refuses a
 non-finite [u]_{A1}.
@@ -59,7 +60,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .constants import DIM, RH_CHUNK, _union_ratios, a1_constant
+from .constants import DIM, a1_constant, cell_counts, superlevel_counts, union_counts
 from .errors import ConfigError
 from .grid import Cube, Grid, as_cubes, cells_of, cube_entries, first_cubes, level_rows, pyramid, rows
 from .maximal import dyadic_maximal
@@ -443,14 +444,6 @@ class ChainReport:
         return d | {"pass": self.all_ok}
 
 
-def _bucket_ratios(v: GridWeight, d: int, bucket: list[tuple[int, np.ndarray]], eps: float) -> np.ndarray:
-    """The b3 ratios of a bucket of (cube index, masks) chunks of unions in
-    cubes of 2^d cells."""
-    cube = np.repeat([i for i, _ in bucket], [len(mask) for _, mask in bucket])
-    mask = np.concatenate([mask for _, mask in bucket])
-    return _union_ratios(rows(v.cell_masses, d), v.mass[d], cube, mask, eps)
-
-
 def verify_chain(
     record: PrincipalCubeRecord,
     u: GridWeight,
@@ -484,32 +477,25 @@ def verify_chain(
             b2_worst = max(b2_worst, res.worst_upper, 1.0 / res.worst_lower if res.worst_lower > 0 else math.inf)
     b2 = BlockResult(b2_viol == 0, b2_count, b2_viol, b2_worst, "CZ sandwich on Gamma cubes")
 
-    # b3: v(E)/v(I) <= 2 (|E|/|I|)^eps on targeted and sampled E: the sets
-    # the sum estimate uses, every single cell of a cube of <= 64 cells, and
-    # n_subsets seeded random unions per pair, bucketed by cube size
-    rng = np.random.default_rng(seed)
+    # b3: v(E)/v(I) <= 2 (|E|/|I|)^eps on the Gamma cubes, for the sets the
+    # sum estimate uses ({M_d v > a^j} for each j from the pair's stratum
+    # up), every single cell of a cube of <= 64 cells, and n_subsets seeded
+    # random unions per pair, drawn in pair order; the passes of the
+    # reverse-Holder check count the ratios above tol.  The count,
+    # violations and worst do not depend on the order of the unions.
     heights = np.array([a**k for k in range(record.floor_k, record.top_k + 1)])
-    ratios = []
-    buckets: dict[int, list[tuple[int, np.ndarray]]] = {}  # d -> (cube index, masks) chunks
-    filled: dict[int, int] = {}  # d -> mask cells in buckets[d]
-    for k, d, i in zip(pk.tolist(), pd.tolist(), pidx.tolist()):
-        m = 1 << d
-        chunks = [record.mdv[i << d : (i + 1) << d] > heights[k - record.floor_k :, None]]
-        if m <= 64:
-            chunks.append(np.eye(m, dtype=bool))
-        step = max(1, RH_CHUNK // m)
-        for start in range(0, n_subsets if m > 1 else 0, step):
-            chunks.append(rng.random((min(step, n_subsets - start), m)) < 0.5)
-        for mask in chunks:
-            if d in buckets and filled[d] + mask.size > RH_CHUNK:
-                del filled[d]
-                ratios.append(_bucket_ratios(v, d, buckets.pop(d), eps))
-            buckets.setdefault(d, []).append((i, mask))
-            filled[d] = filled.get(d, 0) + mask.size
-    ratios.extend(_bucket_ratios(v, d, buckets.pop(d), eps) for d in sorted(buckets))
-    ratios = np.concatenate(ratios) if ratios else np.empty(0)
-    b3_viol = int(np.count_nonzero(ratios > tol))
-    b3 = BlockResult(b3_viol == 0, len(ratios), b3_viol, float(np.fmax.reduce(ratios, initial=0.0)),
+    b3_count = b3_viol = 0
+    b3_worst = 0.0
+    for s, _, i in level_rows(grid, pd[pd <= 6], pidx[pd <= 6]):
+        n, viol, b3_worst = cell_counts(rows(v.cell_masses, s)[i], v.mass[s][i], eps, tol, b3_worst)
+        b3_count, b3_viol = b3_count + n, b3_viol + viol
+    pair, j = np.nonzero(np.arange(len(heights)) >= (pk - record.floor_k)[:, None])
+    by_size = np.argsort(pd[pair], kind="stable")  # no draws, so no stream order to keep
+    pair, j = pair[by_size], j[by_size]
+    n, viol, b3_worst = superlevel_counts(v, pd[pair], pidx[pair], record.mdv, heights[j], eps, tol, b3_worst)
+    b3_count, b3_viol = b3_count + n, b3_viol + viol
+    n, viol, b3_worst = union_counts(v, pd, pidx, n_subsets, np.random.default_rng(seed), eps, tol, b3_worst)
+    b3 = BlockResult(b3_viol + viol == 0, b3_count + n, b3_viol + viol, b3_worst,
                      "reverse-Holder consequence for v")
 
     # b6: Gamma sum <= C_eps * principal sum, summed in pair order

@@ -534,8 +534,9 @@ DEGENERATE_ROWS = {
     "step": three_piece_step(),
 }
 
-# every subcommand that reads --f, --g or --weight; {p} is the CSV, {s} the
-# csv: spec of it, {L} the level of its cells at J = 0 and {K} at J = 1
+# every subcommand that reads --f, --g or --weight, and bound-audit's
+# --corpus; {p} is the CSV, {s} the csv: spec of it, {c} its directory, {e}
+# an empty directory, {L} the level of its cells at J = 0 and {K} at J = 1
 DEGENERATE_COMMANDS = [
     "maximal --f {p} --variant dyadic",
     "maximal --f {p} --variant dyadic --signed",
@@ -556,6 +557,8 @@ DEGENERATE_COMMANDS = [
     "constants --weight {s} --kind Mixed --p 2 --alpha 0.5 --beta 0.5 --J 0 --L {L}",
     "rh-check --weight {s} --J 0 --L {L}",
     "doubling --weight {s} --p 2 --J 0 --L {L}",
+    "bound-audit --p 2 --J 0 --L {L} --corpus {c}",
+    "bound-audit --p 2 --J 0 --L {L} --corpus {e}",
 ]
 
 # the commands whose operator sums the "huge" cells, or their products f v
@@ -588,7 +591,8 @@ def test_degenerate_inputs_exit_cleanly(capsys, tmp_path, command, rows):
     path = tmp_path / f"{rows}.csv"
     path.write_text("".join(f"{x!r}\n" for x in values))
     L = len(values).bit_length() - 1
-    argv = command.format(p=path, s=f"csv:{path}", L=L, K=L - 1).split()
+    (tmp_path / "empty").mkdir()
+    argv = command.format(p=path, s=f"csv:{path}", c=tmp_path, e=tmp_path / "empty", L=L, K=L - 1).split()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, *argv)
@@ -601,6 +605,8 @@ def test_degenerate_inputs_exit_cleanly(capsys, tmp_path, command, rows):
         assert not [str(w.message) for w in caught]
     elif "c=1e308" in command:
         assert code == 2 and "underflows" in err  # [v]_{A_r} = 0: no bound for (iii)
+    if "{e}" in command or (rows == "zero" and "--corpus" in command):
+        assert code == 2 and "corpus with a nonzero function" in err  # else it passes on nothing
 
 
 # four rows of 1e308 as f and as every csv: weight; warnings are errors, so

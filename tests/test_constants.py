@@ -520,17 +520,22 @@ def test_certified_levelset_equals_per_cube_loop_on_adversarial_weights(shape, m
         assert reference_levelset(w, 1.0 / 9.0, 64, 11)[2] > 0.5
 
 
+@pytest.mark.parametrize("theta", [1.0, 1.0 + 1e-9, 1e-3, 0.0, -29.0])
 @pytest.mark.parametrize("m", [4, 64])
-def test_union_counts_recheck_exactly_the_certified_bands(m, monkeypatch):
+def test_union_counts_recheck_exactly_the_certified_bands(m, theta, monkeypatch):
     # single-cell unions with eps = 0: the fused ratio is cell / 1 / 2 with
     # no rounding, so the cells put ratios on each edge of the two bands,
-    # [1 - 2t, 1 + 2t] and [top (1 - 2t), inf), 2t = 8 (m + 1) 2^-53
-    t2 = 8 * (m + 1) * 2.0**-53
-    lo = 0.75 * (1.0 - t2)
-    cases = [  # (top, ratios, the ones summed again)
-        (2.0, [1.0 - t2, np.nextafter(1.0 - t2, 0.0), 1.0 + t2, np.nextafter(1.0 + t2, 2.0)],
-         [1.0 - t2, 1.0 + t2]),
-        (0.75, [lo, np.nextafter(lo, 0.0), 0.1, 0.25], [lo]),
+    # [theta - b, theta + b] with b = 2t |theta| + s and [top (1 - 2t) - s, inf),
+    # 2t = 8 (m + 1) 2^-53 and s = m 2^-1072: a band one ulp narrower or
+    # wider fails.  A ratio at theta is no violation, one ulp above it is.
+    t2, s = 8 * (m + 1) * 2.0**-53, m * 2.0**-1072
+    b = t2 * abs(theta) + s
+    near_theta = [theta - b, theta + b, theta, np.nextafter(theta, 2.0),
+                  np.nextafter(theta - b, -1.0), np.nextafter(theta + b, 2.0)]
+    lo = 0.75 * (1.0 - t2) - s
+    cases = [  # (top, ratios); a ratio must be at least 0
+        (4.0, [x for x in near_theta if x >= 0.0] + [0.0, 0.5]),
+        (0.75, [lo, np.nextafter(lo, 0.0), 0.1, 0.25]),
     ]
     seen = []
 
@@ -540,17 +545,18 @@ def test_union_counts_recheck_exactly_the_certified_bands(m, monkeypatch):
 
     ref_union_ratios = constants._union_ratios
     monkeypatch.setattr(constants, "_union_ratios", counting)
-    for top, ratios, again in cases:
-        blocks = np.full((1, m), 0.5)
-        blocks[0, : len(ratios)] = 2.0 * np.array(ratios)
-        wq = np.array([1.0])
-        fac = np.full(m + 1, 2.0)
-        mask = np.eye(m)[: len(ratios)]
+    for top, ratios in cases:
+        n = len(ratios)
+        blocks = np.full((n, m), 0.5)
+        blocks[:, 0] = 2.0 * np.array(ratios)
+        mask = np.zeros((n, m))
+        mask[:, 0] = 1.0
         seen.clear()
-        got = constants._union_counts(blocks, wq, blocks.sum(axis=1), fac, np.zeros(len(ratios), np.intp),
-                                      mask, np.empty_like(mask), 0.0, top)
-        assert sorted(seen) == sorted(again), (m, top)
-        assert got == (len(ratios), sum(r > 1.0 for r in ratios), max(top, *ratios))
+        got = constants._union_counts(blocks, np.ones(n), blocks.sum(axis=1), np.full(m + 1, np.nan), np.arange(n),
+                                      mask, np.empty_like(mask), 0.0, theta, top)
+        again = [x for x in ratios if theta - b <= x <= theta + b or x >= top * (1.0 - t2) - s]
+        assert sorted(seen) == sorted(again), (m, theta, top)
+        assert got == (n, sum(x > theta for x in ratios), max(top, *ratios))
 
 
 def test_levelset_pass_sums_few_unions_again(monkeypatch):

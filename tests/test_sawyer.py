@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -364,8 +365,8 @@ def test_gamma_filter_skips_nan_like_oracle():
 
 def alternating_record(g, v):
     """A record whose Gamma pairs alternate between cubes of 64 and 32
-    cells, on four strata with the same cubes, so that the b3 buckets of the
-    two sizes fill and flush in turn.  Each 128-cell block holds a cube of
+    cells, on four strata with the same cubes, so that the chunks of b3's
+    random unions hold both sizes in turn.  Each 128-cell block holds a cube of
     64 cells and, after it, one of 32; M_d g is large on the cubes and 0
     off them, so the J cubes are the same cubes."""
     d = np.tile([6, 5], g.ncells >> 7)
@@ -428,6 +429,64 @@ def test_chain_blocks_match_per_cell_oracle(rng):
             assert b3.violations == sum(x > 1.0 + (q - 1.0) for x in ratios)
         chained += i < len(power) and rep.max_chain_index >= 1
     assert chained >= 12 and violated > 0
+
+
+@pytest.mark.parametrize("chunk", [3, 100])
+def test_chain_blocks_match_oracle_across_chunks_and_subsets(rng, chunk, monkeypatch):
+    # RH_CHUNK 3 draws one union a chunk; 100 makes chunks that straddle
+    # pairs of different sizes (at one union a pair, the alternating
+    # record's 64 and 32 cells).  Thresholds at quantiles of the ratios of
+    # the random unions show a union drawn out of order.
+    monkeypatch.setattr(wl.constants, "RH_CHUNK", chunk)
+    g = wl.build_grid(1, 7)
+    inputs = list(power_inputs(rng))[::6] + [
+        (g, wl.random_a1_weight(g, rng, cap=8.0), wl.random_a1_weight(g, rng, cap=8.0),
+         random_function(g, rng), 4.0, 0.5)
+        for _ in range(2)
+    ]
+    records = [(wl.build_record(gf, v, a=a, delta_frac=frac), u, v, gf) for g, u, v, gf, a, frac in inputs]
+    g = wl.build_grid(0, 10)
+    u, v = wl.random_a1_weight(g, rng, cap=8.0), wl.random_a1_weight(g, rng, cap=8.0)
+    records.append((alternating_record(g, v), u, v, random_function(g, rng)))
+    for i, (rec, u, v, gf) in enumerate(records):
+        wl.principal_cubes(rec, u)
+        for n_subsets in (0, 1, 5):
+            for rtol in (1e-9, -0.999, -30.0):
+                rep = wl.verify_chain(rec, u, v, gf, n_subsets=n_subsets, seed=i, rtol=rtol)
+                oracle = chain_blocks_oracle(rec, u, v, n_subsets=n_subsets, seed=i, rtol=rtol)
+                for name in ("b3", "b9", "b10", "h_bound"):
+                    block = getattr(rep, name)
+                    assert (block.count, block.violations, block.worst) == oracle[name], (i, n_subsets, name)
+            # the thresholds sit among the random unions' ratios, which the
+            # single cells far outnumber
+            ratios = b3_oracle_ratios(rec, v, n_subsets, seed=i)
+            drawn = list((Counter(ratios) - Counter(b3_oracle_ratios(rec, v, 0, seed=i))).elements())
+            for q in np.quantile(drawn, np.linspace(0.05, 0.95, 19)).tolist() if drawn else ():
+                b3 = wl.verify_chain(rec, u, v, gf, n_subsets=n_subsets, seed=i, rtol=q - 1.0).b3
+                assert b3.violations == sum(x > 1.0 + (q - 1.0) for x in ratios), (i, n_subsets, q)
+
+
+def test_b3_sums_few_unions_again(monkeypatch):
+    # a work count, steadier than a time on a shared host: on a random A1
+    # record of 4096 cells the exact pairwise sums see at most 0.1% of b3's
+    # unions (none when this was written)
+    rng = np.random.default_rng(3)
+    g = wl.build_grid(1, 11)
+    u, v = wl.random_a1_weight(g, rng, cap=8.0), wl.random_a1_weight(g, rng, cap=8.0)
+    gf = random_function(g, rng)
+    rec = wl.build_record(gf, v)
+    wl.principal_cubes(rec, u)
+    rows_summed = []
+    exact = wl.constants._union_ratios
+
+    def counting(blocks, wq, cube, mask, eps):
+        rows_summed.append(len(cube))
+        return exact(blocks, wq, cube, mask, eps)
+
+    monkeypatch.setattr(wl.constants, "_union_ratios", counting)
+    b3 = wl.verify_chain(rec, u, v, gf, seed=3).b3
+    assert b3.count > 4000
+    assert sum(rows_summed) <= b3.count // 1000, (sum(rows_summed), b3.count)
 
 
 def test_empty_record():
