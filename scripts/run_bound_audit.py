@@ -15,7 +15,7 @@ import sys
 
 import weightlab as wl
 import weightlab.experiments as exp
-from weightlab.errors import ConfigError
+from weightlab.cli import dispatch, floats
 
 
 def main(argv=None):
@@ -24,19 +24,12 @@ def main(argv=None):
     ap.add_argument("--L", type=int, default=8)
     ap.add_argument("--ps", default="1,2")
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args(argv)
-    if args.seed < 0:
-        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
-        return 2
-    try:
-        return run(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    ap.set_defaults(func=run)
+    return dispatch(ap, argv)
 
 
 def run(args) -> int:
-    ps = [float(x) for x in args.ps.split(",")]
+    ps = floats(args.ps)
 
     ok = True
     for L in (args.L, args.L + 1):

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 import weightlab as wl
+from weightlab.cli import dispatch
 from weightlab.errors import ConfigError
 
 
@@ -24,21 +25,13 @@ def main(argv=None):
     ap.add_argument("--cap", type=float, default=8.0, help="A1 constant cap")
     ap.add_argument("--a", type=float, default=4.0)
     ap.add_argument("--delta-frac", type=float, default=0.5)
-    args = ap.parse_args(argv)
-    if args.pairs < 1:
-        print(f"error: --pairs must be at least 1, got {args.pairs}", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
-        return 2
-    try:
-        return run(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    ap.set_defaults(func=run)
+    return dispatch(ap, argv)
 
 
 def run(args) -> int:
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
     rng = np.random.default_rng(args.seed)
     envs = []
     fails = 0

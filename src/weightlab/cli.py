@@ -4,7 +4,13 @@ Weight spec grammar (exact):
     const:c=<v> | power:delta=<v> | step:alpha=<v> | csv:<path>
     | prod:(<spec>,<spec>)
 
-Exit codes: 0 success, 1 a verification block failed, 2 usage error.
+Exit codes, for weightlab and the three scripts/ campaigns alike (each
+main() runs through dispatch()): 0 success, 1 a verification block failed,
+2 usage error.  A usage error (an argparse error, a negative --seed, a
+ConfigError, CsvFormatError or OSError) is one ``error:`` line on stderr,
+never a traceback.  Comma lists (--deltas, --ps, --levels, ...) are parsed
+by floats() on both surfaces, which skips empty tokens and refuses bad ones.
+
 All JSON reports carry a top-level {"schema": 1}; every non-finite float,
 at any depth, is encoded as the string "inf", "-inf" or "nan".  All
 randomness hangs off --seed (a non-negative integer, default 0), so
@@ -54,11 +60,13 @@ def _emit_json(payload: dict) -> None:
     print(text)
 
 
-def _floats(text: str) -> list[float]:
+def floats(text: str, kind: type = float) -> list:
+    """A comma list such as --deltas: empty tokens are skipped, so "" and ","
+    are the empty list.  kind=int parses an integer list and refuses 1.5."""
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        return [kind(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise ConfigError(f"bad numeric list {text!r}") from None
+        raise ConfigError(f"bad {kind.__name__} list {text!r}") from None
 
 
 def _realize_spec(text: str, grid):
@@ -137,7 +145,7 @@ def _cmd_weaknorm(args) -> int:
 
 
 def _cmd_sharpness_a1(args) -> int:
-    res = exp.sharpness_a1_sweep(_floats(args.deltas), include_grid=args.grid, L=args.L)
+    res = exp.sharpness_a1_sweep(floats(args.deltas), include_grid=args.grid, L=args.L)
     if args.format == "json":
         _emit_json(res.to_json_dict())
     else:
@@ -148,7 +156,7 @@ def _cmd_sharpness_a1(args) -> int:
 
 
 def _cmd_sharpness_product(args) -> int:
-    res = exp.sharpness_product_sweep(_floats(args.alphas), _floats(args.deltas))
+    res = exp.sharpness_product_sweep(floats(args.alphas), floats(args.deltas))
     ok = all(r["lower_ok"] for r in res.rows)
     if args.format == "json":
         _emit_json(res.to_json_dict())
@@ -196,7 +204,7 @@ def _cmd_sawyer_verify(args) -> int:
 def _cmd_lemma_check(args) -> int:
     grid = build_grid(args.J, args.L)
     w = _realize_spec(args.v, grid)
-    report = exp.mixed_lemma_check([(args.v, w)], _floats(args.p_grid))
+    report = exp.mixed_lemma_check([(args.v, w)], floats(args.p_grid))
     _emit_json(report.to_json_dict())
     return 0 if report.all_ok else 1
 
@@ -319,20 +327,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+def dispatch(parser: argparse.ArgumentParser, argv: list[str] | None) -> int:
+    """Parse argv with parser and run the ``func`` it sets, under the exit
+    contract of the module docstring; an argparse error returns 2 (--help 0)
+    and raises no SystemExit."""
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    if args.seed < 0:  # numpy's generators take non-negative seeds only
-        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
-        return 2
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy's generators take non-negative seeds only
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ConfigError, CsvFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    return dispatch(_build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -126,7 +126,8 @@ def ainf_fw_local(w: GridWeight, Q: Cube) -> float:
 
     Exact for piecewise-constant weights; the uncentered maximal of the
     truncated weight is attained by intervals inside Q, so the restricted
-    sweep suffices.  Analytic weights are refused: realize them on a grid.
+    sweep suffices.  A weight with a nonzero local exponent on some cell,
+    such as power:, is refused.
     """
     _require_piecewise(w)
     cells = cells_of(w.grid, Q)
@@ -138,9 +139,11 @@ def ainf_fw_local(w: GridWeight, Q: Cube) -> float:
 
 def _require_piecewise(w: GridWeight) -> None:
     if not w.is_piecewise:
+        cell = int(np.flatnonzero(w.expo != 0.0)[0])
         raise ConfigError(
-            "Fujii-Wilson constant needs a piecewise-constant weight; "
-            "realize the analytic weight on a grid first"
+            "the Fujii-Wilson constant needs local exponent 0 on every cell, as const:, step:, "
+            f"csv: and their products have; this weight has exponent {float(w.expo[cell])!r} "
+            f"on cell {cell}"
         )
 
 

@@ -5,7 +5,10 @@ a block, and no other module may import one of its private names: a caller
 that did would decide a path, or block its rows, a second time.  Likewise
 ``constants`` holds the one certified pass that counts the ratios of cell
 unions, so only it may read the pass's chunk size or call its exact and
-fused sums: a caller that did would run a second copy of the pass.
+fused sums: a caller that did would run a second copy of the pass.  And
+``cli.dispatch`` holds the one exit contract of the CLI and the scripts/
+campaigns, so each script's main() calls it, and no script catches a usage
+error, checks --seed or prints an ``error:`` line itself.
 """
 
 import ast
@@ -17,6 +20,7 @@ import weightlab
 
 SRC = Path(weightlab.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
 THRESHOLDS = {"NAIVE_CEILING", "SWEEP_CELLS", "ENVELOPE_W", "SPLIT_CUTOFF", "SPLIT_MIN", "FLANK_CHUNK",
               "NODE_BLOCK", "NODE_INNER"}
 UNION_PASS = {"RH_CHUNK", "_union_counts", "_union_ratios"}
@@ -64,3 +68,43 @@ def test_the_scan_sees_the_union_pass_where_it_runs():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "constants.py"], ids=lambda p: p.name)
 def test_only_constants_runs_the_union_pass(path):
     assert reads(path, UNION_PASS) == []
+
+
+def own_exit_rules(path: Path) -> list[tuple[int, str]]:
+    """(line, what) for every piece of the exit contract the file writes
+    itself: an except clause naming ConfigError, a comparison that reads a
+    seed, or an ``error:`` string outside a docstring."""
+    tree = ast.parse(path.read_text())
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type and "ConfigError" in ast.unparse(node.type):
+            found.append((node.lineno, "catches ConfigError"))
+        elif isinstance(node, ast.Compare) and "seed" in ast.unparse(node):
+            found.append((node.lineno, "compares the seed"))
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str) and "error:" in node.value
+              and id(node) not in docstrings):
+            found.append((node.lineno, "writes error:"))
+    return found
+
+
+def main_calls_dispatch(path: Path) -> bool:
+    """Whether the module's main() calls a function named dispatch."""
+    mains = [node for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    return any(isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "dispatch"
+               for main in mains for node in ast.walk(main))
+
+
+def test_the_scan_sees_the_exit_contract_where_it_is_written():
+    assert {what for _, what in own_exit_rules(SRC / "cli.py")} == {
+        "catches ConfigError", "compares the seed", "writes error:"}
+    assert main_calls_dispatch(SRC / "cli.py")
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_scripts_exit_through_the_shared_contract(path):
+    assert len(SCRIPTS) == 3
+    assert own_exit_rules(path) == []
+    assert main_calls_dispatch(path)

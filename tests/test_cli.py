@@ -247,6 +247,14 @@ def test_usage_errors(capsys, tmp_path):
                              "--J", "1", "--L", "4")
     assert code == 2
     assert out == "" and "--seed must be a non-negative integer, got -1" in err and "Traceback" not in err
+    # a weight the CLI has realized, but with local exponent -1/2: no Fujii-Wilson constant
+    for argv in (("constants", "--weight", "power:delta=0.5", "--kind", "AinfFW", "--J", "0", "--L", "3"),
+                 ("bound-audit", "--p", "2", "--v", "prod:(step:alpha=0.5,power:delta=0.5)",
+                  "--J", "1", "--L", "3")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and "local exponent 0 on every cell" in err and "exponent -0.5 on cell 0" in err
+        assert "realize" not in err
 
 
 def test_byte_identical_reruns(capsys):
