@@ -16,6 +16,7 @@ import sys
 import weightlab as wl
 import weightlab.experiments as exp
 from weightlab.cli import dispatch, floats
+from weightlab.errors import ConfigError
 
 
 def main(argv=None):
@@ -30,6 +31,8 @@ def main(argv=None):
 
 def run(args) -> int:
     ps = floats(args.ps)
+    if not ps:
+        raise ConfigError("--ps needs at least one p")
 
     ok = True
     for L in (args.L, args.L + 1):
