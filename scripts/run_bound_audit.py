@@ -34,13 +34,19 @@ def run(args) -> int:
     if not ps:
         raise ConfigError("--ps needs at least one p")
 
-    ok = True
+    # every report is built before any is printed, so a usage error leaves stdout empty
+    audits, fams = [], []
     for L in (args.L, args.L + 1):
         grid = wl.build_grid(args.J, L)
-        fam = exp.step_family(grid, seed=7)
-        print(f"# grid J={args.J} L={L}  ({grid.ncells} cells)")
-        for p in ps:
-            rep = exp.bound_audit_ap(fam, p, seed=args.seed)
+        fams.append(exp.step_family(grid, seed=7))
+        audits.append((grid, [exp.bound_audit_ap(fams[-1], p, seed=args.seed) for p in ps]))
+    lemma = exp.mixed_lemma_check(fams[0], [p for p in ps if p > 1] or [1.5, 2.0])
+    buckley = [(name, exp.buckley_empirical(v, 2.0, seed=args.seed)) for name, v in fams[0][:2]]
+
+    ok = True
+    for grid, reps in audits:
+        print(f"# grid J={grid.J} L={grid.L}  ({grid.ncells} cells)")
+        for p, rep in zip(ps, reps):
             ok &= rep.all_ok
             print(f"p={p}: envelope vs AinfFW bound = {rep.envelope_ainf:.4f}, "
                   f"vs Ap bound = {rep.envelope_ap:.4f}")
@@ -48,17 +54,12 @@ def run(args) -> int:
                 print(f"  {row['weight']:>14}: [v]_Ap={row['ap']:.3f} "
                       f"[v]_FW={row['ainf_fw']:.3f} max ratio={row['max_ratio']:.4f} "
                       f"({row['worst_function']})")
-    grid = wl.build_grid(args.J, args.L)
-    fam = exp.step_family(grid, seed=7)
-    lemma = exp.mixed_lemma_check(fam, [p for p in ps if p > 1] or [1.5, 2.0])
     ok &= lemma.all_ok
     print(f"mixed-constant lemma: {'pass' if lemma.all_ok else 'FAIL'}")
-    for name, v in fam[:2]:
-        for p in (2.0,):
-            b = exp.buckley_empirical(v, p, seed=args.seed)
-            print(f"operator-norm check {name} p={p}: implied c = {b.implied_c:.4f}, "
-                  f"dual identity rel err = {b.dual_identity_max_rel:.2e}")
-            ok &= b.dual_identity_ok
+    for name, b in buckley:
+        print(f"operator-norm check {name} p=2.0: implied c = {b.implied_c:.4f}, "
+              f"dual identity rel err = {b.dual_identity_max_rel:.2e}")
+        ok &= b.dual_identity_ok
     return 0 if ok else 1
 
 

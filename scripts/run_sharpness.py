@@ -28,10 +28,13 @@ def main(argv=None):
 
 
 def run(args) -> int:
+    # every table is built before any is printed, so a usage error leaves stdout empty
     deltas = floats(args.deltas)
     alphas = floats(args.alphas)
-
     res = exp.sharpness_a1_sweep(deltas)
+    res2 = exp.sharpness_product_sweep(alphas, deltas)
+    grid_rows = [exp.sharpness_a1_grid(0.5, L=L) for L in floats(args.levels, int)] if args.grid else []
+
     print("# one-weight sharpness (analytic path)")
     print(f"{'delta':>8} {'numerator':>12} {'denominator':>12} {'ratio':>10}")
     for r in res.rows:
@@ -39,7 +42,6 @@ def run(args) -> int:
     if fit := res.fits.get("ratio_vs_inv_delta"):  # a sweep fits three or more points only
         print(f"log-log slope vs 1/delta: {fit.slope:.6f}  (R^2 = {fit.r2:.6f})")
 
-    res2 = exp.sharpness_product_sweep(alphas, deltas)
     print("\n# two-weight product sharpness (analytic path)")
     print(f"{'alpha':>8} {'delta':>8} {'ratio':>10} {'1/(a d)':>10}")
     for r in res2.rows:
@@ -50,9 +52,8 @@ def run(args) -> int:
 
     if args.grid:
         print("\n# grid refinement at delta = 1/2 (analytic ratio = 2)")
-        for L in floats(args.levels, int):
-            row = exp.sharpness_a1_grid(0.5, L=L)
-            print(f"L={L:>3}  grid ratio = {row['ratio']:.8f}  rel gap = {row['rel_gap']:+.2e}")
+        for row in grid_rows:
+            print(f"L={row['L']:>3}  grid ratio = {row['ratio']:.8f}  rel gap = {row['rel_gap']:+.2e}")
     return 0
 
 

@@ -203,13 +203,17 @@ def _fw_levels(w: GridWeight) -> list[np.ndarray]:
 def global_constant(w: GridWeight, kind: ConstantKind) -> ConstantReport:
     """Supremum of the local constant over every dyadic cube of the grid.
 
-    Ties break to the smallest level, then smallest index.
+    Ties break to the smallest level, then smallest index.  The AinfFW
+    levels are built once per weight object and kept on it (``fw_levels``);
+    a weight that ``_fw_levels`` refuses keeps no levels and is refused again.
     """
     if kind.tag in ("Ap", "Mixed"):
         w = with_cached(w, dual=(kind.p,))
     grid = w.grid
     if kind.tag == "AinfFW":
-        levels = _fw_levels(w)
+        if w.fw_levels is None:
+            w.fw_levels = _fw_levels(w)
+        levels = w.fw_levels
     else:
         levels = (_level_values(w, kind, k) for k in grid.levels())
     best = -math.inf

@@ -237,6 +237,8 @@ def sharpness_a1_sweep(
     L: int = 12,
 ) -> SweepResult:
     """Sharpness table for the one-weight linear bound."""
+    if not deltas:
+        raise ConfigError("one-weight sweep needs at least one delta")
     rows = [_a1_analytic_row(d) for d in deltas]
     fit = scaling_fit([(1.0 / r["delta"], r["ratio"]) for r in rows]) if len(rows) >= 3 else None
     result = SweepResult(rows)
@@ -348,7 +350,12 @@ def bound_audit_ap(
 ) -> BoundAuditReport:
     """Measured mixed ratios (u = 1, dyadic operator) against the two
     bound expressions, plus the r-parameter algebra per weight.  Zero
-    functions are skipped; a corpus with no other is a ConfigError."""
+    functions are skipped; a corpus with no other is a ConfigError.
+
+    [v]_FW does not depend on p: its levels are built once per weight
+    object and kept on it (``GridWeight.fw_levels``), so auditing the same
+    weights at several p sweeps each once.  A copy of a weight starts
+    without them."""
     if not 1 <= p < math.inf:
         raise ConfigError(f"bound audit needs a finite p >= 1, got {p}")
     if corpus is not None and not any(np.any(f.values) for _, f in corpus):

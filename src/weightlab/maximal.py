@@ -355,7 +355,12 @@ def _left_ends(P, V, out, s) -> np.ndarray:
         k = K[np.arange(len(p)), p % (2 * s)]  # the bridge (p, k) of each row
         x = np.minimum(V // (2 * s), len(p) - 1)  # the row of each vertex
         V = V[(V <= p.take(x)) | (V >= k.take(x))]
-    np.maximum.accumulate(G, axis=1, out=G)
+    # prefix maxima along each row: none at s = 1, one maximum at s = 2,
+    # where accumulate over so short an axis costs 20x more
+    if s == 2:
+        np.maximum(G[:, 0], G[:, 1], out=G[:, 1])
+    elif s > 2:
+        np.maximum.accumulate(G, axis=1, out=G)
     O = out.reshape(-1, 2 * s)[:, :s]
     np.maximum(O, G, out=O)
     return V

@@ -191,6 +191,12 @@ class GridWeight:
     ``duals[p]`` integrates w^(1-p') and ``powers[r]`` integrates w^r.
     ``coef``/``expo`` keep the local form so further tables (other
     exponents, dual weights, products) can be derived exactly later.
+    ``fw_levels`` holds the Fujii-Wilson functional of every cube, one array
+    per level from the top: ``constants.global_constant`` builds it the
+    first time the AinfFW constant of this object is asked for and reads it
+    every later time (the constant does not depend on p, so audits of one
+    weight at several p sweep it once).  It is never set at realization,
+    and a copy (``with_cached``, ``dataclasses.replace``) starts without it.
     """
 
     grid: Grid
@@ -201,6 +207,7 @@ class GridWeight:
     logmass: list[np.ndarray]
     duals: dict[float, list[np.ndarray]] = field(default_factory=dict)
     powers: dict[float, list[np.ndarray]] = field(default_factory=dict)
+    fw_levels: list[np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def cell_masses(self) -> np.ndarray:

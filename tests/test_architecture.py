@@ -5,7 +5,11 @@ a block, and no other module may import one of its private names: a caller
 that did would decide a path, or block its rows, a second time.  Likewise
 ``constants`` holds the one certified pass that counts the ratios of cell
 unions, so only it may read the pass's chunk size or call its exact and
-fused sums: a caller that did would run a second copy of the pass.  And
+fused sums: a caller that did would run a second copy of the pass.  It
+also fills and reads ``GridWeight.fw_levels``, the Fujii-Wilson levels
+kept on a weight, so no other module reads or writes that slot (``weights``
+only declares it): a module that did could keep levels ``_fw_levels`` did
+not build, or build them a second way.  And
 ``cli.dispatch`` holds the one exit contract of the CLI and the scripts/
 campaigns, so each script's main() calls it, and no script catches a usage
 error, checks --seed or prints an ``error:`` line itself.
@@ -24,6 +28,7 @@ SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py
 THRESHOLDS = {"NAIVE_CEILING", "SWEEP_CELLS", "ENVELOPE_W", "SPLIT_CUTOFF", "SPLIT_MIN", "FLANK_CHUNK",
               "NODE_BLOCK", "NODE_INNER"}
 UNION_PASS = {"RH_CHUNK", "_union_counts", "_union_ratios"}
+FW_SLOT = "fw_levels"
 
 
 def reads(path: Path, names: set[str]) -> list[tuple[int, str]]:
@@ -68,6 +73,25 @@ def test_the_scan_sees_the_union_pass_where_it_runs():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "constants.py"], ids=lambda p: p.name)
 def test_only_constants_runs_the_union_pass(path):
     assert reads(path, UNION_PASS) == []
+
+
+def fw_slot_uses(path: Path) -> list[tuple[int, str]]:
+    """(line, name) for every read or write of the Fujii-Wilson slot, less
+    its declaration as a field of ``GridWeight``."""
+    declared = {(node.lineno, FW_SLOT) for cls in ast.parse(path.read_text()).body
+                if isinstance(cls, ast.ClassDef) and cls.name == "GridWeight"
+                for node in cls.body if isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == FW_SLOT}
+    return [hit for hit in reads(path, {FW_SLOT}) if hit not in declared]
+
+
+def test_the_scan_sees_the_fw_slot_where_it_is_filled():
+    assert len(fw_slot_uses(SRC / "constants.py")) >= 2  # one write, one read
+    assert len(reads(SRC / "weights.py", {FW_SLOT})) == 1 and fw_slot_uses(SRC / "weights.py") == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "constants.py"], ids=lambda p: p.name)
+def test_only_constants_fills_or_reads_the_fw_slot(path):
+    assert fw_slot_uses(path) == []
 
 
 def own_exit_rules(path: Path) -> list[tuple[int, str]]:

@@ -161,6 +161,10 @@ def test_usage_errors(capsys, tmp_path):
     assert "gauss" in err
     code, _, _ = run_cli(capsys, "no-such-command")
     assert code == 2
+    # an empty delta list, as sharpness-product refuses an empty alpha list
+    code, out, err = run_cli(capsys, "sharpness-a1", "--deltas", ",")
+    assert code == 2
+    assert out == "" and "at least one delta" in err
     # bad row in a weight csv
     p = tmp_path / "bad.csv"
     p.write_text("1.0\n-1.0\n")

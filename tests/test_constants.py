@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -285,6 +286,62 @@ def test_ainf_fw_carried_levels_call_structure(monkeypatch):
     assert maximal.NAIVE_CEILING == 1 << 12
     assert sweeps == [(1, 0)] + [(n, 3 * n * n // 8 - n // 4) for n in (1 << d for d in range(1, 13))]
     assert hulls == [1 << 13]
+
+
+def counted_fw_sweeps(monkeypatch) -> list[int]:
+    """The cell counts of every ``uncentered_dyadic`` call the Fujii-Wilson
+    levels make from now on."""
+    calls, real = [], constants.uncentered_dyadic
+
+    def counted(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(constants, "uncentered_dyadic", counted)
+    return calls
+
+
+def test_fw_levels_are_swept_once_per_weight(monkeypatch):
+    # [v]_FW does not depend on p: two constants and audits at p = 1 and 2
+    # of one weight object sweep its levels once
+    w = fw_weight("lognormal", 1, 5)
+    corpus = wl.test_function_corpus(w.grid, n_random=2)
+    calls = counted_fw_sweeps(monkeypatch)
+    first = wl.ainf_fw_constant(w)
+    assert wl.ainf_fw_constant(w) == first
+    audits = [wl.bound_audit_ap([("v", w)], p, corpus=corpus) for p in (1.0, 2.0)]
+    assert calls == [w.grid.ncells]
+    assert [a.rows[0]["ainf_fw"] for a in audits] == [first, first]
+
+
+def test_kept_fw_levels_give_the_report_of_a_fresh_sweep():
+    w = fw_weight("steps", 1, 6)
+    assert w.fw_levels is None  # never filled at realization
+    kind = ConstantKind("AinfFW")
+    first = wl.global_constant(w, kind)
+    assert w.fw_levels is not None
+    second = wl.global_constant(w, kind)
+    fresh = wl.global_constant(fw_weight("steps", 1, 6), kind)
+    for field in ("kind", "value", "argmax", "per_level", "truncation"):
+        assert getattr(second, field) == getattr(first, field) == getattr(fresh, field), field
+
+
+def test_a_copy_of_a_weight_starts_without_fw_levels(monkeypatch):
+    w = fw_weight("end spikes", 1, 5)
+    wl.ainf_fw_constant(w)
+    copies = [with_cached(w, dual=(2.0,)), wl.dual_weight(w, 2.0), dataclasses.replace(w)]
+    assert all(c is not w and c.fw_levels is None for c in copies)
+    calls = counted_fw_sweeps(monkeypatch)
+    wl.ainf_fw_constant(copies[0])
+    assert calls == [w.grid.ncells] and copies[0].fw_levels is not None and w.fw_levels is not None
+
+
+def test_a_refused_weight_keeps_no_fw_levels():
+    w = wl.realize(wl.Power(0.5), wl.build_grid(0, 4))
+    for _ in range(2):  # the refusal is not cached: the second call is refused again
+        with pytest.raises(ConfigError, match="local exponent 0 on every cell"):
+            wl.global_constant(w, ConstantKind("AinfFW"))
+        assert w.fw_levels is None
 
 
 def test_ainf_fw_at_least_one(rng):
